@@ -27,9 +27,16 @@ EXIT_CONSTRUCTION = 3
 EXIT_RESOURCE = 4
 
 
+class UsageError(Exception):
+    """A malformed setting outside the argument list (exit code 2)."""
+
+
 def _ceiling() -> int:
     raw = os.environ.get(RESOURCE_CEILING_ENV)
-    return int(raw) if raw else DEFAULT_CEILING
+    try:
+        return int(raw) if raw else DEFAULT_CEILING
+    except ValueError:
+        raise UsageError(f"{RESOURCE_CEILING_ENV} must be an integer, got {raw!r}") from None
 
 
 def _load_code(path: str) -> CssCode:
@@ -215,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FamilyParseError as exc:
+    except (FamilyParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceCeiling as exc:

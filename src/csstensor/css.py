@@ -48,6 +48,8 @@ class EmptyStabilizerGroup(ValueError):
 
 @dataclass(frozen=True)
 class CssCode:
+    """Checks shapes; from_matrices and from_complex check orthogonality."""
+
     n: int
     h_x: BinMatrix
     h_z: BinMatrix
@@ -57,17 +59,6 @@ class CssCode:
             raise gf2.DimensionMismatch(
                 f"check matrices have {self.h_x.cols}/{self.h_z.cols} columns, expected n={self.n}"
             )
-        witness = _orthogonality_witness(self.h_x, self.h_z)
-        if witness is not None:
-            raise OrthogonalityViolation(witness)
-
-
-def _orthogonality_witness(h_x: BinMatrix, h_z: BinMatrix) -> tuple[int, int] | None:
-    prod = gf2.matmul(h_x, gf2.transpose(h_z))
-    for i, row in enumerate(prod.data):
-        if row:
-            return i, (row & -row).bit_length() - 1
-    return None
 
 
 def from_matrices(h_x: BinMatrix, h_z: BinMatrix) -> CssCode:
@@ -76,6 +67,9 @@ def from_matrices(h_x: BinMatrix, h_z: BinMatrix) -> CssCode:
         raise gf2.DimensionMismatch(
             f"h_x has {h_x.cols} columns but h_z has {h_z.cols}"
         )
+    for i, row in enumerate(gf2.matmul(h_x, gf2.transpose(h_z)).data):
+        if row:
+            raise OrthogonalityViolation((i, (row & -row).bit_length() - 1))
     return CssCode(h_x.cols, h_x, h_z)
 
 
@@ -88,7 +82,10 @@ def to_complex(code: CssCode) -> ChainComplex:
 
 
 def from_complex(x: ChainComplex) -> CssCode:
-    """Inverse of to_complex for a valid complex with exactly 3 spaces."""
+    """Inverse of to_complex for a valid complex with exactly 3 spaces.
+
+    chain.validate's boundary product h_x . h_z^T checks orthogonality.
+    """
     if len(x.dims) != 3:
         raise ValueError(f"expected a length-3 complex, got {len(x.dims)} spaces")
     chain.validate(x)
@@ -132,20 +129,13 @@ class _Search:
     """Combination enumeration over a reduced basis, smallest support first."""
 
     def __init__(self, basis_rows, n, is_target, deadline):
-        reduced, _ = gf2._rref_bitrows(basis_rows, n)
-        self.rows = reduced
+        self.rows, _ = gf2._rref_bitrows(basis_rows)
         self.n = n
         self.is_target = is_target
         self.deadline = deadline
         self.best_w: int | None = None
         self.best_word: int | None = None
         self.nodes = 0
-
-    def _leaf(self, word: int) -> None:
-        w = word.bit_count()
-        if (self.best_w is None or w < self.best_w) and self.is_target(word):
-            self.best_w = w
-            self.best_word = word
 
     def _walk(self, start: int, depth: int, acc: int, r: int) -> None:
         rows = self.rows
@@ -212,10 +202,10 @@ def _vec(bits: int | None, n: int) -> BinVector | None:
 
 def _memberness(m: BinMatrix):
     """Fast repeated membership test against rowspace(m)."""
-    rows, pivots = gf2._rref_bitrows(m.data, m.cols)
+    by_pivot, mask = gf2._pivot_index(m.data)
 
     def contains(word: int) -> bool:
-        return gf2._reduce_by_rref(word, rows, pivots) == 0
+        return gf2._reduce_by_rref(word, by_pivot, mask) == 0
 
     return contains
 
@@ -268,17 +258,23 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
     rng = random.Random(seed)
     base = list(kernel.data)
     best: int | None = None
+    position = [0] * code.n
 
     def consider(word: int) -> None:
         nonlocal best
         w = word.bit_count()
-        if (best is None or w < best) and word and not trivial(word):
-            best = w
+        if (best is None or w < best) and word:
+            if not trivial(gf2._permute_bits((word,), order)[0]):
+                best = w
 
     for _ in range(max(1, trials)):
         order = list(range(code.n))
         rng.shuffle(order)
-        rows = _rref_with_column_order(base, order)
+        for i, c in enumerate(order):
+            position[c] = i
+        # Column order[i] moves to bit i, so the moved rows' RREF is the
+        # RREF under the random priority; only candidates are moved back.
+        rows, _ = gf2._rref_bitrows(gf2._permute_bits(base, position))
         for row in rows:
             consider(row)
         if len(rows) <= 80:
@@ -288,29 +284,6 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
     if best is None:
         raise RuntimeError("no nontrivial kernel element found; inconsistent inputs")
     return best
-
-
-def _rref_with_column_order(bitrows: list[int], order: list[int]) -> list[int]:
-    work = list(bitrows)
-    row_idx = 0
-    for col in order:
-        bit = 1 << col
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if work[r] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        piv = work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and work[r] & bit:
-                work[r] ^= piv
-        row_idx += 1
-        if row_idx == len(work):
-            break
-    return work[:row_idx]
 
 
 GRAY_ENUMERATION_MAX_RANK = 20
@@ -333,7 +306,7 @@ def stabilizer_min_weight(
     stab = code.h_x if side == "X" else code.h_z
     if all(r == 0 for r in stab.data):
         raise EmptyStabilizerGroup(f"no nonzero {side} stabilizer rows")
-    rows, _ = gf2._rref_bitrows(stab.data, stab.cols)
+    rows, _ = gf2._rref_bitrows(stab.data)
     r = len(rows)
     if r <= GRAY_ENUMERATION_MAX_RANK:
         word = 0

@@ -386,22 +386,27 @@ class FactorParams:
 
 def _min_nonzero_weight(rows: Sequence[int], cols: int) -> int | None:
     """Exact minimum weight over nonzero elements of a row space."""
-    reduced, _ = gf2._rref_bitrows(rows, cols)
-    if not reduced:
+    search = css._Search(rows, cols, lambda w: True, None)
+    if not search.rows:
         return None
-    search = css._Search(list(reduced), cols, lambda w: True, None)
     return search.run(None).value
 
 
 def factor_params(code: CssCode, side: str) -> FactorParams:
     """Exact invariants of a code for one side of the bound machine."""
-    kernel_of, stab = css._side_matrices(code, side)
+    kernel_of, _ = css._side_matrices(code, side)
     k = css.dimension_k(code)
     d_lo = css.min_distance_exact(code, side).value if k else 0
     cycle = _min_nonzero_weight(gf2.kernel_basis(kernel_of).data, code.n)
-    check_w = max(stab.row_weights(), default=0)
+    return _with_check_invariants(code, side, k, d_lo, 1 if cycle is None else cycle)
+
+
+def _with_check_invariants(
+    code: CssCode, side: str, k: int, d_lo: int, cycle_lo: int
+) -> FactorParams:
+    """FactorParams from distance data plus the exact invariants of the checks."""
+    kernel_of, stab = css._side_matrices(code, side)
     h_top = stab.rows - gf2.rank(stab)
-    h_bot = kernel_of.rows - gf2.rank(kernel_of)
     top_min = None
     if h_top:
         left_kernel = gf2.kernel_basis(gf2.transpose(stab))
@@ -409,10 +414,10 @@ def factor_params(code: CssCode, side: str) -> FactorParams:
     return FactorParams(
         k=k,
         d_lo=d_lo,
-        cycle_lo=1 if cycle is None else cycle,
-        check_w=check_w,
+        cycle_lo=cycle_lo,
+        check_w=max(stab.row_weights(), default=0),
         h_top=h_top,
-        h_bot=h_bot,
+        h_bot=kernel_of.rows - gf2.rank(kernel_of),
         top_min_lo=top_min,
     )
 
@@ -587,27 +592,11 @@ def _params_from_record(
     code: CssCode, record: SweepRecord, side: str
 ) -> FactorParams:
     """Certified factor invariants of a built power, from its sweep record."""
-    kernel_of, stab = css._side_matrices(code, side)
     dist = record.d_x if side == "X" else record.d_z
     stab_res = record.stab_min_x if side == "X" else record.stab_min_z
     d_lo = dist.lower if dist is not None else 0
-    stab_lo = stab_res.lower if stab_res is not None else None
-    cycle_lo = d_lo if stab_lo is None else min(d_lo, stab_lo)
-    h_top = stab.rows - gf2.rank(stab)
-    h_bot = kernel_of.rows - gf2.rank(kernel_of)
-    top_min = None
-    if h_top:
-        left_kernel = gf2.kernel_basis(gf2.transpose(stab))
-        top_min = _min_nonzero_weight(left_kernel.data, stab.rows)
-    return FactorParams(
-        k=record.k,
-        d_lo=d_lo,
-        cycle_lo=max(1, cycle_lo),
-        check_w=max(stab.row_weights(), default=0),
-        h_top=h_top,
-        h_bot=h_bot,
-        top_min_lo=top_min,
-    )
+    cycle_lo = d_lo if stab_res is None else min(d_lo, stab_res.lower)
+    return _with_check_invariants(code, side, record.k, d_lo, max(1, cycle_lo))
 
 
 def sweep(

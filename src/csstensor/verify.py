@@ -20,6 +20,7 @@ class PropertyResult:
     name: str
     checks: int
     failures: int
+    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -230,8 +231,8 @@ def run_suite(scale: str, seed: int) -> list[PropertyResult]:
     """The fast or full verification battery.
 
     A suite that crashes outright (possible when a kernel primitive is
-    broken) is reported as a single failed property instead of aborting
-    the whole report.
+    broken) is reported as a single failed property, carrying the
+    exception's type and message, instead of aborting the whole report.
     """
     if scale == "fast":
         plan = [
@@ -255,8 +256,9 @@ def run_suite(scale: str, seed: int) -> list[PropertyResult]:
     for fn, args in plan:
         try:
             results += fn(*args)
-        except Exception:
-            results.append(PropertyResult(f"{fn.__name__}/crashed", 1, 1))
+        except Exception as exc:
+            detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+            results.append(PropertyResult(f"{fn.__name__}/crashed", 1, 1, detail))
     return results
 
 
@@ -264,7 +266,8 @@ def format_report(results: list[PropertyResult]) -> str:
     lines = []
     for r in results:
         status = "pass" if r.passed else "FAIL"
-        lines.append(f"{status} {r.name}: {r.checks - r.failures}/{r.checks}")
+        detail = f" ({r.detail})" if r.detail else ""
+        lines.append(f"{status} {r.name}: {r.checks - r.failures}/{r.checks}{detail}")
     total_failures = sum(r.failures for r in results)
     lines.append(f"{'pass' if total_failures == 0 else 'FAIL'} total: {len(results)} properties")
     return "\n".join(lines) + "\n"

@@ -88,6 +88,15 @@ class TestPower:
         code, _, err = run(capsys, "power", str(base), "--ell", "3")
         assert code == 4 and "ceiling" in err
 
+    def test_malformed_ceiling_exit_2(self, capsys, tmp_path, monkeypatch):
+        base = tmp_path / "steane.json"
+        run(capsys, "family", "steane", "--out", str(base))
+        monkeypatch.setenv(cli.RESOURCE_CEILING_ENV, "10k")
+        code, _, err = run(capsys, "power", str(base), "--ell", "2")
+        assert code == 2 and cli.RESOURCE_CEILING_ENV in err
+        code, _, err = run(capsys, "sweep", "steane", "--ell-max", "1")
+        assert code == 2 and cli.RESOURCE_CEILING_ENV in err
+
 
 class TestTensor:
     def test_square(self, capsys, tmp_path):
@@ -211,6 +220,18 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", "fast")
         assert code == 1
         assert "FAIL" in stdout
+
+
+    def test_crashed_suite_names_its_exception(self, capsys, monkeypatch):
+        def broken_rank(m):
+            raise ArithmeticError("rank\nunavailable")
+
+        monkeypatch.setattr(gf2, "rank", broken_rank)
+        code, stdout, _ = run(capsys, "verify", "fast")
+        assert code == 1
+        lines = stdout.splitlines()
+        assert "FAIL gf2_properties/crashed: 0/1 (ArithmeticError: rank unavailable)" in lines
+        assert lines[-1] == f"FAIL total: {len(lines) - 1} properties"
 
 
 class TestErrorPaths:

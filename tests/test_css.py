@@ -69,6 +69,30 @@ class TestComplexCorrespondence:
         with pytest.raises(ValueError):
             css.from_complex(chain.ChainComplex.single(3))
 
+    def test_non_orthogonal_complex_rejected(self):
+        d1, d2 = BinMatrix.from_rows([[1, 0]]), BinMatrix.from_rows([[1], [0]])
+        x = chain.ChainComplex((1, 2, 1), (d1, d2))
+        with pytest.raises(chain.BoundarySquareNonzero):
+            css.from_complex(x)
+
+    def test_one_product_per_construction(self, monkeypatch):
+        products = []
+        real_matmul = gf2.matmul
+
+        def counting_matmul(a, b):
+            products.append((a.rows, b.cols))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(gf2, "matmul", counting_matmul)
+        code = steane()
+        x = css.to_complex(code)
+        products.clear()
+        assert css.from_complex(x) == code
+        assert products == [(3, 3)]
+        products.clear()
+        assert css.from_matrices(code.h_x, code.h_z) == code
+        assert products == [(3, 3)]
+
 
 class TestDimension:
     def test_steane(self):

@@ -7,8 +7,10 @@ import random
 import pytest
 
 from csstensor import gf2
+from csstensor.families import steane
 from csstensor.gf2 import BinMatrix, BinVector
 from csstensor.rand import random_matrix
+from csstensor.tensorops import css_power
 
 
 def hamming3() -> BinMatrix:
@@ -98,6 +100,108 @@ def _combine(rows: tuple[int, ...], picks: int) -> int:
         if (picks >> i) & 1:
             out ^= r
     return out
+
+
+# -- reference oracle ------------------------------------------------------
+#
+# The column-scan Gauss-Jordan elimination the library used before its
+# pivot-keyed routine, kept here as the reference.  The RREF of a row space
+# under a column order is unique, so both must agree row for row.
+
+
+def reference_rref(bitrows, cols, order=None):
+    work = list(bitrows)
+    pivots = []
+    for col in range(cols) if order is None else order:
+        bit = 1 << col
+        pivot = next((r for r in range(len(pivots), len(work)) if work[r] & bit), None)
+        if pivot is None:
+            continue
+        row_idx = len(pivots)
+        work[row_idx], work[pivot] = work[pivot], work[row_idx]
+        for r in range(len(work)):
+            if r != row_idx and work[r] & bit:
+                work[r] ^= work[row_idx]
+        pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
+def reference_kernel(bitrows, cols):
+    rows, pivots = reference_rref(bitrows, cols)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = 1 << f
+        for row, p in zip(rows, pivots):
+            if (row >> f) & 1:
+                vec |= 1 << p
+        basis.append(vec)
+    return basis
+
+
+def reference_reduce(vec, bitrows, cols):
+    for row, col in zip(*reference_rref(bitrows, cols)):
+        if (vec >> col) & 1:
+            vec ^= row
+    return vec
+
+
+def oracle_matrices():
+    """Seeded shapes: empty, zero and duplicate rows, rank-deficient, tall, wide."""
+    rng = random.Random(2024)
+    mats = [BinMatrix.zeros(0, 5), BinMatrix.zeros(4, 0), BinMatrix.zeros(0, 0),
+            BinMatrix.zeros(3, 6), BinMatrix(3, 4, (0b1011, 0b1011, 0b1011))]
+    for _ in range(150):
+        rows, cols = rng.randrange(0, 41), rng.randrange(1, 71)
+        kind = rng.randrange(4)
+        if kind == 0:
+            m = random_matrix(rng, rows, cols, density=rng.choice([0.05, 0.2, 0.5]))
+        elif kind == 1:  # rank at most `inner`: a product through a thin space
+            inner = rng.randrange(0, 6)
+            m = gf2.matmul(random_matrix(rng, rows, inner), random_matrix(rng, inner, cols))
+        else:  # zero and repeated rows drawn from a small pool
+            pool = [0] + list(random_matrix(rng, rng.randrange(1, 5), cols, 0.3).data)
+            m = BinMatrix(rows, cols, tuple(rng.choice(pool) for _ in range(rows)))
+        mats.append(m)
+    return mats
+
+
+class TestReferenceOracle:
+    def test_rref_identical_rows_and_pivots(self):
+        for m in oracle_matrices():
+            assert gf2._rref_bitrows(m.data) == reference_rref(m.data, m.cols)
+            assert gf2.rank(m) == len(reference_rref(m.data, m.cols)[1])
+
+    def test_column_order_is_permute_eliminate_unpermute(self):
+        rng = random.Random(7)
+        for m in oracle_matrices():
+            order = list(range(m.cols))
+            rng.shuffle(order)
+            position = [0] * m.cols
+            for i, c in enumerate(order):
+                position[c] = i
+            rows, pivots = gf2._rref_bitrows(gf2._permute_bits(m.data, position))
+            assert (gf2._permute_bits(rows, order), [order[p] for p in pivots]) == (
+                reference_rref(m.data, m.cols, order)
+            )
+
+    def test_kernel_and_membership(self):
+        rng = random.Random(11)
+        for m in oracle_matrices():
+            assert list(gf2.kernel_basis(m).data) == reference_kernel(m.data, m.cols)
+            by_pivot, mask = gf2._pivot_index(m.data)
+            members = [rng.getrandbits(m.cols) for _ in range(4)]
+            members += [r ^ rng.choice(m.data) for r in m.data[:4]]
+            for v in members:
+                residue = reference_reduce(v, m.data, m.cols)
+                assert gf2._reduce_by_rref(v, by_pivot, mask) == residue
+                assert gf2.rowspace_contains(m, BinVector(m.cols, v)) == (residue == 0)
+
+    def test_steane_cube_checks(self):
+        code = css_power(steane(), 3)
+        assert code.n == 721
+        for m in (code.h_x, code.h_z):
+            assert gf2._rref_bitrows(m.data) == reference_rref(m.data, m.cols)
+            assert list(gf2.kernel_basis(m).data) == reference_kernel(m.data, m.cols)
 
 
 class TestKron:
