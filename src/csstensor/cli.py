@@ -85,12 +85,12 @@ def cmd_power(args: argparse.Namespace) -> int:
     base_name, base = _load_named_code(args.input)
     x = css.to_complex(base)
     if args.reduced:
-        predicted = tensorops.reduced_power_length(x, args.ell)
+        reduced = tensorops.reduced_power_complex(x, args.ell)
+        predicted = reduced.dims[1]
+        code = css.from_complex(reduced)
     else:
         predicted = tensorops.power_length(x.dims, args.ell)
-    code = tensorops.css_power(
-        base, args.ell, reduced=args.reduced, max_n=None if args.reduced else _ceiling()
-    )
+        code = tensorops.css_power(base, args.ell, max_n=_ceiling())
     if args.ell == 1 and not args.reduced:
         name = base_name  # the first power is the code itself
     else:

@@ -11,14 +11,19 @@ an opposite labelling elsewhere is a swap, not a numerical change):
     d_Z = min weight of v in ker(h_x) outside rowspace(h_z)
     d_X = min weight of v in ker(h_z) outside rowspace(h_x)
 
-Exact searches enumerate combinations of a reduced kernel basis in
-increasing support size.  A word of Hamming weight w picks at most w
-pivot coordinates, hence at most w basis rows, so completing support
-size p certifies that no target of weight <= p was missed.
+Exact searches cover the kernel from two disjoint information sets: the
+pivot columns P of the reduced kernel basis and their complement N.  A
+word with a ones on P and b ones on N weighs a + b; once every word with
+at most p1 ones on P and every word with at most p2 ones on N has been
+seen, anything missed weighs at least p1 + p2 + 2, which certifies the
+lower bound.  Each step extends whichever side enumerates fewer words
+(see ``_Search``).  A weight cap stops the search once the certified
+bound exceeds the cap, so a capped result reports lower = cap + 1.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -104,9 +109,13 @@ def dimension_k(code: CssCode) -> int:
 class DistanceResult:
     """Outcome of a weight-stratified search.
 
-    ``lower`` is always a certified lower bound on the true minimum.  When
-    ``exact`` holds, ``lower == upper == value``.  A capped search reports
-    lower = cap + 1 and whatever upper the enumeration happened to find.
+    ``lower`` is always a certified lower bound on the true minimum: the
+    search has seen every word lighter than it (see ``_Search``).  When
+    ``exact`` holds, ``lower == upper == value``.  A capped search stops
+    once its certified bound exceeds the cap, so it reports lower = cap + 1
+    and whatever upper the enumeration happened to find.  A cap of at least
+    the basis size K is no cap: the search then ends exact, as walking all
+    combinations of up to K rows would.
     """
 
     lower: int
@@ -126,24 +135,45 @@ class _Timeout(Exception):
 
 
 class _Search:
-    """Combination enumeration over a reduced basis, smallest support first."""
+    """Enumeration of a row space from two disjoint information sets.
+
+    Pass 1 walks combinations of the reduced rows.  Their pivot set P is an
+    information set: a word of the span is the sum of exactly the rows
+    whose pivots it has, so level r covers every word with r ones on P.
+
+    Pass 2 re-eliminates the rows with the complement N of P as the low
+    bits, so pivots land in N first.  G holds the rows with pivots in N and
+    Z the rows that are zero on all of N.  Level j sums every j-subset of G
+    with every element of span(Z); such a word has a one at the pivot of
+    each row of the subset, and any word with at most j ones on N is such a
+    sum for some subset of at most j rows, so levels 0..j cover it.
+
+    After pass-1 level p1 and pass-2 level p2, every word not yet seen has
+    at least p1 + 1 ones on P and at least p2 + 1 ones on N, so no target
+    lighter than ``lower`` = p1 + p2 + 2 (p1 + 1 before pass 2 runs) was
+    missed.  Each step raises ``lower`` by one with the cheaper next level:
+    C(K, p1 + 1) words for pass 1 or C(|G|, p2 + 1) * 2^|Z| for pass 2,
+    ties to pass 1.  The pass-2 form costs about one elimination of the K
+    rows, so it is built only once pass 1's next level exceeds K^2 words.
+    """
 
     def __init__(self, basis_rows, n, is_target, deadline):
-        self.rows, _ = gf2._rref_bitrows(basis_rows)
+        self.rows, self.pivots = gf2._rref_bitrows(basis_rows)
         self.n = n
         self.is_target = is_target
         self.deadline = deadline
         self.best_w: int | None = None
         self.best_word: int | None = None
         self.nodes = 0
+        self.second: tuple[list[int], list[int]] | None = None
 
-    def _walk(self, start: int, depth: int, acc: int, r: int) -> None:
-        rows = self.rows
+    def _walk(self, rows: list[int], start: int, depth: int, acc: int, r: int) -> None:
+        """Visit acc + every r-subset sum of rows[start:]; depth rows are in acc."""
         k = len(rows)
         if depth == r - 1:
-            self.nodes += k - start
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _Timeout
+            self.nodes += k - start
             best_w = self.best_w
             target = self.is_target
             for idx in range(start, k):
@@ -156,7 +186,34 @@ class _Search:
             self.best_w = best_w
         else:
             for idx in range(start, k - (r - depth) + 1):
-                self._walk(idx + 1, depth + 1, acc ^ rows[idx], r)
+                self._walk(rows, idx + 1, depth + 1, acc ^ rows[idx], r)
+
+    def _second_form(self) -> tuple[list[int], list[int]]:
+        """(G, Z): the rows re-eliminated with the non-pivot columns first."""
+        pivot_set = set(self.pivots)
+        order = [c for c in range(self.n) if c not in pivot_set] + self.pivots
+        position = [0] * self.n
+        for i, c in enumerate(order):
+            position[c] = i
+        rows, pivots = gf2._rref_bitrows(gf2._permute_bits(self.rows, position))
+        rows = gf2._permute_bits(rows, order)
+        free = self.n - len(self.pivots)
+        g = [row for row, p in zip(rows, pivots) if p < free]
+        z = [row for row, p in zip(rows, pivots) if p >= free]
+        return g, z
+
+    def _pass2(self, j: int) -> None:
+        g, z = self.second
+        if j == 0:
+            # The nonzero elements of span(Z); the zero word is no target.
+            for r in range(1, len(z) + 1):
+                self._walk(z, 0, 0, 0, r)
+            return
+        acc = 0
+        for i in range(1 << len(z)):
+            if i:  # Gray code: one row of Z changes per step
+                acc ^= z[(i & -i).bit_length() - 1]
+            self._walk(g, 0, 0, acc, j)
 
     def run(
         self,
@@ -169,30 +226,41 @@ class _Search:
             self.best_w = seed_word.bit_count()
         if seed_upper is not None and (self.best_w is None or seed_upper < self.best_w):
             self.best_w = seed_upper
-        completed = 0
-        r = 1
+        k = len(self.rows)
+        if weight_cap is not None and weight_cap >= k:
+            weight_cap = None  # pass 1 alone exhausts the basis within the cap
+        p1, p2 = 0, -1
         while True:
-            if self.best_w is not None and self.best_w <= r:
+            lower = p1 + 1 if p2 < 0 else p1 + p2 + 2
+            exhausted = p1 == k or (self.second is not None and p2 == len(self.second[0]))
+            if exhausted or (self.best_w is not None and self.best_w <= lower):
                 break
-            if r > len(self.rows):
+            if weight_cap is not None and lower > weight_cap:
                 break
-            if weight_cap is not None and r > weight_cap:
-                break
+            cost1 = math.comb(k, p1 + 1)
+            if self.second is None and cost1 > k * k:
+                self.second = self._second_form()
+            use2 = self.second is not None and (
+                math.comb(len(self.second[0]), p2 + 1) << len(self.second[1])
+            ) < cost1
             try:
-                self._walk(0, 0, 0, r)
+                if use2:
+                    self._pass2(p2 + 1)
+                else:
+                    self._walk(self.rows, 0, 0, 0, p1 + 1)
             except _Timeout:
                 break
-            completed = r
-            r += 1
+            if use2:
+                p2 += 1
+            else:
+                p1 += 1
 
         found = self.best_w if self.best_word is not None else None
-        exhausted = completed >= len(self.rows)
-        if found is not None and (found <= completed + 1 or exhausted):
-            return DistanceResult(found, found, True, _vec(self.best_word, self.n))
-        lower = completed + 1
-        if found is not None:
-            lower = min(lower, found)
-        witness = _vec(self.best_word, self.n) if self.best_word is not None else None
+        witness = _vec(self.best_word, self.n)
+        if found is not None and (found <= lower or exhausted):
+            return DistanceResult(found, found, True, witness)
+        if exhausted and self.best_w is not None:
+            lower = self.best_w  # every word lighter than the seeded bound was seen
         return DistanceResult(lower, found, False, witness)
 
 
@@ -228,9 +296,9 @@ def min_distance_exact(
 ) -> DistanceResult:
     """Weight-stratified exact distance search on one side.
 
-    Enumerates kernel combinations in increasing support size, testing
-    rowspace membership only on candidate improvements.  With a cap the
-    result certifies lower = cap + 1 when nothing lighter was found.
+    Enumerates kernel words from two information sets (see ``_Search``),
+    testing rowspace membership only on candidate improvements.  With a
+    cap the result certifies lower = cap + 1 when nothing lighter was found.
     """
     if dimension_k(code) == 0:
         raise KIsZero("distances are undefined for k = 0")

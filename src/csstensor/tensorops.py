@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import chain, css, gf2
@@ -496,20 +496,19 @@ def tensor_distance_lower_bound(
     With the criterion holding on c, the cycle minimum of c equals its
     distance, so the middle-sector refinement runs at full strength; when
     it fails the same machinery still applies with c's true cycle minimum
-    and the result coincides with ``generic_lower_bound``.
+    and the result coincides with ``generic_lower_bound``.  Each factor's
+    invariants are computed once per side and serve both bounds.
     """
     bounds = []
     for side in ("X", "Z"):
-        cp = factor_params(c, side)
+        cp, dp = factor_params(c, side), factor_params(d, side)
+        bound = bound_from_params(cp, dp)
         if criterion.holds:
             d_side = criterion.d_x if side == "X" else criterion.d_z
-            cp = FactorParams(
-                cp.k, d_side, d_side, cp.check_w, cp.h_top, cp.h_bot, cp.top_min_lo
-            )
-        dp = factor_params(d, side)
-        bounds.append(bound_from_params(cp, dp))
-    generic = generic_lower_bound(c, d)
-    return max(bounds[0], generic[0]), max(bounds[1], generic[1])
+            strong = replace(cp, d_lo=d_side, cycle_lo=d_side)
+            bound = max(bound, bound_from_params(strong, dp))
+        bounds.append(bound)
+    return bounds[0], bounds[1]
 
 
 # -- sweeps ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from csstensor import cli, css, gf2
+from csstensor import cli, css, gf2, tensorops
 from csstensor.gf2 import BinMatrix
 
 
@@ -80,6 +80,22 @@ class TestPower:
         assert code == 0
         assert "actual_n=0" in stdout
         assert "warning" in err
+
+    def test_reduced_power_built_once(self, capsys, tmp_path, monkeypatch):
+        base = tmp_path / "steane.json"
+        run(capsys, "family", "steane", "--out", str(base))
+        builds = []
+        real = tensorops.reduced_power_complex
+
+        def counting(x, ell):
+            builds.append(ell)
+            return real(x, ell)
+
+        monkeypatch.setattr(tensorops, "reduced_power_complex", counting)
+        code, stdout, _ = run(capsys, "power", str(base), "--ell", "2", "--reduced")
+        assert code == 0
+        assert stdout == "predicted_n=1 actual_n=1 k=1\n"
+        assert builds == [2]
 
     def test_resource_ceiling_exit_4(self, capsys, tmp_path, monkeypatch):
         base = tmp_path / "steane.json"

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import time
 
 import pytest
 
-from csstensor import chain, css, gf2
+from csstensor import chain, css, families, gf2
 from csstensor.css import (
     CssCode,
     EmptyStabilizerGroup,
@@ -16,7 +18,8 @@ from csstensor.css import (
 )
 from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.gf2 import BinMatrix
-from csstensor.rand import random_css_code
+from csstensor.rand import random_css_code, random_matrix
+from csstensor.tensorops import css_power
 
 
 def no_stabilizer_code(n: int) -> CssCode:
@@ -174,6 +177,211 @@ def _scramble(rng: random.Random, m: BinMatrix) -> BinMatrix:
         i, j = rng.sample(range(len(rows)), 2)
         rows[i] ^= rows[j]
     return BinMatrix(m.rows, m.cols, tuple(rows))
+
+
+class _ReferenceSearch:
+    """The single-information-set enumeration, kept as the search oracle.
+
+    Level r walks every r-subset of the reduced rows, so completing level
+    r certifies that no target of weight <= r was missed.
+    """
+
+    def __init__(self, basis_rows, n, is_target):
+        self.rows, _ = gf2._rref_bitrows(basis_rows)
+        self.n = n
+        self.is_target = is_target
+        self.best_w = None
+        self.best_word = None
+
+    def _walk(self, start, depth, acc, r):
+        for idx in range(start, len(self.rows) - (r - depth) + 1):
+            word = acc ^ self.rows[idx]
+            if depth < r - 1:
+                self._walk(idx + 1, depth + 1, word, r)
+                continue
+            w = word.bit_count()
+            if (self.best_w is None or w < self.best_w) and self.is_target(word):
+                self.best_w, self.best_word = w, word
+
+    def run(self, weight_cap, seed_upper=None, seed_word=None):
+        if seed_word is not None:
+            self.best_word, self.best_w = seed_word, seed_word.bit_count()
+        if seed_upper is not None and (self.best_w is None or seed_upper < self.best_w):
+            self.best_w = seed_upper
+        completed = 0
+        r = 1
+        while not (self.best_w is not None and self.best_w <= r):
+            if r > len(self.rows) or (weight_cap is not None and r > weight_cap):
+                break
+            self._walk(0, 0, 0, r)
+            completed = r
+            r += 1
+        found = self.best_w if self.best_word is not None else None
+        witness = None if self.best_word is None else gf2.BinVector(self.n, self.best_word)
+        if found is not None and (found <= completed + 1 or completed >= len(self.rows)):
+            return css.DistanceResult(found, found, True, witness)
+        lower = completed + 1 if found is None else min(completed + 1, found)
+        return css.DistanceResult(lower, found, False, witness)
+
+
+def _brute_force_min(rows, is_target):
+    """Minimum target weight over all 2^K - 1 nonzero combinations."""
+    best, word = None, 0
+    for i in range(1, 1 << len(rows)):
+        word ^= rows[(i & -i).bit_length() - 1]
+        if word and (best is None or word.bit_count() < best) and is_target(word):
+            best = word.bit_count()
+    return best
+
+
+def _side_searches(code):
+    """(rows, n, target) for both distance searches of a code."""
+    out = []
+    for side in ("X", "Z"):
+        kernel_of, stab = css._side_matrices(code, side)
+        trivial = css._memberness(stab)
+        out.append((list(gf2.kernel_basis(kernel_of).data), code.n, lambda w, t=trivial: not t(w)))
+    return out
+
+
+# Generator polynomial of the binary Golay code; its 11 shifts that fit in 22
+# bits span the shortened [22, 11, 7] code.
+GOLAY_POLY = 0b110001110101
+
+
+def _oracle_searches(seed, count):
+    """(rows, n, target) triples: both sides of codes, and bare row spaces.
+
+    Random codes have n <= 22.  The fixed codes (distances 4, 5 and 7 on 11
+    to 21 rows) make the searches deep enough to reach the second pass's
+    higher levels.
+    """
+    rng = random.Random(seed)
+    out = _side_searches(families.parse_family_spec("rm:m=4,r1=1,r2=1")[1])
+    out += _side_searches(families.parse_family_spec("tz:rep5,rep5")[1])
+    out.append(([GOLAY_POLY << i for i in range(11)], 22, lambda w: True))
+    while len(out) < 3 * count:
+        n = rng.randrange(6, 23)
+        r_x, r_z = rng.randrange(1, n // 2), rng.randrange(1, n // 2)
+        try:
+            code = random_css_code(rng, n, r_x, r_z)
+        except RuntimeError:
+            continue
+        out += _side_searches(code)
+        rows = [r for r in random_matrix(rng, rng.randrange(1, n // 2 + 2), n).data if r]
+        out.append((rows or [1], n, lambda w: True))
+    return out
+
+
+class TestTwoSetSearch:
+    def test_matches_reference_and_brute_force(self, monkeypatch):
+        second_levels = []
+        second_pass = css._Search._pass2
+
+        def counting_pass2(search, j):
+            second_levels.append(j)
+            second_pass(search, j)
+
+        monkeypatch.setattr(css._Search, "_pass2", counting_pass2)
+        rng = random.Random(31)
+        for rows, n, target in _oracle_searches(30, 40):
+            exact = _ReferenceSearch(rows, n, target).run(None)
+            d = exact.value
+            if len(rows) <= 12:
+                assert _brute_force_min(rows, target) == d
+            seed_word = exact.witness.bits
+            for _ in range(3):
+                extra = rows[rng.randrange(len(rows))] ^ seed_word
+                if extra and target(extra) and extra.bit_count() > seed_word.bit_count():
+                    seed_word = extra
+            for cap in (None, 1, 2, 3, 4, 6):
+                for seeds in ({}, {"seed_upper": d}, {"seed_upper": d + 2},
+                              {"seed_word": seed_word}):
+                    ref = _ReferenceSearch(rows, n, target).run(cap, **seeds)
+                    # As the callers run it (second form built on demand), and
+                    # with the second form built up front, so that small bases
+                    # also schedule the second pass.
+                    for prebuilt in (False, True):
+                        search = css._Search(rows, n, target, None)
+                        if prebuilt:
+                            search.second = search._second_form()
+                        res = search.run(cap, **seeds)
+                        if cap is None:
+                            assert (res.upper, res.exact) == (ref.upper, ref.exact)
+                            if not ref.exact and ref.lower > len(search.rows):
+                                # The reference exhausted the basis without a
+                                # witness and reports K + 1; a finished search
+                                # has seen every word under the seeded bound.
+                                assert res.lower == seeds["seed_upper"]
+                            else:
+                                assert res.lower == ref.lower
+                        assert ref.lower <= res.lower <= d
+                        if res.exact:
+                            assert res.lower == res.upper == d
+                        if res.witness is not None:
+                            assert target(res.witness.bits)
+                            assert res.witness.weight() == res.upper
+                        else:
+                            assert res.upper is None
+        assert len(second_levels) >= 1000 and max(second_levels) >= 2
+
+    def test_certificate_covers_every_lighter_word(self):
+        # A target that rejects everything makes the search record every
+        # word it examines; a run that certifies lower = cap + 1 must have
+        # examined every nonzero word of weight <= cap.
+        for rows, n, _ in _oracle_searches(32, 20):
+            basis, _ = gf2._rref_bitrows(rows)
+            if len(basis) > 13:
+                continue
+            span, word = [], 0
+            for i in range(1, 1 << len(basis)):
+                word ^= basis[(i & -i).bit_length() - 1]
+                span.append(word)
+            for cap in range(1, 8):
+                for prebuilt in (False, True):
+                    seen = set()
+                    search = css._Search(rows, n, lambda w: seen.add(w), None)
+                    if prebuilt:
+                        search.second = search._second_form()
+                    res = search.run(cap)
+                    assert res.upper is None and not res.exact
+                    light = {w for w in span if w.bit_count() < res.lower}
+                    assert light <= seen
+                    assert search.nodes >= len(seen)
+
+    def test_steane_square_exact_nine_uncapped(self):
+        square = css_power(steane(), 2)
+        for side in ("X", "Z"):
+            res = css.min_distance_exact(square, side)
+            assert res.exact and res.value == 9
+            kernel_of, stab = css._side_matrices(square, side)
+            assert gf2.matvec(kernel_of, res.witness).bits == 0
+            assert not gf2.rowspace_contains(stab, res.witness)
+
+    def test_deadline_in_second_pass_keeps_certificate(self):
+        square = css_power(steane(), 2)
+        kernel = gf2.kernel_basis(square.h_x)
+        trivial = css._memberness(square.h_z)
+        search = css._Search(list(kernel.data), square.n, lambda w: not trivial(w), None)
+        second_pass = search._pass2
+
+        def expire_at_level_one(j):
+            if j == 1:
+                search.deadline = time.monotonic() - 1.0
+            second_pass(j)
+
+        search._pass2 = expire_at_level_one
+        res = search.run(None)
+        g, z = search.second
+        assert (len(search.rows), len(g), len(z)) == (34, 24, 10)
+        # Completed P1(1), P1(2), P2(0), P1(3): nothing under 3 + 0 + 2 was missed.
+        assert res.lower == 5 and not res.exact
+        assert search.nodes == sum(math.comb(34, r) for r in (1, 2, 3)) + (1 << 10) - 1
+        if res.witness is not None:
+            assert res.upper == res.witness.weight() >= 9
+            assert not trivial(res.witness.bits)
+        else:
+            assert res.upper is None
 
 
 class TestRandomUpper:

@@ -220,6 +220,20 @@ class TestBounds:
         crit = check_distance_criterion(code)
         assert tensor_distance_lower_bound(code, code, crit) == (4, 4)
 
+    def test_factor_params_once_per_factor_and_side(self, monkeypatch):
+        code = steane()
+        crit = check_distance_criterion(code)
+        calls = []
+        real = tensorops.factor_params
+
+        def counting(c, side):
+            calls.append(side)
+            return real(c, side)
+
+        monkeypatch.setattr(tensorops, "factor_params", counting)
+        assert tensor_distance_lower_bound(code, code, crit) == (4, 4)
+        assert sorted(calls) == ["X", "X", "Z", "Z"]
+
     def test_bounds_below_exact_steane_square(self):
         code = steane()
         crit = check_distance_criterion(code)
