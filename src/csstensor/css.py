@@ -19,6 +19,14 @@ seen, anything missed weighs at least p1 + p2 + 2, which certifies the
 lower bound.  Each step extends whichever side enumerates fewer words
 (see ``_Search``).  A weight cap stops the search once the certified
 bound exceeds the cap, so a capped result reports lower = cap + 1.
+
+A kernel word is a logical exactly when one of its parities with k check
+words is odd (``_logical_checks``: the checks live on an information set
+of the kernel, where they annihilate the stabilizers).  The k parities,
+the word's signature, are linear, so the search sorts rows and sums of two
+rows into signature classes once, skips every class of trivial words, and
+walks a leaf word by word only when it holds a logical lighter than the
+best so far.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
+from typing import Sequence
 
 from . import chain, gf2
 from .chain import ChainComplex
@@ -130,12 +140,100 @@ class DistanceResult:
         return self.upper
 
 
+def distance_to_json(d: DistanceResult | None) -> dict | None:
+    """The JSON form of a distance result in reports; None stays None."""
+    return None if d is None else {"lower": d.lower, "upper": d.upper, "exact": d.exact}
+
+
 class _Timeout(Exception):
     pass
 
 
+# Batching pays from this many words in a leaf on.  It sorts words into at
+# most 2^k signature classes, so it runs only for k <= _BATCH_CHECKS_MAX.  A
+# pair table holds K(K - 1)/2 words, at most _PAIR_TABLE_FACTOR times the K
+# rows of the basis itself.
+_BATCH_MIN = 8
+_BATCH_CHECKS_MAX = 3
+_PAIR_TABLE_FACTOR = 32
+
+
+def _signature(word: int, checks: Sequence[int]) -> int:
+    """Parities of ``word`` with each check, one bit per check."""
+    sig = 0
+    for b, c in enumerate(checks):
+        sig |= ((word & c).bit_count() & 1) << b
+    return sig
+
+
+def _classes(items: list[tuple[int, int, int]], size: int) -> list:
+    """Class table of (first row index, signature, word) items.
+
+    One entry (signature, words, counts) per signature.  The words are
+    kept in reverse enumeration order, so the counts[s] words whose first
+    row index is at least s, the words of a leaf starting at row s, lead
+    the list.
+    """
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for first, sig, word in reversed(items):
+        group = groups.get(sig)
+        if group is None:
+            group = groups[sig] = ([], [0] * (size + 1))
+        group[0].append(word)
+        group[1][first] += 1
+    for words, counts in groups.values():
+        for s in range(size - 1, -1, -1):
+            counts[s] += counts[s + 1]
+    return [(sig, words, counts) for sig, (words, counts) in groups.items()]
+
+
+class _Rows:
+    """One row list of a search, the signatures of its rows, its class tables.
+
+    ``singles`` groups the rows and ``pairs`` the sums of two rows by
+    signature (see ``_classes``).  Row signatures are kept only when the
+    search batches; otherwise they read 0 and targets are tested word by
+    word.
+    """
+
+    __slots__ = ("rows", "batch", "sigs", "singles", "pairs")
+
+    def __init__(self, rows: list[int], checks: Sequence[int] | None, batch: bool):
+        self.rows = rows
+        self.batch = batch
+        if batch and checks:
+            self.sigs = [_signature(row, checks) for row in rows]
+        else:
+            self.sigs = [0] * len(rows)
+        self.singles: list | None = None
+        self.pairs: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def prepare(self, r: int, repeats: int) -> None:
+        """Build the tables that a level of r-subsets, walked ``repeats`` times, reuses."""
+        if not self.batch:
+            return
+        rows, sigs, k = self.rows, self.sigs, len(self.rows)
+        if self.singles is None and (r >= 2 or repeats > 1):
+            self.singles = _classes(list(zip(range(k), sigs, rows)), k)
+        if (
+            self.pairs is None
+            and (r >= 3 or (r == 2 and repeats > 1))
+            and k - 1 <= 2 * _PAIR_TABLE_FACTOR
+        ):
+            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+            self.pairs = _classes([(i, sigs[i] ^ sigs[j], rows[i] ^ rows[j]) for i, j in pairs], k)
+
+
 class _Search:
     """Enumeration of a row space from two disjoint information sets.
+
+    Targets are the words with a nonzero signature: their parities with
+    the k ``checks`` (see ``_logical_checks``), or every nonzero word when
+    ``checks`` is None.  Signatures are linear, so a sum of rows has the
+    XOR of their signatures.
 
     Pass 1 walks combinations of the reduced rows.  Their pivot set P is an
     information set: a word of the span is the sum of exactly the rows
@@ -155,40 +253,91 @@ class _Search:
     C(K, p1 + 1) words for pass 1 or C(|G|, p2 + 1) * 2^|Z| for pass 2,
     ties to pass 1.  The pass-2 form costs about one elimination of the K
     rows, so it is built only once pass 1's next level exceeds K^2 words.
+
+    A leaf covers acc plus each row, or each pair of rows, of a tail.  With
+    K >= _BATCH_MIN and k <= _BATCH_CHECKS_MAX the search batches: a leaf
+    reads its tail from class tables and skips the class whose signature
+    equals acc's, whose words are all trivial.  Only when a remaining word
+    is lighter than ``best_w`` does it walk the tail word by word, in
+    enumeration order, so the witness is the first lightest target, as
+    without tables.  Tables are built for the levels that reuse them, pair
+    tables only on bases of at most 2 * _PAIR_TABLE_FACTOR + 1 rows.
     """
 
-    def __init__(self, basis_rows, n, is_target, deadline):
+    def __init__(self, basis_rows, n, checks: Sequence[int] | None, deadline):
         self.rows, self.pivots = gf2._rref_bitrows(basis_rows)
         self.n = n
-        self.is_target = is_target
+        self.checks = checks
+        self.batch = len(self.rows) >= _BATCH_MIN and (
+            checks is None or len(checks) <= _BATCH_CHECKS_MAX
+        )
         self.deadline = deadline
         self.best_w: int | None = None
         self.best_word: int | None = None
         self.nodes = 0
-        self.second: tuple[list[int], list[int]] | None = None
+        self.first = _Rows(self.rows, checks, self.batch)
+        self.second: tuple[_Rows, _Rows] | None = None
 
-    def _walk(self, rows: list[int], start: int, depth: int, acc: int, r: int) -> None:
-        """Visit acc + every r-subset sum of rows[start:]; depth rows are in acc."""
-        k = len(rows)
-        if depth == r - 1:
+    def _walk(self, t: _Rows, start: int, left: int, acc: int, sig: int) -> None:
+        """Cover acc + every left-subset sum of t.rows[start:]; sig is acc's.
+
+        A leaf (one row left, or two from a pair table) first asks its class
+        table whether it holds a target lighter than best_w; only then are
+        its words visited one by one, in enumeration order.
+        """
+        rows, sigs = t.rows, t.sigs
+        m = len(rows) - start
+        if left == 1 or (left == 2 and t.pairs is not None):
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _Timeout
-            self.nodes += k - start
-            best_w = self.best_w
-            target = self.is_target
-            for idx in range(start, k):
-                word = acc ^ rows[idx]
-                w = word.bit_count()
-                if best_w is None or w < best_w:
-                    if target(word):
-                        best_w = w
-                        self.best_word = word
-            self.best_w = best_w
-        else:
-            for idx in range(start, k - (r - depth) + 1):
-                self._walk(rows, idx + 1, depth + 1, acc ^ rows[idx], r)
+            table = t.singles if left == 1 else t.pairs
+            if (
+                table is not None
+                and (left == 2 or m >= _BATCH_MIN)
+                and not self._lighter_target(table, start, acc, sig)
+            ):
+                self.nodes += m if left == 1 else m * (m - 1) // 2
+                return
+        if left > 1:
+            for idx in range(start, len(rows) - left + 1):
+                self._walk(t, idx + 1, left - 1, acc ^ rows[idx], sig ^ sigs[idx])
+            return
+        self.nodes += m
+        best_w = self.best_w
+        for idx in range(start, len(rows)):
+            word = acc ^ rows[idx]
+            w = word.bit_count()
+            if (best_w is None or w < best_w) and self._is_target(word, sig ^ sigs[idx]):
+                best_w = w
+                self.best_word = word
+        self.best_w = best_w
 
-    def _second_form(self) -> tuple[list[int], list[int]]:
+    def _lighter_target(self, table: list, start: int, acc: int, sig: int) -> bool:
+        """Whether a target of the leaf at row ``start`` is lighter than best_w."""
+        bound = self.best_w
+        if bound is None:
+            return True
+        skip = sig if self.checks is not None else -1
+        for csig, words, counts in table:
+            c = counts[start]
+            if c and csig != skip:
+                for x in words if c == len(words) else islice(words, c):
+                    if (acc ^ x).bit_count() < bound:
+                        return True
+        return False
+
+    def _is_target(self, word: int, sig: int) -> bool:
+        """Whether a word is a target; sig is its signature when batching."""
+        if self.checks is None:
+            return True
+        if self.batch:
+            return sig != 0
+        for c in self.checks:
+            if (word & c).bit_count() & 1:
+                return True
+        return False
+
+    def _second_form(self) -> tuple[_Rows, _Rows]:
         """(G, Z): the rows re-eliminated with the non-pivot columns first."""
         pivot_set = set(self.pivots)
         order = [c for c in range(self.n) if c not in pivot_set] + self.pivots
@@ -200,20 +349,24 @@ class _Search:
         free = self.n - len(self.pivots)
         g = [row for row, p in zip(rows, pivots) if p < free]
         z = [row for row, p in zip(rows, pivots) if p >= free]
-        return g, z
+        return _Rows(g, self.checks, self.batch), _Rows(z, self.checks, self.batch)
 
     def _pass2(self, j: int) -> None:
         g, z = self.second
         if j == 0:
             # The nonzero elements of span(Z); the zero word is no target.
             for r in range(1, len(z) + 1):
-                self._walk(z, 0, 0, 0, r)
+                z.prepare(r, 1)
+                self._walk(z, 0, r, 0, 0)
             return
-        acc = 0
+        g.prepare(j, 1 << len(z))
+        acc = sig = 0
         for i in range(1 << len(z)):
             if i:  # Gray code: one row of Z changes per step
-                acc ^= z[(i & -i).bit_length() - 1]
-            self._walk(g, 0, 0, acc, j)
+                b = (i & -i).bit_length() - 1
+                acc ^= z.rows[b]
+                sig ^= z.sigs[b]
+            self._walk(g, 0, j, acc, sig)
 
     def run(
         self,
@@ -247,7 +400,8 @@ class _Search:
                 if use2:
                     self._pass2(p2 + 1)
                 else:
-                    self._walk(self.rows, 0, 0, 0, p1 + 1)
+                    self.first.prepare(p1 + 1, 1)
+                    self._walk(self.first, 0, p1 + 1, 0, 0)
             except _Timeout:
                 break
             if use2:
@@ -268,14 +422,22 @@ def _vec(bits: int | None, n: int) -> BinVector | None:
     return None if bits is None else BinVector(n, bits)
 
 
-def _memberness(m: BinMatrix):
-    """Fast repeated membership test against rowspace(m)."""
-    by_pivot, mask = gf2._pivot_index(m.data)
+def _logical_checks(code: CssCode, side: str) -> tuple[list[int], list[int]]:
+    """(kernel basis, parity checks) of one side.
 
-    def contains(word: int) -> bool:
-        return gf2._reduce_by_rref(word, by_pivot, mask) == 0
-
-    return contains
+    The kernel basis (``gf2._kernel_bitrows``) is the identity on the free
+    columns F of the kernel-defining matrix, so a kernel word is fixed by
+    its bits on F, and it is a stabilizer exactly when those bits lie in
+    the span of the stabilizer rows cut to F.  The checks are a basis of
+    that span's annihilator inside F2^F, found with one elimination of the
+    cut rows: k words (the cut keeps the rank of the stabilizers, which lie
+    in the kernel), and a kernel word is trivial exactly when its parities
+    with all of them are even.
+    """
+    kernel_of, stab = _side_matrices(code, side)
+    kernel, free = gf2._kernel_bitrows(kernel_of.data, gf2._mask(code.n))
+    checks, _ = gf2._kernel_bitrows([row & free for row in stab.data], free)
+    return kernel, checks
 
 
 def _side_matrices(code: CssCode, side: str) -> tuple[BinMatrix, BinMatrix]:
@@ -296,18 +458,16 @@ def min_distance_exact(
 ) -> DistanceResult:
     """Weight-stratified exact distance search on one side.
 
-    Enumerates kernel words from two information sets (see ``_Search``),
-    testing rowspace membership only on candidate improvements.  With a
-    cap the result certifies lower = cap + 1 when nothing lighter was found.
+    Enumerates kernel words from two information sets (see ``_Search``);
+    a word is a logical exactly when its parities with the k checks of
+    ``_logical_checks`` are not all even.  With a cap the result certifies
+    lower = cap + 1 when nothing lighter was found.
     """
-    if dimension_k(code) == 0:
+    rows, checks = _logical_checks(code, side)
+    if not checks:
         raise KIsZero("distances are undefined for k = 0")
-    kernel_of, stab = _side_matrices(code, side)
-    kernel = gf2.kernel_basis(kernel_of)
-    trivial = _memberness(stab)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    search = _Search(list(kernel.data), code.n, lambda w: not trivial(w), deadline)
-    return search.run(weight_cap, seed_upper=seed_upper)
+    return _Search(rows, code.n, checks, deadline).run(weight_cap, seed_upper=seed_upper)
 
 
 def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) -> int:
@@ -318,37 +478,27 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
     low-weight kernel members and every nontrivial one bounds the distance
     from above.  Deterministic for a fixed seed.
     """
-    if dimension_k(code) == 0:
+    base, checks = _logical_checks(code, side)
+    if not checks:
         raise KIsZero("distances are undefined for k = 0")
-    kernel_of, stab = _side_matrices(code, side)
-    kernel = gf2.kernel_basis(kernel_of)
-    trivial = _memberness(stab)
     rng = random.Random(seed)
-    base = list(kernel.data)
     best: int | None = None
     position = [0] * code.n
-
-    def consider(word: int) -> None:
-        nonlocal best
-        w = word.bit_count()
-        if (best is None or w < best) and word:
-            if not trivial(gf2._permute_bits((word,), order)[0]):
-                best = w
-
     for _ in range(max(1, trials)):
         order = list(range(code.n))
         rng.shuffle(order)
         for i, c in enumerate(order):
             position[c] = i
         # Column order[i] moves to bit i, so the moved rows' RREF is the
-        # RREF under the random priority; only candidates are moved back.
+        # RREF under the random priority; the checks move with them.
         rows, _ = gf2._rref_bitrows(gf2._permute_bits(base, position))
-        for row in rows:
-            consider(row)
+        moved_checks = gf2._permute_bits(checks, position)
         if len(rows) <= 80:
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    consider(rows[i] ^ rows[j])
+            rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]
+        for word in rows:
+            w = word.bit_count()
+            if (best is None or w < best) and _signature(word, moved_checks):
+                best = w
     if best is None:
         raise RuntimeError("no nontrivial kernel element found; inconsistent inputs")
     return best
@@ -387,7 +537,7 @@ def stabilizer_min_weight(
                 best, best_word = w, word
         return DistanceResult(best, best, True, _vec(best_word, stab.cols))
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    search = _Search(rows, stab.cols, lambda w: True, deadline)
+    search = _Search(rows, stab.cols, None, deadline)
     seed_word = min((r for r in stab.data if r), key=int.bit_count)
     return search.run(weight_cap, seed_word=seed_word)
 
@@ -476,24 +626,19 @@ class CodeReport:
     degenerate: bool | None
 
     def to_json_dict(self) -> dict:
-        def dist(d: DistanceResult | None) -> dict | None:
-            if d is None:
-                return None
-            return {"lower": d.lower, "upper": d.upper, "exact": d.exact}
-
         return {
             "n": self.n,
             "k": self.k,
-            "d_x": dist(self.d_x),
-            "d_z": dist(self.d_z),
+            "d_x": distance_to_json(self.d_x),
+            "d_z": distance_to_json(self.d_z),
             "max_row_weight_x": self.profile.max_row_weight_x,
             "max_row_weight_z": self.profile.max_row_weight_z,
             "max_col_weight_x": self.profile.max_col_weight_x,
             "max_col_weight_z": self.profile.max_col_weight_z,
             "mean_row_weight_x": self.profile.mean_row_weight_x,
             "mean_row_weight_z": self.profile.mean_row_weight_z,
-            "min_stabilizer_weight_x": dist(self.min_stabilizer_weight_x),
-            "min_stabilizer_weight_z": dist(self.min_stabilizer_weight_z),
+            "min_stabilizer_weight_x": distance_to_json(self.min_stabilizer_weight_x),
+            "min_stabilizer_weight_z": distance_to_json(self.min_stabilizer_weight_z),
             "degenerate": self.degenerate,
         }
 

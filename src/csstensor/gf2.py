@@ -266,8 +266,27 @@ def kernel_basis(m: BinMatrix) -> BinMatrix:
     increasing order.  For a matrix with no rows this is the
     identity-like basis of the whole domain.
     """
-    by_pivot, mask = _pivot_index(m.data)
-    basis = {f: 1 << f for f in range(m.cols) if not (mask >> f) & 1}
+    basis, _ = _kernel_bitrows(m.data, _mask(m.cols))
+    return BinMatrix(len(basis), m.cols, tuple(basis))
+
+
+def _kernel_bitrows(bitrows: Sequence[int], columns: int) -> tuple[list[int], int]:
+    """Kernel basis inside the coordinates of the mask ``columns``.
+
+    Every row must be zero outside ``columns``.  Returns the basis, one
+    vector per free column in increasing order, and the mask of the free
+    columns.  The vector of a free column f has bit f and otherwise only
+    pivot bits, so a kernel vector is fixed by its bits on the free
+    columns: they form an information set of the kernel.
+    """
+    by_pivot, mask = _pivot_index(bitrows)
+    free = columns & ~mask
+    basis = {}
+    rest = free
+    while rest:
+        low = rest & -rest
+        basis[low.bit_length() - 1] = low
+        rest ^= low
     for p, row in by_pivot.items():
         bit = 1 << p
         rest = row ^ bit
@@ -275,7 +294,7 @@ def kernel_basis(m: BinMatrix) -> BinMatrix:
             low = rest & -rest
             basis[low.bit_length() - 1] |= bit
             rest ^= low
-    return BinMatrix(len(basis), m.cols, tuple(basis.values()))
+    return list(basis.values()), free
 
 
 def rowspace_contains(m: BinMatrix, v: BinVector) -> bool:

@@ -386,7 +386,7 @@ class FactorParams:
 
 def _min_nonzero_weight(rows: Sequence[int], cols: int) -> int | None:
     """Exact minimum weight over nonzero elements of a row space."""
-    search = css._Search(rows, cols, lambda w: True, None)
+    search = css._Search(rows, cols, None, None)
     if not search.rows:
         return None
     return search.run(None).value
@@ -470,26 +470,40 @@ def bound_from_params(cp: FactorParams, dp: FactorParams, refined: bool = True) 
     return min(sectors)
 
 
-def generic_lower_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
-    """Unconditional lower bounds (bound_x, bound_z) on the product distances."""
-    bounds = []
-    for side in ("X", "Z"):
-        bounds.append(bound_from_params(factor_params(c, side), factor_params(d, side)))
-    return bounds[0], bounds[1]
+PairParams = list[tuple[FactorParams, FactorParams]]
 
 
-def known_comparison_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
+def pair_params(c: CssCode, d: CssCode) -> PairParams:
+    """(params of c, params of d) for side X, then side Z."""
+    return [(factor_params(c, side), factor_params(d, side)) for side in ("X", "Z")]
+
+
+def generic_lower_bound(
+    c: CssCode, d: CssCode, params: PairParams | None = None
+) -> tuple[int, int]:
+    """Unconditional lower bounds (bound_x, bound_z) on the product distances.
+
+    ``params`` (from ``pair_params``) saves recomputing the factors' invariants.
+    """
+    bx, bz = (bound_from_params(cp, dp) for cp, dp in params or pair_params(c, d))
+    return bx, bz
+
+
+def known_comparison_bound(
+    c: CssCode, d: CssCode, params: PairParams | None = None
+) -> tuple[int, int]:
     """The plain per-sector max bound, kept for before/after comparison."""
-    bounds = []
-    for side in ("X", "Z"):
-        bounds.append(
-            bound_from_params(factor_params(c, side), factor_params(d, side), refined=False)
-        )
-    return bounds[0], bounds[1]
+    bx, bz = (
+        bound_from_params(cp, dp, refined=False) for cp, dp in params or pair_params(c, d)
+    )
+    return bx, bz
 
 
 def tensor_distance_lower_bound(
-    c: CssCode, d: CssCode, criterion: CriterionReport
+    c: CssCode,
+    d: CssCode,
+    criterion: CriterionReport,
+    params: PairParams | None = None,
 ) -> tuple[int, int]:
     """Lower bounds (bound_x, bound_z) for the product of c with any d.
 
@@ -500,11 +514,10 @@ def tensor_distance_lower_bound(
     invariants are computed once per side and serve both bounds.
     """
     bounds = []
-    for side in ("X", "Z"):
-        cp, dp = factor_params(c, side), factor_params(d, side)
+    sides = zip(params or pair_params(c, d), (criterion.d_x, criterion.d_z))
+    for (cp, dp), d_side in sides:
         bound = bound_from_params(cp, dp)
         if criterion.holds:
-            d_side = criterion.d_x if side == "X" else criterion.d_z
             strong = replace(cp, d_lo=d_side, cycle_lo=d_side)
             bound = max(bound, bound_from_params(strong, dp))
         bounds.append(bound)
@@ -539,17 +552,12 @@ class SweepRecord:
         return min(values) if values else None
 
     def to_json_dict(self) -> dict:
-        def dist(r: DistanceResult | None) -> dict | None:
-            if r is None:
-                return None
-            return {"lower": r.lower, "upper": r.upper, "exact": r.exact}
-
         return {
             "ell": self.ell,
             "n": self.n,
             "k": self.k,
-            "d_x": dist(self.d_x),
-            "d_z": dist(self.d_z),
+            "d_x": css.distance_to_json(self.d_x),
+            "d_z": css.distance_to_json(self.d_z),
             "wmax_x": self.wmax_x,
             "wmax_z": self.wmax_z,
             "stab_min": self.stab_min,

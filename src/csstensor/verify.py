@@ -209,10 +209,11 @@ def bound_soundness_suite(seed: int, pairs: int, max_n: int = 9) -> list[Propert
         exact = {
             side: css.min_distance_exact(product, side).value for side in ("X", "Z")
         }
-        generic = tensorops.generic_lower_bound(c, d)
-        known = tensorops.known_comparison_bound(c, d)
+        params = tensorops.pair_params(c, d)
+        generic = tensorops.generic_lower_bound(c, d, params)
+        known = tensorops.known_comparison_bound(c, d, params)
         crit = tensorops.check_distance_criterion(c)
-        strong = tensorops.tensor_distance_lower_bound(c, d, crit)
+        strong = tensorops.tensor_distance_lower_bound(c, d, crit, params)
         if generic[0] > exact["X"] or generic[1] > exact["Z"]:
             failures["generic"] += 1
         if strong[0] > exact["X"] or strong[1] > exact["Z"]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -235,12 +236,20 @@ def _brute_force_min(rows, is_target):
 
 
 def _side_searches(code):
-    """(rows, n, target) for both distance searches of a code."""
+    """(rows, n, checks, target) for both distance searches of a code.
+
+    The search takes the parity checks; the reference and brute force take
+    a target tested against the stabilizer row space itself.
+    """
     out = []
     for side in ("X", "Z"):
         kernel_of, stab = css._side_matrices(code, side)
-        trivial = css._memberness(stab)
-        out.append((list(gf2.kernel_basis(kernel_of).data), code.n, lambda w, t=trivial: not t(w)))
+        _, checks = css._logical_checks(code, side)
+
+        def target(w, stab=stab, n=code.n):
+            return not gf2.rowspace_contains(stab, gf2.BinVector(n, w))
+
+        out.append((list(gf2.kernel_basis(kernel_of).data), code.n, checks, target))
     return out
 
 
@@ -249,17 +258,22 @@ def _side_searches(code):
 GOLAY_POLY = 0b110001110101
 
 
+def _every_nonzero(w):
+    return True
+
+
 def _oracle_searches(seed, count):
-    """(rows, n, target) triples: both sides of codes, and bare row spaces.
+    """(rows, n, checks, target): both sides of codes, and bare row spaces.
 
     Random codes have n <= 22.  The fixed codes (distances 4, 5 and 7 on 11
     to 21 rows) make the searches deep enough to reach the second pass's
-    higher levels.
+    higher levels.  Bare row spaces take every nonzero word as a target
+    (checks None).
     """
     rng = random.Random(seed)
     out = _side_searches(families.parse_family_spec("rm:m=4,r1=1,r2=1")[1])
     out += _side_searches(families.parse_family_spec("tz:rep5,rep5")[1])
-    out.append(([GOLAY_POLY << i for i in range(11)], 22, lambda w: True))
+    out.append(([GOLAY_POLY << i for i in range(11)], 22, None, _every_nonzero))
     while len(out) < 3 * count:
         n = rng.randrange(6, 23)
         r_x, r_z = rng.randrange(1, n // 2), rng.randrange(1, n // 2)
@@ -269,8 +283,50 @@ def _oracle_searches(seed, count):
             continue
         out += _side_searches(code)
         rows = [r for r in random_matrix(rng, rng.randrange(1, n // 2 + 2), n).data if r]
-        out.append((rows or [1], n, lambda w: True))
+        out.append((rows or [1], n, None, _every_nonzero))
     return out
+
+
+class TestLogicalChecks:
+    def test_parities_match_rowspace_oracle(self):
+        # A kernel word is trivial exactly when its parities with all k
+        # checks are even; the oracle eliminates the stabilizers instead.
+        rng = random.Random(41)
+        ks = set()
+        codes = 0
+        while codes < 60 or not (1 in ks and max(ks) >= 10):
+            n = rng.randrange(4, 23)
+            try:
+                r_x, r_z = rng.randrange(1, n // 2 + 1), rng.randrange(0, n // 2 + 1)
+                code = random_css_code(rng, n, r_x, r_z)
+            except RuntimeError:
+                continue
+            codes += 1
+            k = css.dimension_k(code)
+            ks.add(k)
+            for side in ("X", "Z"):
+                kernel_of, stab = css._side_matrices(code, side)
+                rows, checks = css._logical_checks(code, side)
+                assert len(checks) == k
+                assert all(gf2.matvec(kernel_of, gf2.BinVector(n, r)).bits == 0 for r in rows)
+                stab_rows = [r for r in stab.data if r]
+                for _ in range(40):
+                    word = 0
+                    for r in rows:
+                        if rng.random() < 0.5:
+                            word ^= r
+                    if rng.random() < 0.3 and stab_rows:
+                        word = 0
+                        for r in stab_rows:
+                            if rng.random() < 0.5:
+                                word ^= r
+                    trivial = gf2.rowspace_contains(stab, gf2.BinVector(n, word))
+                    assert (css._signature(word, checks) == 0) == trivial
+        assert 1 in ks and max(ks) >= 10
+
+    def test_k_zero_has_no_checks(self):
+        code = css.from_matrices(BinMatrix.identity(3), BinMatrix.zeros(0, 3))
+        assert css._logical_checks(code, "Z") == ([], [])
 
 
 class TestTwoSetSearch:
@@ -284,7 +340,8 @@ class TestTwoSetSearch:
 
         monkeypatch.setattr(css._Search, "_pass2", counting_pass2)
         rng = random.Random(31)
-        for rows, n, target in _oracle_searches(30, 40):
+        modes = set()
+        for rows, n, checks, target in _oracle_searches(30, 40):
             exact = _ReferenceSearch(rows, n, target).run(None)
             d = exact.value
             if len(rows) <= 12:
@@ -302,10 +359,20 @@ class TestTwoSetSearch:
                     # with the second form built up front, so that small bases
                     # also schedule the second pass.
                     for prebuilt in (False, True):
-                        search = css._Search(rows, n, target, None)
+                        search = css._Search(rows, n, checks, None)
                         if prebuilt:
                             search.second = search._second_form()
                         res = search.run(cap, **seeds)
+                        modes.add((search.batch, checks is None, search.first.pairs is not None))
+                        # Batching changes neither the result, the witness
+                        # included, nor the words counted.
+                        with monkeypatch.context() as m:
+                            m.setattr(css, "_BATCH_MIN", math.inf)
+                            plain = css._Search(rows, n, checks, None)
+                            if prebuilt:
+                                plain.second = plain._second_form()
+                            assert plain.run(cap, **seeds) == res
+                            assert plain.nodes == search.nodes
                         if cap is None:
                             assert (res.upper, res.exact) == (ref.upper, ref.exact)
                             if not ref.exact and ref.lower > len(search.rows):
@@ -324,12 +391,49 @@ class TestTwoSetSearch:
                         else:
                             assert res.upper is None
         assert len(second_levels) >= 1000 and max(second_levels) >= 2
+        # Batched leaves with and without checks, pair tables, and the
+        # word-by-word search of k > 3 all ran.
+        assert {(True, False, False), (True, True, True), (False, False, False)} <= modes
 
-    def test_certificate_covers_every_lighter_word(self):
-        # A target that rejects everything makes the search record every
-        # word it examines; a run that certifies lower = cap + 1 must have
-        # examined every nonzero word of weight <= cap.
-        for rows, n, _ in _oracle_searches(32, 20):
+    def test_batched_square_matches_word_by_word(self, monkeypatch):
+        # The Steane square reuses pair tables at pass-1 levels 3 to 5 and at
+        # pass-2 level 2 (|Z| = 10); the word-by-word walk is the oracle.
+        square = css_power(steane(), 2)
+        for side in ("X", "Z"):
+            rows, checks = css._logical_checks(square, side)
+            for cap, seed_upper in ((5, None), (7, 9), (None, 9), (None, 10), (None, None)):
+                search = css._Search(rows, square.n, checks, None)
+                res = search.run(cap, seed_upper=seed_upper)
+                g, _ = search.second
+                assert search.first.pairs is not None
+                assert (g.pairs is not None) == (cap is None)
+                with monkeypatch.context() as m:
+                    m.setattr(css, "_BATCH_MIN", math.inf)
+                    plain = css._Search(rows, square.n, checks, None)
+                    assert plain.run(cap, seed_upper=seed_upper) == res
+                assert plain.nodes == search.nodes
+                assert res.lower == (cap + 1 if cap is not None and cap < 8 else 9)
+
+    def test_certificate_covers_every_lighter_word(self, monkeypatch):
+        # With no checks at all no word is a target, so the search never
+        # stops early; every walk call records the words it covers.  A run
+        # that certifies lower must have covered every nonzero word lighter
+        # than lower.
+        seen = set()
+        walk = css._Search._walk
+
+        def recording_walk(search, t, start, left, acc, sig):
+            if left <= 2:
+                rows = t.rows[start:]
+                for subset in itertools.combinations(rows, left):
+                    word = acc
+                    for row in subset:
+                        word ^= row
+                    seen.add(word)
+            walk(search, t, start, left, acc, sig)
+
+        monkeypatch.setattr(css._Search, "_walk", recording_walk)
+        for rows, n, _, _ in _oracle_searches(32, 20):
             basis, _ = gf2._rref_bitrows(rows)
             if len(basis) > 13:
                 continue
@@ -339,8 +443,8 @@ class TestTwoSetSearch:
                 span.append(word)
             for cap in range(1, 8):
                 for prebuilt in (False, True):
-                    seen = set()
-                    search = css._Search(rows, n, lambda w: seen.add(w), None)
+                    seen.clear()
+                    search = css._Search(rows, n, [], None)
                     if prebuilt:
                         search.second = search._second_form()
                     res = search.run(cap)
@@ -348,6 +452,42 @@ class TestTwoSetSearch:
                     light = {w for w in span if w.bit_count() < res.lower}
                     assert light <= seen
                     assert search.nodes >= len(seen)
+
+    def test_class_tables_list_each_leaf(self):
+        # The first counts[s] words of each class are exactly the leaf's
+        # words (rows, or sums of two rows, whose first row index is at
+        # least s) with that signature.
+        rng = random.Random(47)
+        for k in range(2, 16):
+            rows = [rng.getrandbits(24) for _ in range(k)]
+            checks = [rng.getrandbits(24) for _ in range(rng.randrange(4))]
+            t = css._Rows(rows, checks, True)
+            t.prepare(3, 1)
+            for table, width in ((t.singles, 1), (t.pairs, 2)):
+                for start in range(k + 1):
+                    got = sorted(
+                        (sig, word)
+                        for sig, words, counts in table
+                        for word in words[:counts[start]]
+                    )
+                    want = []
+                    for subset in itertools.combinations(rows[start:], width):
+                        word = subset[0] ^ (subset[1] if width == 2 else 0)
+                        want.append((css._signature(word, checks), word))
+                    assert got == sorted(want)
+
+    def test_pair_table_size_bound(self):
+        # A pair table holds K(K - 1)/2 words, at most 32 K: K = 65 gets one
+        # at pass-1 level 3, K = 66 does not.  With no checks nothing is a
+        # target, and five non-pivot columns leave Z too large for pass 2.
+        rng = random.Random(43)
+        for k, built in ((65, True), (66, False)):
+            rows = [(1 << i) | (rng.getrandbits(5) << k) for i in range(k)]
+            search = css._Search(rows, k + 5, [], None)
+            res = search.run(3)
+            assert (res.lower, res.upper) == (4, None)
+            assert (search.first.pairs is not None) == built
+            assert search.nodes == sum(math.comb(k, r) for r in (1, 2, 3))
 
     def test_steane_square_exact_nine_uncapped(self):
         square = css_power(steane(), 2)
@@ -361,8 +501,8 @@ class TestTwoSetSearch:
     def test_deadline_in_second_pass_keeps_certificate(self):
         square = css_power(steane(), 2)
         kernel = gf2.kernel_basis(square.h_x)
-        trivial = css._memberness(square.h_z)
-        search = css._Search(list(kernel.data), square.n, lambda w: not trivial(w), None)
+        _, checks = css._logical_checks(square, "Z")
+        search = css._Search(list(kernel.data), square.n, checks, None)
         second_pass = search._pass2
 
         def expire_at_level_one(j):
@@ -379,7 +519,7 @@ class TestTwoSetSearch:
         assert search.nodes == sum(math.comb(34, r) for r in (1, 2, 3)) + (1 << 10) - 1
         if res.witness is not None:
             assert res.upper == res.witness.weight() >= 9
-            assert not trivial(res.witness.bits)
+            assert not gf2.rowspace_contains(square.h_z, res.witness)
         else:
             assert res.upper is None
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from csstensor import chain, css, gf2, tensorops
+from csstensor import chain, css, gf2, tensorops, verify
 from csstensor.css import CssCode, KIsZero
 from csstensor.families import steane
 from csstensor.gf2 import BinMatrix
@@ -233,6 +233,21 @@ class TestBounds:
         monkeypatch.setattr(tensorops, "factor_params", counting)
         assert tensor_distance_lower_bound(code, code, crit) == (4, 4)
         assert sorted(calls) == ["X", "X", "Z", "Z"]
+
+    def test_soundness_suite_params_once_per_pair(self, monkeypatch):
+        # The suite derives the generic, comparison and criterion bounds of
+        # a pair from one set of factor invariants: four calls per pair.
+        calls = []
+        real = tensorops.factor_params
+
+        def counting(c, side):
+            calls.append(side)
+            return real(c, side)
+
+        monkeypatch.setattr(tensorops, "factor_params", counting)
+        results = verify.bound_soundness_suite(5, 6)
+        assert all(r.passed for r in results)
+        assert sorted(calls) == ["X"] * 12 + ["Z"] * 12
 
     def test_bounds_below_exact_steane_square(self):
         code = steane()
