@@ -9,8 +9,10 @@ differential are identically 1.
 
 Summand ordering inside a tensor product is fixed once and for all:
 ``(X (x) Y)_k`` lists ``X_i (x) Y_j`` by increasing left degree ``i``, and
-each summand uses left-factor-major Kronecker indexing.  This makes every
-block matrix reproducible bit for bit.
+each summand uses left-factor-major Kronecker indexing.  A product of
+more factors is the left fold of pairwise products.  This makes every
+block matrix reproducible bit for bit.  ``tensor`` is the one assembler:
+products of codes, powers and truncations are all windows of it.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class ChainComplex:
             )
 
     @classmethod
-    def build(cls, dims: Sequence[int], boundaries: Sequence[BinMatrix]) -> ChainComplex:
-        return cls(tuple(dims), tuple(boundaries))
-
-    @classmethod
     def single(cls, n: int) -> ChainComplex:
         """The complex 0 -> F^n -> 0 concentrated at degree 0."""
         return cls((n,), ())
@@ -77,11 +75,6 @@ class ChainComplex:
         if 1 <= i <= self.top_degree():
             return self.boundaries[i - 1]
         return BinMatrix.zeros(self.dim(i - 1), self.dim(i))
-
-
-def unit_complex() -> ChainComplex:
-    """The tensor unit 0 -> F -> 0 at degree 0."""
-    return ChainComplex.single(1)
 
 
 def validate(x: ChainComplex) -> None:
@@ -118,66 +111,96 @@ def euler_characteristic(x: ChainComplex) -> int:
     return sum((-1) ** i * d for i, d in enumerate(x.dims))
 
 
-def _tensor_summands(dx: Sequence[int], dy: Sequence[int], k: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with i + j = k, ascending i."""
-    lo = max(0, k - (len(dy) - 1))
-    hi = min(len(dx) - 1, k)
-    return [(i, k - i) for i in range(lo, hi + 1)]
-
-
 def tensor_dims(dx: Sequence[int], dy: Sequence[int]) -> tuple[int, ...]:
     """Dimension convolution of the two graded spaces."""
-    out = []
-    for k in range(len(dx) + len(dy) - 1):
-        out.append(sum(dx[i] * dy[j] for i, j in _tensor_summands(dx, dy, k)))
+    out = [0] * (len(dx) + len(dy) - 1)
+    for i, a in enumerate(dx):
+        for j, b in enumerate(dy):
+            out[i + j] += a * b
     return tuple(out)
 
 
-def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    """Tensor product of complexes with the fixed summand ordering.
+def _compositions(tops: Sequence[int], degree: int) -> list[tuple[int, ...]]:
+    """Summand degree tuples (c_1, ..., c_l) of ``degree`` in left-fold order.
 
-    The boundary on the (i, j) summand is the block column
-    ``kron(dX_i, I)`` into (i-1, j) plus ``kron(I, dY_j)`` into (i, j-1);
-    no signs in characteristic 2.
+    0 <= c_p <= tops[p].  The left fold ((X_1 (x) X_2) (x) ...) (x) X_l
+    lists its summands by ascending prefix sums, the longest prefix
+    (c_1 + ... + c_{l-1}) first, then recursively inside that prefix.
     """
-    dx, dy = x.dims, y.dims
-    dims = tensor_dims(dx, dy)
+    if not tops:
+        return [()] if degree == 0 else []
+    *head, last = tops
+    return [
+        prefix + (degree - s,)
+        for s in range(max(0, degree - last), min(sum(head), degree) + 1)
+        for prefix in _compositions(head, s)
+    ]
+
+
+def _kron_between_identities(m: BinMatrix, left: int, right: int) -> list[int]:
+    """Rows of kron(I_left, kron(m, I_right)) without building the identities."""
+    shifted = []
+    for row in m.data:
+        bits = 0
+        for j in gf2._support_of(row):
+            bits |= 1 << (j * right)
+        shifted.append(bits)
+    step = m.cols * right
+    return [
+        srow << (a * step + b) for a in range(left) for srow in shifted for b in range(right)
+    ]
+
+
+def tensor(*factors: ChainComplex, lo: int = 0, hi: int | None = None) -> ChainComplex:
+    """Degrees lo..hi of the left-fold tensor product of the factors.
+
+    Summands follow ``_compositions`` and use left-factor-major Kronecker
+    indexing, so the result is bit-identical to folding pairwise products
+    and then cutting the window; only the window is ever assembled.  The
+    boundary on a summand is the sum over factors p of
+    ``kron(I, d_p, I)`` into the summand with c_p lowered by one; no signs
+    in characteristic 2.  With one factor the window is a truncation, and
+    the empty product is the unit complex 0 -> F -> 0.
+    """
+    tops = [f.top_degree() for f in factors]
+    top = sum(tops)
+    if hi is None:
+        hi = top
+    if not (0 <= lo <= hi <= top):
+        raise ValueError(f"window {lo}..{hi} outside degrees 0..{top}")
+
+    def size(c: tuple[int, ...]) -> int:
+        out = 1
+        for f, v in zip(factors, c):
+            out *= f.dims[v]
+        return out
+
+    sizes = [{c: size(c) for c in _compositions(tops, k)} for k in range(lo, hi + 1)]
+    dims = tuple(sum(s.values()) for s in sizes)
     boundaries = []
     for k in range(1, len(dims)):
-        src = _tensor_summands(dx, dy, k)
-        tgt = _tensor_summands(dx, dy, k - 1)
         tgt_offset = {}
         off = 0
-        for (i, j) in tgt:
-            tgt_offset[(i, j)] = off
-            off += dx[i] * dy[j]
+        for c, width in sizes[k - 1].items():
+            tgt_offset[c] = off
+            off += width
         rows = [0] * dims[k - 1]
         col_off = 0
-        for (i, j) in src:
-            width = dx[i] * dy[j]
+        for c, width in sizes[k].items():
             if width:
-                if i >= 1 and (i - 1, j) in tgt_offset:
-                    block = gf2.kron(x.boundary(i), BinMatrix.identity(dy[j]))
-                    ro = tgt_offset[(i - 1, j)]
-                    for t, brow in enumerate(block.data):
-                        rows[ro + t] ^= brow << col_off
-                if j >= 1 and (i, j - 1) in tgt_offset:
-                    block = gf2.kron(BinMatrix.identity(dx[i]), y.boundary(j))
-                    ro = tgt_offset[(i, j - 1)]
-                    for t, brow in enumerate(block.data):
-                        rows[ro + t] ^= brow << col_off
+                left = 1
+                for p, f in enumerate(factors):
+                    v = c[p]
+                    if v:
+                        right = width // (left * f.dims[v])
+                        ro = tgt_offset[c[:p] + (v - 1,) + c[p + 1 :]]
+                        block = _kron_between_identities(f.boundary(v), left, right)
+                        for s, brow in enumerate(block, ro):
+                            rows[s] ^= brow << col_off
+                    left *= f.dims[v]
             col_off += width
         boundaries.append(BinMatrix(dims[k - 1], dims[k], tuple(rows)))
     return ChainComplex(dims, tuple(boundaries))
-
-
-def truncate(x: ChainComplex, lo: int, hi: int) -> ChainComplex:
-    """Keep degrees lo..hi and the maps strictly between them; re-index lo -> 0."""
-    if not (0 <= lo <= hi <= x.top_degree()):
-        raise ValueError(f"range {lo}..{hi} outside degrees 0..{x.top_degree()}")
-    dims = x.dims[lo : hi + 1]
-    boundaries = tuple(x.boundary(i) for i in range(lo + 1, hi + 1))
-    return ChainComplex(dims, boundaries)
 
 
 def reduce(x: ChainComplex) -> ChainComplex:
@@ -240,32 +263,18 @@ def associativity_permutation(
     list the same (i, j, k) blocks, sorted by (i + j, i) on the left and by
     (i, j) on the right, with identical row-major indices inside a block.
     """
-    total = len(dx) + len(dy) + len(dz) - 2
+    tops = (len(dx) - 1, len(dy) - 1, len(dz) - 1)
     yz_layout = {}
-    for mp in range(len(dy) + len(dz) - 1):
+    for mp in range(tops[1] + tops[2] + 1):
         table = {}
         off = 0
-        for (j, k) in _tensor_summands(dy, dz, mp):
+        for (j, k) in _compositions(tops[1:], mp):
             table[(j, k)] = off
             off += dy[j] * dz[k]
         yz_layout[mp] = (table, off)
 
     perms: list[tuple[int, ...]] = []
-    for n in range(total):
-        triples = [
-            (i, j, n - i - j)
-            for i in range(len(dx))
-            for j in range(len(dy))
-            if 0 <= n - i - j < len(dz)
-        ]
-        # Left association: (X (x) Y)_m blocks by ascending m then i, with
-        # (x, y, z) row-major inside; every triple occupies a contiguous run.
-        left_off = {}
-        off = 0
-        for t in sorted(triples, key=lambda t: (t[0] + t[1], t[0])):
-            left_off[t] = off
-            off += dx[t[0]] * dy[t[1]] * dz[t[2]]
-        size = off
+    for n in range(sum(tops) + 1):
         # Right association: X_i (x) (Y (x) Z)_{n-i} blocks by ascending i,
         # where a triple's vectors stride by the full (Y (x) Z) dimension.
         right_block_off = {}
@@ -275,52 +284,15 @@ def associativity_permutation(
             if mp in yz_layout:
                 right_block_off[i] = off
                 off += dx[i] * yz_layout[mp][1]
-        perm = [0] * size
-        for (i, j, k) in triples:
-            lo = left_off[(i, j, k)]
+        # Left association: the blocks in left-fold order, with (x, y, z)
+        # row-major inside; every triple occupies a contiguous run.
+        perm: list[int] = []
+        for (i, j, k) in _compositions(tops, n):
             inner_off_table, inner_total = yz_layout[n - i]
             base = right_block_off[i] + inner_off_table[(j, k)]
-            pos = lo
             for x in range(dx[i]):
                 for y in range(dy[j]):
                     row = base + x * inner_total + y * dz[k]
-                    for z in range(dz[k]):
-                        perm[pos] = row + z
-                        pos += 1
+                    perm.extend(range(row, row + dz[k]))
         perms.append(tuple(perm))
     return perms
-
-
-# -- text format ----------------------------------------------------------
-#
-# Header "degrees d", a "dims ..." line, then each boundary map in the
-# matrix text format, concatenated in increasing degree.
-
-
-def to_text(x: ChainComplex) -> str:
-    parts = [f"degrees {len(x.dims)}", "dims " + " ".join(str(d) for d in x.dims)]
-    body = "\n".join(parts) + "\n"
-    for i in range(1, len(x.dims)):
-        body += gf2.to_text(x.boundary(i))
-    return body
-
-
-def from_text(text: str) -> ChainComplex:
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("degrees"):
-        raise ValueError("missing 'degrees' header")
-    d = int(lines[0].split()[1])
-    if not lines[1].startswith("dims"):
-        raise ValueError("missing 'dims' line")
-    dims = tuple(int(tok) for tok in lines[1].split()[1:])
-    if len(dims) != d:
-        raise ValueError("dims line does not match degree count")
-    boundaries = []
-    pos = 2
-    for _ in range(d - 1):
-        head = lines[pos].split()
-        rows = int(head[0])
-        chunk = "\n".join(lines[pos : pos + rows + 1]) + "\n"
-        boundaries.append(gf2.from_text(chunk))
-        pos += rows + 1
-    return ChainComplex(dims, tuple(boundaries))

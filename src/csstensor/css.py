@@ -542,30 +542,6 @@ def stabilizer_min_weight(
     return search.run(weight_cap, seed_word=seed_word)
 
 
-def is_degenerate(
-    code: CssCode,
-    weight_cap: int | None = None,
-    time_budget: float | None = None,
-) -> bool | None:
-    """Whether some stabilizer is strictly lighter than the minimum distance.
-
-    Compares min over both sides of the stabilizer weights against min over
-    both sides of the distances; returns None when the available bounds do
-    not decide the strict inequality.
-    """
-    if dimension_k(code) == 0:
-        raise KIsZero("degeneracy is undefined for k = 0")
-    stabs = [
-        stabilizer_min_weight(code, s, weight_cap, time_budget)
-        for s in ("X", "Z")
-        if not (code.h_x if s == "X" else code.h_z).is_zero()
-    ]
-    if not stabs:
-        return False
-    dists = [min_distance_exact(code, s, weight_cap, time_budget) for s in ("X", "Z")]
-    return _decide_degenerate(stabs, dists)
-
-
 def _decide_degenerate(
     stabs: list[DistanceResult], dists: list[DistanceResult]
 ) -> bool | None:

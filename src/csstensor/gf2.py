@@ -57,14 +57,6 @@ class BinVector:
             bits |= 1 << j
         return cls(n, bits)
 
-    @classmethod
-    def from_list(cls, entries: Sequence[int]) -> BinVector:
-        bits = 0
-        for j, e in enumerate(entries):
-            if e & 1:
-                bits |= 1 << j
-        return cls(len(entries), bits)
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -141,15 +133,6 @@ class BinMatrix:
 
     # -- accessors ------------------------------------------------------
 
-    def row(self, i: int) -> int:
-        return self.data[i]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
-    def row_vector(self, i: int) -> BinVector:
-        return BinVector(self.cols, self.data[i])
-
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.data]
 
@@ -165,9 +148,6 @@ class BinMatrix:
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.data)
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
     def __str__(self) -> str:
         return "\n".join(
@@ -253,12 +233,6 @@ def rank(m: BinMatrix) -> int:
     return len(_echelon(m.data))
 
 
-def rref(m: BinMatrix) -> tuple[BinMatrix, list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    rows, pivots = _rref_bitrows(m.data)
-    return BinMatrix(len(rows), m.cols, tuple(rows)), pivots
-
-
 def kernel_basis(m: BinMatrix) -> BinMatrix:
     """Basis of the right kernel {v : m v = 0}, one vector per row.
 
@@ -321,17 +295,6 @@ def matmul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     return BinMatrix(a.rows, b.cols, tuple(out))
 
 
-def matvec(m: BinMatrix, v: BinVector) -> BinVector:
-    """Matrix-vector product; returns a length-``rows`` vector."""
-    if v.n != m.cols:
-        raise DimensionMismatch(f"vector length {v.n} != cols {m.cols}")
-    bits = 0
-    for i, row in enumerate(m.data):
-        if (row & v.bits).bit_count() & 1:
-            bits |= 1 << i
-    return BinVector(m.rows, bits)
-
-
 def transpose(m: BinMatrix) -> BinMatrix:
     out = [0] * m.cols
     for i, row in enumerate(m.data):
@@ -358,55 +321,6 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     return BinMatrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
-def hstack(mats: Sequence[BinMatrix]) -> BinMatrix:
-    """Concatenate matrices left to right (equal row counts)."""
-    if not mats:
-        return BinMatrix.zeros(0, 0)
-    rows = mats[0].rows
-    for m in mats:
-        if m.rows != rows:
-            raise DimensionMismatch("hstack row counts differ")
-    data = []
-    for i in range(rows):
-        bits = 0
-        shift = 0
-        for m in mats:
-            bits |= m.data[i] << shift
-            shift += m.cols
-        data.append(bits)
-    return BinMatrix(rows, sum(m.cols for m in mats), tuple(data))
-
-
-def vstack(mats: Sequence[BinMatrix]) -> BinMatrix:
-    """Concatenate matrices top to bottom (equal column counts)."""
-    if not mats:
-        return BinMatrix.zeros(0, 0)
-    cols = mats[0].cols
-    data: list[int] = []
-    for m in mats:
-        if m.cols != cols:
-            raise DimensionMismatch("vstack column counts differ")
-        data.extend(m.data)
-    return BinMatrix(len(data), cols, tuple(data))
-
-
-def permute_rows(m: BinMatrix, perm: Sequence[int]) -> BinMatrix:
-    """Move row i to position perm[i]."""
-    if len(perm) != m.rows:
-        raise DimensionMismatch("permutation length != rows")
-    out = [0] * m.rows
-    for i, p in enumerate(perm):
-        out[p] = m.data[i]
-    return BinMatrix(m.rows, m.cols, tuple(out))
-
-
-def permute_cols(m: BinMatrix, perm: Sequence[int]) -> BinMatrix:
-    """Move column j to position perm[j]."""
-    if len(perm) != m.cols:
-        raise DimensionMismatch("permutation length != cols")
-    return BinMatrix(m.rows, m.cols, tuple(_permute_bits(m.data, perm)))
-
-
 def _permute_bits(bitrows: Iterable[int], perm: Sequence[int]) -> list[int]:
     """Move bit j of every row to bit perm[j]."""
     out = []
@@ -416,33 +330,3 @@ def _permute_bits(bitrows: Iterable[int], perm: Sequence[int]) -> list[int]:
             bits |= 1 << perm[j]
         out.append(bits)
     return out
-
-
-# -- text format ----------------------------------------------------------
-#
-# First line "rows cols", then one line per row with the sorted column
-# indices of its set bits; a zero row is an empty line.
-
-
-def to_text(m: BinMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for r in m.data:
-        lines.append(" ".join(str(j) for j in _support_of(r)))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> BinMatrix:
-    lines = text.split("\n")
-    if not lines or not lines[0].strip():
-        raise ValueError("missing header line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {lines[0]!r}")
-    rows, cols = int(head[0]), int(head[1])
-    if len(lines) < rows + 1:
-        raise ValueError("truncated matrix text")
-    support = []
-    for i in range(rows):
-        line = lines[1 + i].strip()
-        support.append([int(tok) for tok in line.split()] if line else [])
-    return BinMatrix.from_support(rows, cols, support)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from . import css, gf2
 from .chain import ChainComplex
@@ -21,26 +22,37 @@ def random_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.5
     return BinMatrix(rows, cols, tuple(data))
 
 
-def random_complex3(rng: random.Random, max_dim: int = 6) -> ChainComplex:
-    """A random valid 3-term complex with dims up to max_dim.
+def _random_combinations(rng: random.Random, basis: Sequence[int], count: int) -> list[int]:
+    """``count`` random sums of basis rows, each row kept with probability 1/2."""
+    out = []
+    for _ in range(count):
+        bits = 0
+        for row in basis:
+            if rng.random() < 0.5:
+                bits ^= row
+        out.append(bits)
+    return out
+
+
+def random_complex(rng: random.Random, dims: tuple[int, int, int]) -> ChainComplex:
+    """A random valid 3-term complex with the given dims.
 
     boundary 1 is arbitrary; boundary 2 takes its columns from the kernel
     of boundary 1, which enforces the square-zero condition.
     """
+    c0, c1, c2 = dims
+    d1 = random_matrix(rng, c0, c1)
+    cols = _random_combinations(rng, gf2.kernel_basis(d1).data, c2)
+    d2 = gf2.transpose(BinMatrix(c2, c1, tuple(cols)))
+    return ChainComplex(dims, (d1, d2))
+
+
+def random_complex3(rng: random.Random, max_dim: int = 6) -> ChainComplex:
+    """A random valid 3-term complex with dims up to max_dim."""
     c0 = rng.randrange(0, max_dim + 1)
     c1 = rng.randrange(1, max_dim + 1)
     c2 = rng.randrange(0, max_dim + 1)
-    d1 = random_matrix(rng, c0, c1)
-    kernel = gf2.kernel_basis(d1)
-    cols = []
-    for _ in range(c2):
-        bits = 0
-        for row in kernel.data:
-            if rng.random() < 0.5:
-                bits ^= row
-        cols.append(bits)
-    d2 = gf2.transpose(BinMatrix(c2, c1, tuple(cols)))
-    return ChainComplex((c0, c1, c2), (d1, d2))
+    return random_complex(rng, (c0, c1, c2))
 
 
 def random_css_code(
@@ -58,14 +70,7 @@ def random_css_code(
     """
     for _ in range(attempts):
         h_x = random_matrix(rng, r_x, n)
-        kernel = gf2.kernel_basis(h_x)
-        rows = []
-        for _ in range(r_z):
-            bits = 0
-            for krow in kernel.data:
-                if rng.random() < 0.5:
-                    bits ^= krow
-            rows.append(bits)
+        rows = _random_combinations(rng, gf2.kernel_basis(h_x).data, r_z)
         h_z = BinMatrix(r_z, n, tuple(rows))
         code = css.from_matrices(h_x, h_z)
         if css.dimension_k(code) >= min_k:

@@ -2,11 +2,10 @@
 
 The product of two CSS codes is taken at the chain level: tensor the two
 length-3 complexes, keep the middle three degrees, and read the result
-back as a code.  Iterated powers build the full (2l+1)-term power and
-truncate once around the chosen degree (default: the middle), assembling
-only the three degrees that survive; folding pairwise products with
-intermediate truncation agrees at l = 2 but discards middle-feeding
-spaces at higher l.
+back as a code.  Iterated powers assemble the three middle degrees of
+the l-fold product in one window of ``chain.tensor``; folding pairwise
+products with intermediate truncation agrees at l = 2 but discards
+middle-feeding spaces at higher l.
 
 Distance lower bounds come from a Kuenneth decomposition of the middle
 homology of the product.  A nontrivial logical class has a nonzero
@@ -73,109 +72,17 @@ class PowerSpec:
 
 def css_tensor(c: CssCode, d: CssCode) -> CssCode:
     """Tensor product code: middle three degrees of the product complex."""
-    e = chain.tensor(css.to_complex(c), css.to_complex(d))
-    return css.from_complex(chain.truncate(e, 1, 3))
-
-
-def _kron_between_identities(m: BinMatrix, left: int, right: int) -> BinMatrix:
-    """kron(I_left, kron(m, I_right)) without building the identities."""
-    rows = []
-    shifted = []
-    for row in m.data:
-        bits = 0
-        for j in gf2._support_of(row):
-            bits |= 1 << (j * right)
-        shifted.append(bits)
-    for a in range(left):
-        base = a * m.cols * right
-        for srow in shifted:
-            for b in range(right):
-                rows.append(srow << (base + b))
-    return BinMatrix(left * m.rows * right, left * m.cols * right, tuple(rows))
+    return css.from_complex(chain.tensor(css.to_complex(c), css.to_complex(d), lo=1, hi=3))
 
 
 def _power_compositions(top: int, ell: int, degree: int) -> list[tuple[int, ...]]:
-    """Summand index tuples of degree ``degree`` in the ell-th power.
-
-    Ordered to match a left fold of pairwise tensor products: ascending
-    prefix-sum tuples (s_{ell-1}, ..., s_1).
-    """
-    combos: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            if 0 <= remaining <= top:
-                combos.append(prefix + (remaining,))
-            return
-        for v in range(0, min(top, remaining) + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), degree, ell)
-
-    def key(c: tuple[int, ...]) -> tuple[int, ...]:
-        sums = []
-        s = 0
-        for v in c[:-1]:
-            s += v
-            sums.append(s)
-        return tuple(reversed(sums))
-
-    combos.sort(key=key)
-    return combos
+    """Summand index tuples of degree ``degree`` in the ell-th power, in left-fold order."""
+    return chain._compositions((top,) * ell, degree)
 
 
 def power_complex_window(x: ChainComplex, ell: int, lo: int, hi: int) -> ChainComplex:
-    """Degrees lo..hi of the ell-th tensor power, bit-identical to folding.
-
-    Assembles only the requested window of the full (ell * top + 1)-term
-    power, block by block, so large powers never materialise the spaces
-    outside the window.
-    """
-    top = x.top_degree()
-    if not (0 <= lo <= hi <= ell * top):
-        raise ValueError(f"window {lo}..{hi} outside 0..{ell * top}")
-    dims_x = x.dims
-    comps = {k: _power_compositions(top, ell, k) for k in range(lo, hi + 1)}
-
-    def size(c: Sequence[int]) -> int:
-        out = 1
-        for v in c:
-            out *= dims_x[v]
-        return out
-
-    dims = tuple(sum(size(c) for c in comps[k]) for k in range(lo, hi + 1))
-    boundaries = []
-    for k in range(lo + 1, hi + 1):
-        src = comps[k]
-        tgt = comps[k - 1]
-        tgt_offset = {}
-        off = 0
-        for c in tgt:
-            tgt_offset[c] = off
-            off += size(c)
-        rows = [0] * dims[k - 1 - lo]
-        col_off = 0
-        for c in src:
-            width = size(c)
-            if width:
-                for p in range(ell):
-                    if c[p] >= 1:
-                        t = c[:p] + (c[p] - 1,) + c[p + 1 :]
-                        if t not in tgt_offset:
-                            continue
-                        left = 1
-                        for v in c[:p]:
-                            left *= dims_x[v]
-                        right = 1
-                        for v in c[p + 1 :]:
-                            right *= dims_x[v]
-                        block = _kron_between_identities(x.boundary(c[p]), left, right)
-                        ro = tgt_offset[t]
-                        for s, brow in enumerate(block.data):
-                            rows[ro + s] ^= brow << col_off
-            col_off += width
-        boundaries.append(BinMatrix(dims[k - 1 - lo], dims[k - lo], tuple(rows)))
-    return ChainComplex(dims, tuple(boundaries))
+    """Degrees lo..hi of the ell-th tensor power, bit-identical to folding."""
+    return chain.tensor(*[x] * ell, lo=lo, hi=hi)
 
 
 def power_length(dims: Sequence[int], ell: int, degree: int | None = None) -> int:
@@ -218,41 +125,31 @@ def power_length(dims: Sequence[int], ell: int, degree: int | None = None) -> in
 
 
 def css_power(
-    c: CssCode,
-    ell: int,
-    reduced: bool = False,
-    max_n: int | None = None,
-    center: int | None = None,
+    c: CssCode, ell: int, reduced: bool = False, max_n: int | None = None
 ) -> CssCode:
     """The ell-th iterated tensor power of a code.
 
-    Builds the full power at the chain level and truncates once to the
-    three degrees around ``center`` (default: the middle degree ell).
-    With ``reduced`` the pipeline interleaves the deterministic pivot
-    reduction after every product stage, which collapses each stage to
-    its homology; see ``reduced_power_complex``.
+    Assembles only the three degrees around the middle degree ell of the
+    power complex.  With ``reduced`` the pipeline interleaves the
+    deterministic pivot reduction after every product stage, which
+    collapses each stage to its homology; see ``reduced_power_complex``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     x = css.to_complex(c)
     if reduced:
         return css.from_complex(reduced_power_complex(x, ell))
-    if center is None:
-        center = ell
-    predicted = power_length(x.dims, ell, center)
+    predicted = power_length(x.dims, ell)
     if max_n is not None and predicted > max_n:
         raise ResourceCeiling(predicted, max_n)
-    if ell == 1:
-        return css.from_complex(x)
-    window = power_complex_window(x, ell, center - 1, center + 1)
-    return css.from_complex(window)
+    return css.from_complex(power_complex_window(x, ell, ell - 1, ell + 1))
 
 
 def reduced_power_complex(x: ChainComplex, ell: int) -> ChainComplex:
     """Iterated power with pivot reduction applied after every stage.
 
     Stage 1 reduces the input; each later stage tensors with the original
-    factor, truncates to the middle three degrees and reduces again.  An
+    factor, keeping only the middle three degrees, and reduces again.  An
     exact input collapses immediately, so all its reduced powers are
     empty.  Lengths of these minimal representatives are the homology
     analogue of the unreduced length formula.
@@ -261,9 +158,8 @@ def reduced_power_complex(x: ChainComplex, ell: int) -> ChainComplex:
         raise ValueError("ell must be >= 1")
     s = chain.reduce(x)
     for _ in range(ell - 1):
-        product = chain.tensor(s, x)
-        mid = (len(product.dims) - 1) // 2
-        s = chain.reduce(chain.truncate(product, mid - 1, mid + 1))
+        mid = (s.top_degree() + x.top_degree()) // 2
+        s = chain.reduce(chain.tensor(s, x, lo=mid - 1, hi=mid + 1))
     return s
 
 

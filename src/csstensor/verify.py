@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import chain, css, gf2, rand, tensorops
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinVector
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,6 @@ class PropertyResult:
     @property
     def passed(self) -> bool:
         return self.failures == 0
-
-
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def gf2_properties(seed: int, instances: int) -> list[PropertyResult]:
@@ -92,7 +84,7 @@ def kunneth_suite(seed: int, pairs: int, max_dim: int = 6) -> list[PropertyResul
         if not chain.is_valid(product):
             valid_failures += 1
             continue
-        expected = _convolve(chain.homology_dims(x), chain.homology_dims(y))
+        expected = chain.tensor_dims(chain.homology_dims(x), chain.homology_dims(y))
         if chain.homology_dims(product) != expected:
             failures += 1
     return [
@@ -133,7 +125,7 @@ def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[Prop
     materialised = 0
     for _ in range(triples):
         dims = (rng.randrange(0, 9), rng.randrange(1, 9), rng.randrange(0, 9))
-        x = _random_complex_with_dims(rng, dims)
+        x = rand.random_complex(rng, dims)
         for ell in range(1, ell_max + 1):
             predicted = tensorops.power_length(dims, ell)
             comps = tensorops._power_compositions(2, ell, ell)
@@ -155,21 +147,6 @@ def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[Prop
         PropertyResult("tensorops/power_length_assembly", triples * ell_max, failures),
         PropertyResult("tensorops/power_length_matrices", materialised, materialised_failures),
     ]
-
-
-def _random_complex_with_dims(rng: random.Random, dims: tuple[int, int, int]):
-    c0, c1, c2 = dims
-    d1 = rand.random_matrix(rng, c0, c1)
-    kernel = gf2.kernel_basis(d1)
-    cols = []
-    for _ in range(c2):
-        bits = 0
-        for row in kernel.data:
-            if rng.random() < 0.5:
-                bits ^= row
-        cols.append(bits)
-    d2 = gf2.transpose(BinMatrix(c2, c1, tuple(cols)))
-    return chain.ChainComplex(dims, (d1, d2))
 
 
 def bound_soundness_suite(seed: int, pairs: int, max_n: int = 9) -> list[PropertyResult]:

@@ -1,0 +1,79 @@
+"""The public functions of the package are the ones the package uses.
+
+Every public module-level function in ``src/csstensor`` must be referenced
+somewhere in ``src/`` outside its own definition, or be listed below with
+the reason it stays.  A function that only tests call belongs in the tests.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import csstensor
+
+SRC = Path(csstensor.__file__).resolve().parent
+
+ALLOWED = {
+    "associativity_permutation": "documented in the README",
+    "reduced_power_length": "used by the acceptance tests",
+    "euler_characteristic": "test oracle",
+    "quantum_reed_muller_k": "test oracle",
+}
+
+
+def _public_functions(tree: ast.Module) -> list[str]:
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) pairs that the module refers to outside each function's own def."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    refs = set()
+    for node in tree.body:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(imported.get(sub.id, (module, sub.id)))
+            elif (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id in modules
+            ):
+                found.add((sub.value.id, sub.attr))
+        if isinstance(node, ast.FunctionDef):
+            found.discard((module, node.name))
+        refs |= found
+    return refs
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_public_functions_are_used_in_src():
+    trees = _trees()
+    used = set()
+    for module, tree in trees.items():
+        used |= _references(module, tree)
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _public_functions(tree)
+        if (module, name) not in used and name not in ALLOWED
+    ]
+    assert unused == []
+
+
+def test_allowlist_is_current():
+    defined = {name for tree in _trees().values() for name in _public_functions(tree)}
+    assert set(ALLOWED) <= defined

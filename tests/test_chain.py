@@ -1,12 +1,15 @@
-"""Chain complex tests: validity, homology, tensor, truncate, reduce."""
+"""Chain complex tests: validity, homology, tensor windows, reduce."""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-from csstensor import chain, gf2
+from csstensor import chain, gf2, tensorops
 from csstensor.chain import BoundarySquareNonzero, ChainComplex, ShapeMismatch
 from csstensor.families import hamming_parity_check
 from csstensor.rand import random_complex3
@@ -68,8 +71,10 @@ class TestHomology:
 class TestTensor:
     def test_unit_is_identity(self):
         x = steane_complex()
-        assert chain.tensor(x, chain.unit_complex()) == x
-        assert chain.tensor(chain.unit_complex(), x) == x
+        unit = ChainComplex.single(1)
+        assert chain.tensor() == unit
+        assert chain.tensor(x, unit) == x
+        assert chain.tensor(unit, x) == x
 
     def test_dims_convolve(self):
         x = steane_complex()
@@ -107,30 +112,82 @@ class TestTensor:
             assert chain.homology_dims(lhs) == chain.homology_dims(rhs)
             perms = chain.associativity_permutation(x.dims, y.dims, z.dims)
             for i in range(1, len(lhs.dims)):
-                moved = gf2.permute_cols(
-                    gf2.permute_rows(lhs.boundary(i), perms[i - 1]), perms[i]
-                )
-                assert moved == rhs.boundary(i)
+                cols_moved = gf2._permute_bits(lhs.boundary(i).data, perms[i])
+                moved = [0] * len(cols_moved)
+                for row, target in zip(cols_moved, perms[i - 1]):
+                    moved[target] = row
+                assert tuple(moved) == rhs.boundary(i).data
+
+
+class TestWindow:
+    def test_compositions_in_left_fold_order(self):
+        # the left fold sorts summands by their prefix sums, longest first
+        def fold_key(c):
+            return tuple(reversed(list(itertools.accumulate(c[:-1]))))
+
+        for tops in [(2,), (2, 2), (1, 2), (2, 0, 1), (2, 2, 2), (1, 3, 2, 2)]:
+            for degree in range(-1, sum(tops) + 2):
+                brute = [
+                    c
+                    for c in itertools.product(*(range(t + 1) for t in tops))
+                    if sum(c) == degree
+                ]
+                assert chain._compositions(tops, degree) == sorted(brute, key=fold_key)
+
+    def test_multi_factor_is_left_fold(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            x, y, z = (random_complex3(rng, 4) for _ in range(3))
+            assert chain.tensor(x, y, z) == chain.tensor(chain.tensor(x, y), z)
+        w = random_complex3(rng, 3)
+        assert chain.tensor(x, y, z, w) == chain.tensor(chain.tensor(x, y, z), w)
+
+    def test_every_window_is_a_slice(self):
+        rng = random.Random(14)
+        for factors in range(1, 4):
+            for _ in range(8):
+                xs = [random_complex3(rng, 4) for _ in range(factors)]
+                full = chain.tensor(*xs)
+                if factors == 1:
+                    assert full == xs[0]
+                for lo in range(len(full.dims)):
+                    for hi in range(lo, len(full.dims)):
+                        window = chain.tensor(*xs, lo=lo, hi=hi)
+                        assert window.dims == full.dims[lo : hi + 1]
+                        assert window.boundaries == full.boundaries[lo:hi]
+
+    def test_steane_cube_window_pinned(self):
+        # block ordering of the ell = 3 power, fixed bit for bit
+        w = tensorops.power_complex_window(steane_complex(), 3, 2, 4)
+        assert w.dims == (522, 721, 522)
+        payload = json.dumps([w.dims, [b.support() for b in w.boundaries]], separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "90a56a45d7f1ad3874d7ba7a3b488a8ba9f18b7ec3b50733b1b656262357d334"
+        )
 
 
 class TestTruncate:
+    """A window of one factor is a truncation."""
+
     def test_full_range_identity(self):
         x = steane_complex()
-        assert chain.truncate(x, 0, 2) == x
+        assert chain.tensor(x, lo=0, hi=2) == x
 
     def test_steane_square_window(self):
-        t = chain.truncate(chain.tensor(steane_complex(), steane_complex()), 1, 3)
+        t = chain.tensor(steane_complex(), steane_complex(), lo=1, hi=3)
         assert t.dims == (42, 67, 42)
 
     def test_middle_homology_preserved(self):
         square = chain.tensor(steane_complex(), steane_complex())
-        t = chain.truncate(square, 1, 3)
+        t = chain.tensor(steane_complex(), steane_complex(), lo=1, hi=3)
         assert chain.homology_dims(square)[2] == 1
         assert chain.homology_dims(t)[1] == 1
 
     def test_range_error(self):
         with pytest.raises(ValueError):
-            chain.truncate(steane_complex(), 1, 3)
+            chain.tensor(steane_complex(), lo=1, hi=3)
+        with pytest.raises(ValueError):
+            chain.tensor(steane_complex(), steane_complex(), lo=3, hi=2)
 
 
 class TestReduce:
@@ -167,7 +224,7 @@ class TestReduce:
             assert chain.euler_characteristic(chain.reduce(x)) == chain.euler_characteristic(x)
 
     def test_steane_square_reduction(self):
-        t = chain.truncate(chain.tensor(steane_complex(), steane_complex()), 1, 3)
+        t = chain.tensor(steane_complex(), steane_complex(), lo=1, hi=3)
         r = chain.reduce(t)
         assert chain.homology_dims(r) == chain.homology_dims(t) == (9, 1, 9)
         # fully reduced: all maps zero, dims equal the homology profile
@@ -187,17 +244,3 @@ class TestReduce:
             chain.validate(r)
             assert chain.homology_dims(r) == chain.homology_dims(product)
             assert all(r.boundary(i).is_zero() for i in range(1, len(r.dims)))
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            x = random_complex3(rng, 5)
-            assert chain.from_text(chain.to_text(x)) == x
-
-    def test_steane_round_trip(self):
-        x = steane_complex()
-        text = chain.to_text(x)
-        assert text.startswith("degrees 3\ndims 3 7 3\n")
-        assert chain.from_text(text) == x

@@ -27,7 +27,7 @@ from csstensor.gf2 import BinMatrix
 
 class TestHamming:
     def test_m2_columns(self):
-        assert hamming_parity_check(2).to_lists() == [[1, 0, 1], [0, 1, 1]]
+        assert hamming_parity_check(2) == BinMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
 
     def test_m3_rank_and_weight(self):
         h = hamming_parity_check(3)
