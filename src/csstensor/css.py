@@ -20,9 +20,12 @@ lower bound.  Each step extends whichever side enumerates fewer words
 (see ``_Search``).  A weight cap stops the search once the certified
 bound exceeds the cap, so a capped result reports lower = cap + 1.
 
-A kernel word is a logical exactly when one of its parities with k check
-words is odd (``_logical_checks``: the checks live on an information set
-of the kernel, where they annihilate the stabilizers).  The k parities,
+Each side of a code is analysed once, on first use (``_side``): one
+elimination gives the kernel basis, one more the k check words, and every
+distance, stabilizer and bound phase reads that ``_Side``.  A kernel word
+is a logical exactly when one of its parities with the checks is odd (the
+checks live on an information set of the kernel, where they annihilate
+the stabilizers).  The k parities,
 the word's signature, are linear, so the search sorts rows and sums of two
 rows into signature classes once, skips every class of trivial words, and
 walks a leaf word by word only when it holds a logical lighter than the
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
 
@@ -68,6 +71,7 @@ class CssCode:
     n: int
     h_x: BinMatrix
     h_z: BinMatrix
+    _sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.h_x.cols != self.n or self.h_z.cols != self.n:
@@ -231,7 +235,7 @@ class _Search:
     """Enumeration of a row space from two disjoint information sets.
 
     Targets are the words with a nonzero signature: their parities with
-    the k ``checks`` (see ``_logical_checks``), or every nonzero word when
+    the k ``checks`` (see ``_side``), or every nonzero word when
     ``checks`` is None.  Signatures are linear, so a sum of rows has the
     XOR of their signatures.
 
@@ -422,31 +426,60 @@ def _vec(bits: int | None, n: int) -> BinVector | None:
     return None if bits is None else BinVector(n, bits)
 
 
-def _logical_checks(code: CssCode, side: str) -> tuple[list[int], list[int]]:
-    """(kernel basis, parity checks) of one side.
+@dataclass(frozen=True)
+class _Side:
+    """One side of a code: its matrices, kernel basis and checks.
 
-    The kernel basis (``gf2._kernel_bitrows``) is the identity on the free
-    columns F of the kernel-defining matrix, so a kernel word is fixed by
-    its bits on F, and it is a stabilizer exactly when those bits lie in
-    the span of the stabilizer rows cut to F.  The checks are a basis of
-    that span's annihilator inside F2^F, found with one elimination of the
-    cut rows: k words (the cut keeps the rank of the stabilizers, which lie
-    in the kernel), and a kernel word is trivial exactly when its parities
-    with all of them are even.
+    Side Z has kernel_of = h_x and stab = h_z; side X the reverse.  The
+    kernel basis (``gf2._kernel_bitrows``) is the identity on the free
+    columns F of ``kernel_of``, so a kernel word is fixed by its bits on F,
+    and it is a stabilizer exactly when those bits lie in the span of the
+    stabilizer rows cut to F.  The checks are a basis of that span's
+    annihilator inside F2^F, from one elimination of the cut rows: k words
+    (the cut keeps the rank of the stabilizers, which lie in the kernel),
+    and a kernel word is trivial exactly when its parities with all of
+    them are even.  So rank(kernel_of) = n - |kernel| and
+    rank(stab) = |kernel| - k.
     """
-    kernel_of, stab = _side_matrices(code, side)
-    kernel, free = gf2._kernel_bitrows(kernel_of.data, gf2._mask(code.n))
-    checks, _ = gf2._kernel_bitrows([row & free for row in stab.data], free)
-    return kernel, checks
+
+    kernel_of: BinMatrix
+    stab: BinMatrix
+    kernel: tuple[int, ...]
+    checks: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.checks)
 
 
-def _side_matrices(code: CssCode, side: str) -> tuple[BinMatrix, BinMatrix]:
-    """(kernel-defining matrix, same-side stabilizer matrix) for a side."""
-    if side == "Z":
-        return code.h_x, code.h_z
-    if side == "X":
-        return code.h_z, code.h_x
-    raise ValueError(f"side must be 'X' or 'Z', got {side!r}")
+def _side(code: CssCode, side: str) -> _Side:
+    """The analysis of one side of a code, built on first use and kept on it."""
+    found = code._sides.get(side)
+    if found is None:
+        if side == "Z":
+            kernel_of, stab = code.h_x, code.h_z
+        elif side == "X":
+            kernel_of, stab = code.h_z, code.h_x
+        else:
+            raise ValueError(f"side must be 'X' or 'Z', got {side!r}")
+        kernel, free = gf2._kernel_bitrows(kernel_of.data, gf2._mask(code.n))
+        checks, _ = gf2._kernel_bitrows([row & free for row in stab.data], free)
+        found = code._sides[side] = _Side(kernel_of, stab, tuple(kernel), tuple(checks))
+    return found
+
+
+def _min_weight(
+    rows: Sequence[int], n: int, weight_cap: int | None = None, deadline: float | None = None
+) -> DistanceResult | None:
+    """Minimum weight over the nonzero words of a row space; None if it is zero.
+
+    A ``_Search`` with every nonzero word a target, started from the
+    lightest row: that row is the witness unless a sum is strictly lighter.
+    """
+    seed = min(filter(None, rows), key=int.bit_count, default=None)
+    if seed is None:
+        return None
+    return _Search(rows, n, None, deadline).run(weight_cap, seed_word=seed)
 
 
 def min_distance_exact(
@@ -460,14 +493,14 @@ def min_distance_exact(
 
     Enumerates kernel words from two information sets (see ``_Search``);
     a word is a logical exactly when its parities with the k checks of
-    ``_logical_checks`` are not all even.  With a cap the result certifies
+    ``_side`` are not all even.  With a cap the result certifies
     lower = cap + 1 when nothing lighter was found.
     """
-    rows, checks = _logical_checks(code, side)
-    if not checks:
+    s = _side(code, side)
+    if not s.k:
         raise KIsZero("distances are undefined for k = 0")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    return _Search(rows, code.n, checks, deadline).run(weight_cap, seed_upper=seed_upper)
+    return _Search(s.kernel, code.n, s.checks, deadline).run(weight_cap, seed_upper=seed_upper)
 
 
 def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) -> int:
@@ -478,8 +511,8 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
     low-weight kernel members and every nontrivial one bounds the distance
     from above.  Deterministic for a fixed seed.
     """
-    base, checks = _logical_checks(code, side)
-    if not checks:
+    s = _side(code, side)
+    if not s.k:
         raise KIsZero("distances are undefined for k = 0")
     rng = random.Random(seed)
     best: int | None = None
@@ -491,8 +524,8 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
             position[c] = i
         # Column order[i] moves to bit i, so the moved rows' RREF is the
         # RREF under the random priority; the checks move with them.
-        rows, _ = gf2._rref_bitrows(gf2._permute_bits(base, position))
-        moved_checks = gf2._permute_bits(checks, position)
+        rows, _ = gf2._rref_bitrows(gf2._permute_bits(s.kernel, position))
+        moved_checks = gf2._permute_bits(s.checks, position)
         if len(rows) <= 80:
             rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]
         for word in rows:
@@ -504,9 +537,6 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
     return best
 
 
-GRAY_ENUMERATION_MAX_RANK = 20
-
-
 def stabilizer_min_weight(
     code: CssCode,
     side: str,
@@ -515,31 +545,15 @@ def stabilizer_min_weight(
 ) -> DistanceResult:
     """Minimum weight over nonzero elements of one stabilizer row space.
 
-    Exact by Gray-code enumeration of all 2^rank - 1 elements when the
-    rank is at most 20, otherwise by the same weight-stratified search
-    (and cap semantics) as the distance computations.
+    The same weight-stratified search (and cap semantics) as the distance
+    computations, with every nonzero word a target, started from the
+    lightest stabilizer row (see ``_min_weight``).
     """
-    if side not in ("X", "Z"):
-        raise ValueError(f"side must be 'X' or 'Z', got {side!r}")
-    stab = code.h_x if side == "X" else code.h_z
-    if all(r == 0 for r in stab.data):
-        raise EmptyStabilizerGroup(f"no nonzero {side} stabilizer rows")
-    rows, _ = gf2._rref_bitrows(stab.data)
-    r = len(rows)
-    if r <= GRAY_ENUMERATION_MAX_RANK:
-        word = 0
-        best = None
-        best_word = None
-        for i in range(1, 1 << r):
-            word ^= rows[(i & -i).bit_length() - 1]
-            w = word.bit_count()
-            if best is None or w < best:
-                best, best_word = w, word
-        return DistanceResult(best, best, True, _vec(best_word, stab.cols))
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    search = _Search(rows, stab.cols, None, deadline)
-    seed_word = min((r for r in stab.data if r), key=int.bit_count)
-    return search.run(weight_cap, seed_word=seed_word)
+    res = _min_weight(_side(code, side).stab.data, code.n, weight_cap, deadline)
+    if res is None:
+        raise EmptyStabilizerGroup(f"no nonzero {side} stabilizer rows")
+    return res
 
 
 def _decide_degenerate(
@@ -639,17 +653,13 @@ def analyze(
     deterministic whenever the searches finish within budget; an expiring
     budget can only weaken the certified lower bound, never the flags.
     """
-    k = dimension_k(code)
+    k = _side(code, "X").k
     profile = weight_profile(code)
-    stab_x = (
+    stab_x, stab_z = (
         None
-        if code.h_x.is_zero()
-        else stabilizer_min_weight(code, "X", exact_up_to, time_budget)
-    )
-    stab_z = (
-        None
-        if code.h_z.is_zero()
-        else stabilizer_min_weight(code, "Z", exact_up_to, time_budget)
+        if _side(code, side).stab.is_zero()
+        else stabilizer_min_weight(code, side, exact_up_to, time_budget)
+        for side in ("X", "Z")
     )
     if k == 0:
         return CodeReport(code.n, 0, None, None, profile, stab_x, stab_z, None)

@@ -233,16 +233,13 @@ class CriterionReport:
 
 def check_distance_criterion(code: CssCode) -> CriterionReport:
     """Exact per-side non-degeneracy check with witnesses."""
-    if css.dimension_k(code) == 0:
+    if css._side(code, "X").k == 0:
         raise KIsZero("criterion is undefined for k = 0")
     values = {}
     for side in ("X", "Z"):
         dist = css.min_distance_exact(code, side)
-        stab_mat = code.h_x if side == "X" else code.h_z
-        if stab_mat.is_zero():
-            stab = None
-        else:
-            stab = css.stabilizer_min_weight(code, side)
+        no_stab = css._side(code, side).stab.is_zero()
+        stab = None if no_stab else css.stabilizer_min_weight(code, side)
         holds = stab is None or stab.value >= dist.value
         values[side] = (dist, stab, holds)
     dist_x, stab_x, holds_x = values["X"]
@@ -280,40 +277,32 @@ class FactorParams:
     top_min_lo: int | None
 
 
-def _min_nonzero_weight(rows: Sequence[int], cols: int) -> int | None:
-    """Exact minimum weight over nonzero elements of a row space."""
-    search = css._Search(rows, cols, None, None)
-    if not search.rows:
-        return None
-    return search.run(None).value
-
-
 def factor_params(code: CssCode, side: str) -> FactorParams:
     """Exact invariants of a code for one side of the bound machine."""
-    kernel_of, _ = css._side_matrices(code, side)
-    k = css.dimension_k(code)
-    d_lo = css.min_distance_exact(code, side).value if k else 0
-    cycle = _min_nonzero_weight(gf2.kernel_basis(kernel_of).data, code.n)
-    return _with_check_invariants(code, side, k, d_lo, 1 if cycle is None else cycle)
+    s = css._side(code, side)
+    d_lo = css.min_distance_exact(code, side).value if s.k else 0
+    cycle = css._min_weight(s.kernel, code.n)
+    return _with_check_invariants(code, side, d_lo, 1 if cycle is None else cycle.value)
 
 
-def _with_check_invariants(
-    code: CssCode, side: str, k: int, d_lo: int, cycle_lo: int
-) -> FactorParams:
-    """FactorParams from distance data plus the exact invariants of the checks."""
-    kernel_of, stab = css._side_matrices(code, side)
-    h_top = stab.rows - gf2.rank(stab)
+def _with_check_invariants(code: CssCode, side: str, d_lo: int, cycle_lo: int) -> FactorParams:
+    """FactorParams from distance data plus the exact invariants of the checks.
+
+    Ranks come from the side's sizes (see ``css._Side``).
+    """
+    s = css._side(code, side)
+    h_top = s.stab.rows - (len(s.kernel) - s.k)
     top_min = None
     if h_top:
-        left_kernel = gf2.kernel_basis(gf2.transpose(stab))
-        top_min = _min_nonzero_weight(left_kernel.data, stab.rows)
+        left_kernel = gf2.kernel_basis(gf2.transpose(s.stab))
+        top_min = css._min_weight(left_kernel.data, s.stab.rows).value
     return FactorParams(
-        k=k,
+        k=s.k,
         d_lo=d_lo,
         cycle_lo=cycle_lo,
-        check_w=max(stab.row_weights(), default=0),
+        check_w=max(s.stab.row_weights(), default=0),
         h_top=h_top,
-        h_bot=kernel_of.rows - gf2.rank(kernel_of),
+        h_bot=s.kernel_of.rows - (code.n - len(s.kernel)),
         top_min_lo=top_min,
     )
 
@@ -499,7 +488,7 @@ def _params_from_record(
     stab_res = record.stab_min_x if side == "X" else record.stab_min_z
     d_lo = dist.lower if dist is not None else 0
     cycle_lo = d_lo if stab_res is None else min(d_lo, stab_res.lower)
-    return _with_check_invariants(code, side, record.k, d_lo, max(1, cycle_lo))
+    return _with_check_invariants(code, side, d_lo, max(1, cycle_lo))
 
 
 def sweep(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -248,6 +249,35 @@ class TestVerify:
         lines = stdout.splitlines()
         assert "FAIL gf2_properties/crashed: 0/1 (ArithmeticError: rank unavailable)" in lines
         assert lines[-1] == f"FAIL total: {len(lines) - 1} properties"
+
+
+# sha256 of stdout for commands whose output every refactor must keep.
+PINNED_STDOUT = [
+    (("analyze", "steane.json"),
+     "1eba12d7183eaf650b07bc02b5a2639d24b20a4b40d57f42111e2f55ba615c81"),
+    (("analyze", "sq.json", "--exact-up-to", "9", "--trials", "50", "--seed", "101"),
+     "237073b607873d6abb1ccbbdfc00d75999627aa86b52e54bcc60f5f095b37672"),
+    (("criterion", "steane.json"),
+     "3e7388f32b27868888d0edc3945d1a906d99bd6c5cdc6beef77b53af1d0aee4c"),
+    (("criterion", "sq.json"),
+     "995b570e81f33d6705b25c4269c10c11fa131491c51e6f2c6d13c9dafde1ef5d"),
+    (("sweep", "steane", "--ell-max", "3", "--weight-cap", "2", "--trials", "10",
+      "--seed", "101"),
+     "ab7d3181eeaebf87beab796e8d199b011ced672c12ab50cfc46d1cd81345826c"),
+    (("verify", "fast", "--seed", "101"),
+     "898b85fa522bab75a0e5a8aba15bf73cbd01d9ff0112f2ce2bb62cac773b099d"),
+]
+
+
+class TestPinnedStdout:
+    def test_digests(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "family", "steane", "--out", "steane.json")
+        run(capsys, "power", "steane.json", "--ell", "2", "--out", "sq.json")
+        for argv, digest in PINNED_STDOUT:
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(stdout.encode()).hexdigest() == digest, argv
 
 
 class TestErrorPaths:

@@ -20,7 +20,7 @@ from csstensor.css import (
 from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_css_code, random_matrix
-from csstensor.tensorops import css_power
+from csstensor.tensorops import css_power, factor_params
 
 
 def annihilated(m: BinMatrix, rows) -> bool:
@@ -158,11 +158,11 @@ class TestExactDistance:
             code = random_css_code(rng, rng.randrange(4, 9), 1, 2)
             for side in ("X", "Z"):
                 res = css.min_distance_exact(code, side)
-                kernel_of, stab = css._side_matrices(code, side)
+                s = css._side(code, side)
                 w = res.witness
                 assert w is not None and w.weight() == res.value
-                assert annihilated(kernel_of, [w.bits])
-                assert not gf2.rowspace_contains(stab, w)
+                assert annihilated(s.kernel_of, [w.bits])
+                assert not gf2.rowspace_contains(s.stab, w)
 
     def test_invariant_under_row_scramble(self):
         rng = random.Random(4)
@@ -248,13 +248,12 @@ def _side_searches(code):
     """
     out = []
     for side in ("X", "Z"):
-        kernel_of, stab = css._side_matrices(code, side)
-        _, checks = css._logical_checks(code, side)
+        s = css._side(code, side)
 
-        def target(w, stab=stab, n=code.n):
+        def target(w, stab=s.stab, n=code.n):
             return not gf2.rowspace_contains(stab, gf2.BinVector(n, w))
 
-        out.append((list(gf2.kernel_basis(kernel_of).data), code.n, checks, target))
+        out.append((list(gf2.kernel_basis(s.kernel_of).data), code.n, s.checks, target))
     return out
 
 
@@ -296,6 +295,7 @@ class TestLogicalChecks:
     def test_parities_match_rowspace_oracle(self):
         # A kernel word is trivial exactly when its parities with all k
         # checks are even; the oracle eliminates the stabilizers instead.
+        # The ranks that the side's sizes stand in for are checked too.
         rng = random.Random(41)
         ks = set()
         codes = 0
@@ -310,10 +310,15 @@ class TestLogicalChecks:
             k = css.dimension_k(code)
             ks.add(k)
             for side in ("X", "Z"):
-                kernel_of, stab = css._side_matrices(code, side)
-                rows, checks = css._logical_checks(code, side)
-                assert len(checks) == k
-                assert annihilated(kernel_of, rows)
+                s = css._side(code, side)
+                stab, rows, checks = s.stab, s.kernel, s.checks
+                assert len(checks) == s.k == k
+                assert annihilated(s.kernel_of, rows)
+                assert gf2.rank(s.kernel_of) == n - len(rows)
+                assert gf2.rank(stab) == len(rows) - k
+                params = factor_params(code, side)
+                assert params.h_top == stab.rows - gf2.rank(stab)
+                assert params.h_bot == s.kernel_of.rows - gf2.rank(s.kernel_of)
                 stab_rows = [r for r in stab.data if r]
                 for _ in range(40):
                     word = 0
@@ -331,7 +336,37 @@ class TestLogicalChecks:
 
     def test_k_zero_has_no_checks(self):
         code = css.from_matrices(BinMatrix.identity(3), BinMatrix.zeros(0, 3))
-        assert css._logical_checks(code, "Z") == ([], [])
+        s = css._side(code, "Z")
+        assert (s.kernel, s.checks, s.k) == ((), (), 0)
+
+    def test_each_side_eliminated_once(self, monkeypatch):
+        # analyze and factor_params read one _Side per code and side: two
+        # kernel eliminations per side, and no rank, dimension_k or
+        # kernel_basis call of their own.
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        square = css_power(steane(), 2)
+        code = steane()
+        for module, name in ((gf2, "_kernel_bitrows"), (gf2, "rank"),
+                             (gf2, "kernel_basis"), (css, "dimension_k")):
+            counting(module, name)
+        css.analyze(square)
+        assert calls == ["_kernel_bitrows"] * 4
+        calls.clear()
+        for side in ("X", "Z"):
+            factor_params(code, side)
+        assert calls == ["_kernel_bitrows"] * 4
+        with pytest.raises(ValueError):
+            css._side(code, "Y")
 
 
 class TestTwoSetSearch:
@@ -405,7 +440,8 @@ class TestTwoSetSearch:
         # pass-2 level 2 (|Z| = 10); the word-by-word walk is the oracle.
         square = css_power(steane(), 2)
         for side in ("X", "Z"):
-            rows, checks = css._logical_checks(square, side)
+            s = css._side(square, side)
+            rows, checks = s.kernel, s.checks
             for cap, seed_upper in ((5, None), (7, 9), (None, 9), (None, 10), (None, None)):
                 search = css._Search(rows, square.n, checks, None)
                 res = search.run(cap, seed_upper=seed_upper)
@@ -499,15 +535,14 @@ class TestTwoSetSearch:
         for side in ("X", "Z"):
             res = css.min_distance_exact(square, side)
             assert res.exact and res.value == 9
-            kernel_of, stab = css._side_matrices(square, side)
-            assert annihilated(kernel_of, [res.witness.bits])
-            assert not gf2.rowspace_contains(stab, res.witness)
+            s = css._side(square, side)
+            assert annihilated(s.kernel_of, [res.witness.bits])
+            assert not gf2.rowspace_contains(s.stab, res.witness)
 
     def test_deadline_in_second_pass_keeps_certificate(self):
         square = css_power(steane(), 2)
         kernel = gf2.kernel_basis(square.h_x)
-        _, checks = css._logical_checks(square, "Z")
-        search = css._Search(list(kernel.data), square.n, checks, None)
+        search = css._Search(list(kernel.data), square.n, css._side(square, "Z").checks, None)
         second_pass = search._pass2
 
         def expire_at_level_one(j):
@@ -569,16 +604,37 @@ class TestStabilizerWeight:
             css.stabilizer_min_weight(no_stabilizer_code(3), "X")
 
     def test_stratified_matches_gray(self):
-        # force the stratified path by lowering the Gray cutoff
+        # The oracle walks all 2^rank - 1 nonzero stabilizers by Gray code.
+        # Uncapped, the search is exact and its witness is the first
+        # lightest row unless a combination is strictly lighter; capped, it
+        # brackets the minimum and is exact or certifies cap + 1.
         rng = random.Random(8)
-        code = random_css_code(rng, 9, 3, 2, min_k=0)
-        expected = css.stabilizer_min_weight(code, "X").value
-        original = css.GRAY_ENUMERATION_MAX_RANK
-        try:
-            css.GRAY_ENUMERATION_MAX_RANK = 0
-            assert css.stabilizer_min_weight(code, "X").value == expected
-        finally:
-            css.GRAY_ENUMERATION_MAX_RANK = original
+        ranks = set()
+        while len(ranks) < 12:
+            n = rng.randrange(4, 27)
+            try:
+                code = random_css_code(rng, n, rng.randrange(1, 13), rng.randrange(0, 13), min_k=0)
+            except RuntimeError:
+                continue
+            for side in ("X", "Z"):
+                stab = code.h_x if side == "X" else code.h_z
+                basis, _ = gf2._rref_bitrows(stab.data)
+                if not basis:
+                    continue
+                ranks.add(len(basis))
+                oracle = _brute_force_min(basis, _every_nonzero)
+                res = css.stabilizer_min_weight(code, side)
+                assert res.exact and res.value == oracle
+                assert gf2.rowspace_contains(stab, res.witness)
+                assert res.witness.weight() == oracle
+                lightest = min(filter(None, stab.data), key=int.bit_count)
+                if lightest.bit_count() == oracle:
+                    assert res.witness.bits == lightest
+                for cap in (1, 2, 3):
+                    capped = css.stabilizer_min_weight(code, side, weight_cap=cap)
+                    assert capped.lower <= oracle <= capped.upper
+                    assert capped.exact or capped.lower == cap + 1
+        assert ranks == set(range(1, 13))
 
 
 class TestDegeneracy:
