@@ -48,7 +48,8 @@ def _load_code(path: str) -> CssCode:
 def _load_named_code(path: str) -> tuple[str, CssCode]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return obj.get("name", ""), css.code_from_json(obj)
+    code = css.code_from_json(obj)
+    return obj.get("name", ""), code
 
 
 def _dump_json(obj: dict | list, path: str | None) -> None:

@@ -38,6 +38,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Sequence
 
@@ -428,7 +429,7 @@ def _vec(bits: int | None, n: int) -> BinVector | None:
 
 @dataclass(frozen=True)
 class _Side:
-    """One side of a code: its matrices, kernel basis and checks.
+    """One side of a code: its matrices, kernel basis, checks and exact minima.
 
     Side Z has kernel_of = h_x and stab = h_z; side X the reverse.  The
     kernel basis (``gf2._kernel_bitrows``) is the identity on the free
@@ -440,6 +441,11 @@ class _Side:
     and a kernel word is trivial exactly when its parities with all of
     them are even.  So rank(kernel_of) = n - |kernel| and
     rank(stab) = |kernel| - k.
+
+    ``distance`` and ``stab_min`` are the exact, uncapped minima, searched
+    on first use and kept.  They depend on the side alone: an unbudgeted
+    search is a fixed walk over the kernel basis and the stabilizer rows,
+    so its value and its witness are the same on every run.
     """
 
     kernel_of: BinMatrix
@@ -450,6 +456,18 @@ class _Side:
     @property
     def k(self) -> int:
         return len(self.checks)
+
+    @cached_property
+    def distance(self) -> DistanceResult | None:
+        """The exact distance of this side; None when k = 0."""
+        if not self.k:
+            return None
+        return _Search(self.kernel, self.stab.cols, self.checks, None).run(None)
+
+    @cached_property
+    def stab_min(self) -> DistanceResult | None:
+        """The exact stabilizer minimum; None when no stabilizer row is nonzero."""
+        return _min_weight(self.stab.data, self.stab.cols)
 
 
 def _side(code: CssCode, side: str) -> _Side:
@@ -494,11 +512,14 @@ def min_distance_exact(
     Enumerates kernel words from two information sets (see ``_Search``);
     a word is a logical exactly when its parities with the k checks of
     ``_side`` are not all even.  With a cap the result certifies
-    lower = cap + 1 when nothing lighter was found.
+    lower = cap + 1 when nothing lighter was found.  With no cap, budget or
+    seed it is the side's kept ``_Side.distance``.
     """
     s = _side(code, side)
     if not s.k:
         raise KIsZero("distances are undefined for k = 0")
+    if weight_cap is None and time_budget is None and seed_upper is None:
+        return s.distance
     deadline = None if time_budget is None else time.monotonic() + time_budget
     return _Search(s.kernel, code.n, s.checks, deadline).run(weight_cap, seed_upper=seed_upper)
 
@@ -547,10 +568,13 @@ def stabilizer_min_weight(
 
     The same weight-stratified search (and cap semantics) as the distance
     computations, with every nonzero word a target, started from the
-    lightest stabilizer row (see ``_min_weight``).
+    lightest stabilizer row (see ``_min_weight``).  With no cap or budget
+    it is the side's kept ``_Side.stab_min``.
     """
+    s = _side(code, side)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    res = _min_weight(_side(code, side).stab.data, code.n, weight_cap, deadline)
+    uncapped = weight_cap is None and deadline is None
+    res = s.stab_min if uncapped else _min_weight(s.stab.data, code.n, weight_cap, deadline)
     if res is None:
         raise EmptyStabilizerGroup(f"no nonzero {side} stabilizer rows")
     return res
@@ -703,9 +727,18 @@ def code_to_json(code: CssCode, name: str = "") -> dict:
 
 
 def code_from_json(obj: dict) -> CssCode:
-    h_x = matrix_from_json(obj["h_x"])
-    h_z = matrix_from_json(obj["h_z"])
-    code = from_matrices(h_x, h_z)
+    """The code of a JSON object; ValueError names a missing or malformed field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a code must be a JSON object, got {type(obj).__name__}")
+    matrices = []
+    for key in ("h_x", "h_z"):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+        try:
+            matrices.append(matrix_from_json(obj[key]))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"malformed field {key!r} ({type(exc).__name__}: {exc})") from None
+    code = from_matrices(*matrices)
     if obj.get("n") is not None and obj["n"] != code.n:
         raise ValueError(f"declared n={obj['n']} does not match matrices ({code.n})")
     return code

@@ -25,6 +25,13 @@ weight:
   contractions land in the kernel of the top boundary, bounding the
   class weight by the lightest nonzero check redundancy.
 
+A factor's cycle minimum needs no search of its own: a nonzero cycle is
+either a logical or a nonzero stabilizer, so it is min(d, stabilizer
+minimum), the stabilizer minimum when k = 0, and d when no stabilizer is
+nonzero (1 when the kernel is zero).  Certified lower bounds on d and on
+the stabilizer minimum therefore bound it too, which lets ``sweep`` feed
+a built power's record back into the machine.
+
 The criterion reported by ``check_distance_criterion`` is per-side
 non-degeneracy: no stabilizer is strictly lighter than the distance,
 i.e. the minimum nonzero cycle weight equals the distance.  When it
@@ -233,17 +240,12 @@ class CriterionReport:
 
 def check_distance_criterion(code: CssCode) -> CriterionReport:
     """Exact per-side non-degeneracy check with witnesses."""
-    if css._side(code, "X").k == 0:
+    sx, sz = css._side(code, "X"), css._side(code, "Z")
+    if sx.k == 0:
         raise KIsZero("criterion is undefined for k = 0")
-    values = {}
-    for side in ("X", "Z"):
-        dist = css.min_distance_exact(code, side)
-        no_stab = css._side(code, side).stab.is_zero()
-        stab = None if no_stab else css.stabilizer_min_weight(code, side)
-        holds = stab is None or stab.value >= dist.value
-        values[side] = (dist, stab, holds)
-    dist_x, stab_x, holds_x = values["X"]
-    dist_z, stab_z, holds_z = values["Z"]
+    dist_x, stab_x, dist_z, stab_z = sx.distance, sx.stab_min, sz.distance, sz.stab_min
+    holds_x = stab_x is None or stab_x.value >= dist_x.value
+    holds_z = stab_z is None or stab_z.value >= dist_z.value
     return CriterionReport(
         holds=holds_x and holds_z,
         holds_x=holds_x,
@@ -280,17 +282,19 @@ class FactorParams:
 def factor_params(code: CssCode, side: str) -> FactorParams:
     """Exact invariants of a code for one side of the bound machine."""
     s = css._side(code, side)
-    d_lo = css.min_distance_exact(code, side).value if s.k else 0
-    cycle = css._min_weight(s.kernel, code.n)
-    return _with_check_invariants(code, side, d_lo, 1 if cycle is None else cycle.value)
+    return _factor_params(s, s.distance, s.stab_min)
 
 
-def _with_check_invariants(code: CssCode, side: str, d_lo: int, cycle_lo: int) -> FactorParams:
-    """FactorParams from distance data plus the exact invariants of the checks.
+def _factor_params(
+    s: css._Side, dist: DistanceResult | None, stab: DistanceResult | None
+) -> FactorParams:
+    """FactorParams of a side from certified distance and stabilizer results.
 
-    Ranks come from the side's sizes (see ``css._Side``).
+    ``dist`` is None when k = 0 and ``stab`` when no stabilizer is nonzero.
+    The cycle bound is the smaller of their lower bounds, 1 when both are
+    None (see the module docstring).  Ranks come from the side's sizes
+    (see ``css._Side``).
     """
-    s = css._side(code, side)
     h_top = s.stab.rows - (len(s.kernel) - s.k)
     top_min = None
     if h_top:
@@ -298,11 +302,11 @@ def _with_check_invariants(code: CssCode, side: str, d_lo: int, cycle_lo: int) -
         top_min = css._min_weight(left_kernel.data, s.stab.rows).value
     return FactorParams(
         k=s.k,
-        d_lo=d_lo,
-        cycle_lo=cycle_lo,
+        d_lo=0 if dist is None else dist.lower,
+        cycle_lo=min((r.lower for r in (dist, stab) if r is not None), default=1),
         check_w=max(s.stab.row_weights(), default=0),
         h_top=h_top,
-        h_bot=s.kernel_of.rows - (code.n - len(s.kernel)),
+        h_bot=s.kernel_of.rows - (s.stab.cols - len(s.kernel)),
         top_min_lo=top_min,
     )
 
@@ -355,52 +359,34 @@ def bound_from_params(cp: FactorParams, dp: FactorParams, refined: bool = True) 
     return min(sectors)
 
 
-PairParams = list[tuple[FactorParams, FactorParams]]
-
-
-def pair_params(c: CssCode, d: CssCode) -> PairParams:
-    """(params of c, params of d) for side X, then side Z."""
-    return [(factor_params(c, side), factor_params(d, side)) for side in ("X", "Z")]
-
-
-def generic_lower_bound(
-    c: CssCode, d: CssCode, params: PairParams | None = None
-) -> tuple[int, int]:
-    """Unconditional lower bounds (bound_x, bound_z) on the product distances.
-
-    ``params`` (from ``pair_params``) saves recomputing the factors' invariants.
-    """
-    bx, bz = (bound_from_params(cp, dp) for cp, dp in params or pair_params(c, d))
+def generic_lower_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
+    """Unconditional lower bounds (bound_x, bound_z) on the product distances."""
+    bx, bz = (bound_from_params(factor_params(c, s), factor_params(d, s)) for s in ("X", "Z"))
     return bx, bz
 
 
-def known_comparison_bound(
-    c: CssCode, d: CssCode, params: PairParams | None = None
-) -> tuple[int, int]:
+def known_comparison_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
     """The plain per-sector max bound, kept for before/after comparison."""
     bx, bz = (
-        bound_from_params(cp, dp, refined=False) for cp, dp in params or pair_params(c, d)
+        bound_from_params(factor_params(c, s), factor_params(d, s), refined=False)
+        for s in ("X", "Z")
     )
     return bx, bz
 
 
 def tensor_distance_lower_bound(
-    c: CssCode,
-    d: CssCode,
-    criterion: CriterionReport,
-    params: PairParams | None = None,
+    c: CssCode, d: CssCode, criterion: CriterionReport
 ) -> tuple[int, int]:
     """Lower bounds (bound_x, bound_z) for the product of c with any d.
 
     With the criterion holding on c, the cycle minimum of c equals its
     distance, so the middle-sector refinement runs at full strength; when
     it fails the same machinery still applies with c's true cycle minimum
-    and the result coincides with ``generic_lower_bound``.  Each factor's
-    invariants are computed once per side and serve both bounds.
+    and the result coincides with ``generic_lower_bound``.
     """
     bounds = []
-    sides = zip(params or pair_params(c, d), (criterion.d_x, criterion.d_z))
-    for (cp, dp), d_side in sides:
+    for side, d_side in (("X", criterion.d_x), ("Z", criterion.d_z)):
+        cp, dp = factor_params(c, side), factor_params(d, side)
         bound = bound_from_params(cp, dp)
         if criterion.holds:
             strong = replace(cp, d_lo=d_side, cycle_lo=d_side)
@@ -480,17 +466,6 @@ def sweep_to_csv(records: Sequence[SweepRecord], with_seconds: bool = True) -> s
     return "\n".join(lines) + "\n"
 
 
-def _params_from_record(
-    code: CssCode, record: SweepRecord, side: str
-) -> FactorParams:
-    """Certified factor invariants of a built power, from its sweep record."""
-    dist = record.d_x if side == "X" else record.d_z
-    stab_res = record.stab_min_x if side == "X" else record.stab_min_z
-    d_lo = dist.lower if dist is not None else 0
-    cycle_lo = d_lo if stab_res is None else min(d_lo, stab_res.lower)
-    return _with_check_invariants(code, side, d_lo, max(1, cycle_lo))
-
-
 def sweep(
     spec: PowerSpec,
     ell_max: int,
@@ -512,9 +487,6 @@ def sweep(
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
-    base_params = {
-        side: factor_params(spec.base, side) for side in ("X", "Z")
-    }
     records: list[SweepRecord] = []
     prev_code: CssCode | None = None
     for ell in range(1, ell_max + 1):
@@ -548,32 +520,25 @@ def sweep(
             time_budget=time_budget,
         )
         d_x, d_z = report.d_x, report.d_z
-        if (
-            not spec.reduced
-            and ell >= 2
-            and records
-            and prev_code is not None
-            and report.k >= 1
-        ):
-            merged = {}
-            for side, current in (("X", d_x), ("Z", d_z)):
-                if current is None:
-                    merged[side] = None
-                    continue
-                prev_params = _params_from_record(prev_code, records[-1], side)
+        if not spec.reduced and prev_code is not None and report.k >= 1:
+            prev = records[-1]
+            merged = []
+            for side, current, prev_dist, prev_stab in (
+                ("X", d_x, prev.d_x, prev.stab_min_x),
+                ("Z", d_z, prev.d_z, prev.stab_min_z),
+            ):
+                prev_params = _factor_params(css._side(prev_code, side), prev_dist, prev_stab)
                 try:
-                    machine = bound_from_params(base_params[side], prev_params)
+                    machine = bound_from_params(factor_params(spec.base, side), prev_params)
                 except KIsZero:
                     machine = 1
                 lower = max(current.lower, machine)
-                exact = current.exact or (
-                    current.upper is not None and lower == current.upper
-                )
-                merged[side] = DistanceResult(lower, current.upper, exact, current.witness)
-            d_x, d_z = merged["X"], merged["Z"]
+                exact = current.exact or (current.upper is not None and lower == current.upper)
+                merged.append(DistanceResult(lower, current.upper, exact, current.witness))
+            d_x, d_z = merged
         degenerate = css._decide_degenerate(
             [s for s in (report.min_stabilizer_weight_x, report.min_stabilizer_weight_z) if s],
-            [d for d in (d_x, d_z) if d is not None],
+            [d_x, d_z],
         ) if report.k >= 1 else None
         records.append(
             SweepRecord(

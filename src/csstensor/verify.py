@@ -186,11 +186,10 @@ def bound_soundness_suite(seed: int, pairs: int, max_n: int = 9) -> list[Propert
         exact = {
             side: css.min_distance_exact(product, side).value for side in ("X", "Z")
         }
-        params = tensorops.pair_params(c, d)
-        generic = tensorops.generic_lower_bound(c, d, params)
-        known = tensorops.known_comparison_bound(c, d, params)
+        generic = tensorops.generic_lower_bound(c, d)
+        known = tensorops.known_comparison_bound(c, d)
         crit = tensorops.check_distance_criterion(c)
-        strong = tensorops.tensor_distance_lower_bound(c, d, crit, params)
+        strong = tensorops.tensor_distance_lower_bound(c, d, crit)
         if generic[0] > exact["X"] or generic[1] > exact["Z"]:
             failures["generic"] += 1
         if strong[0] > exact["X"] or strong[1] > exact["Z"]:

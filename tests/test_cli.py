@@ -285,6 +285,20 @@ class TestErrorPaths:
         code, _, err = run(capsys, "analyze", "/nonexistent/path.json")
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"n": 3}', "h_x"),
+        ('{"h_x": {"rows": 1, "cols": 3, "support": 5},'
+         ' "h_z": {"rows": 0, "cols": 3, "support": []}}', "h_x"),
+        ("[1, 2]", "JSON object"),
+    ], ids=["missing-field", "support-not-a-list", "top-level-array"])
+    def test_malformed_code_file_exit_3(self, capsys, tmp_path, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 3
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["power", "input.json"])  # missing required --ell

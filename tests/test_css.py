@@ -128,6 +128,38 @@ class TestExactDistance:
             res = css.min_distance_exact(code, side)
             assert res.exact and res.value == 3
 
+    def test_uncapped_minima_kept_per_side(self, monkeypatch):
+        # An uncapped distance or stabilizer minimum is searched once per
+        # side and kept; capped, budgeted and seeded calls still search,
+        # with their own cap semantics.
+        runs = []
+        real = css._Search.run
+
+        def counting(search, *args, **kwargs):
+            runs.append(search)
+            return real(search, *args, **kwargs)
+
+        monkeypatch.setattr(css._Search, "run", counting)
+        square = css_power(steane(), 2)
+        dist = css.min_distance_exact(square, "X")
+        assert css.min_distance_exact(square, "X") is dist
+        assert len(runs) == 1 and dist.exact and dist.value == 9
+        stab = css.stabilizer_min_weight(square, "X")
+        assert css.stabilizer_min_weight(square, "X") is stab
+        assert len(runs) == 2 and stab.exact and stab.value == 5
+
+        capped = css.min_distance_exact(square, "X", weight_cap=3)
+        assert (capped.lower, capped.exact) == (4, False)
+        budgeted = css.min_distance_exact(square, "X", time_budget=60.0)
+        assert budgeted is not dist and budgeted.value == 9
+        seeded = css.min_distance_exact(square, "X", seed_upper=9)
+        assert (seeded.lower, seeded.upper, seeded.exact) == (9, None, False)
+        capped_stab = css.stabilizer_min_weight(square, "X", weight_cap=2)
+        assert (capped_stab.lower, capped_stab.exact) == (3, False)
+        budgeted_stab = css.stabilizer_min_weight(square, "X", time_budget=60.0)
+        assert budgeted_stab is not stab and budgeted_stab.value == 5
+        assert len(runs) == 7
+
     def test_single_qubit(self):
         code = no_stabilizer_code(1)
         assert css.min_distance_exact(code, "X").value == 1
@@ -296,14 +328,19 @@ class TestLogicalChecks:
         # A kernel word is trivial exactly when its parities with all k
         # checks are even; the oracle eliminates the stabilizers instead.
         # The ranks that the side's sizes stand in for are checked too.
+        # factor_params' cycle minimum is checked against a search of the
+        # whole kernel, on k = 0 codes and stabilizer-free sides too.
         rng = random.Random(41)
         ks = set()
         codes = 0
-        while codes < 60 or not (1 in ks and max(ks) >= 10):
+        cases = set()
+        while codes < 60 or not (0 in ks and 1 in ks and max(ks) >= 10 and len(cases) == 2):
             n = rng.randrange(4, 23)
             try:
                 r_x, r_z = rng.randrange(1, n // 2 + 1), rng.randrange(0, n // 2 + 1)
-                code = random_css_code(rng, n, r_x, r_z)
+                if rng.random() < 0.2:  # most likely k = 0
+                    r_x, r_z = rng.choice(((r_x, n), (n, 0)))
+                code = random_css_code(rng, n, r_x, r_z, min_k=0)
             except RuntimeError:
                 continue
             codes += 1
@@ -319,6 +356,12 @@ class TestLogicalChecks:
                 params = factor_params(code, side)
                 assert params.h_top == stab.rows - gf2.rank(stab)
                 assert params.h_bot == s.kernel_of.rows - gf2.rank(s.kernel_of)
+                cycle = css._min_weight(rows, n)
+                assert params.cycle_lo == (1 if cycle is None else cycle.value)
+                if stab.rows == 0:
+                    cases.add("no stabilizer rows")
+                if not rows:
+                    cases.add("zero kernel")
                 stab_rows = [r for r in stab.data if r]
                 for _ in range(40):
                     word = 0
@@ -332,7 +375,7 @@ class TestLogicalChecks:
                                 word ^= r
                     trivial = gf2.rowspace_contains(stab, gf2.BinVector(n, word))
                     assert (css._signature(word, checks) == 0) == trivial
-        assert 1 in ks and max(ks) >= 10
+        assert 0 in ks and 1 in ks and max(ks) >= 10 and len(cases) == 2
 
     def test_k_zero_has_no_checks(self):
         code = css.from_matrices(BinMatrix.identity(3), BinMatrix.zeros(0, 3))

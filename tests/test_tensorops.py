@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 
 import pytest
 
-from csstensor import chain, css, gf2, tensorops, verify
+from csstensor import chain, css, families, gf2, tensorops, verify
 from csstensor.css import CssCode, KIsZero
 from csstensor.families import steane
 from csstensor.gf2 import BinMatrix
@@ -211,6 +212,41 @@ class TestCriterion:
         assert report.holds and report.stab_min_x is None
 
 
+# FactorParams (k, d_lo, cycle_lo, check_w, h_top, h_bot, top_min_lo) of
+# sides X and Z.
+PINNED_PARAMS = {
+    "steane": ((1, 3, 3, 4, 0, 0, None), (1, 3, 3, 4, 0, 0, None)),
+    "rm:m=3,r1=1,r2=1": ((0, 0, 4, 8, 0, 0, None), (0, 0, 4, 8, 0, 0, None)),
+    "rm:m=4,r1=1,r2=1": ((6, 4, 4, 16, 0, 0, None), (6, 4, 4, 16, 0, 0, None)),
+    "cyclic:n=7,g1=1011,g2=1011": ((1, 3, 3, 4, 4, 4, 3), (1, 3, 3, 4, 4, 4, 3)),
+    "tz:rep3,rep3": ((1, 3, 3, 4, 0, 0, None), (1, 3, 3, 4, 0, 0, None)),
+    "fg:pg,q=2": ((0, 0, 4, 4, 4, 3, 3), (0, 0, 3, 3, 3, 4, 4)),
+}
+
+# (generic, known comparison, criterion) bounds on (c, d); the criterion
+# bound uses c's criterion.
+_STEANE, _RM4 = "steane", "rm:m=4,r1=1,r2=1"
+_CYC, _TZ = "cyclic:n=7,g1=1011,g2=1011", "tz:rep3,rep3"
+PINNED_BOUNDS = {
+    (_STEANE, _STEANE): ((4, 4), (3, 3), (4, 4)),
+    (_STEANE, _RM4): ((5, 5), (4, 4), (5, 5)),
+    (_STEANE, _CYC): ((4, 4), (3, 3), (4, 4)),
+    (_STEANE, _TZ): ((4, 4), (3, 3), (4, 4)),
+    (_RM4, _STEANE): ((5, 5), (4, 4), (5, 5)),
+    (_RM4, _RM4): ((5, 5), (4, 4), (5, 5)),
+    (_RM4, _CYC): ((5, 5), (4, 4), (5, 5)),
+    (_RM4, _TZ): ((5, 5), (4, 4), (5, 5)),
+    (_CYC, _STEANE): ((4, 4), (3, 3), (4, 4)),
+    (_CYC, _RM4): ((5, 5), (4, 4), (5, 5)),
+    (_CYC, _CYC): ((3, 3), (3, 3), (3, 3)),
+    (_CYC, _TZ): ((4, 4), (3, 3), (4, 4)),
+    (_TZ, _STEANE): ((4, 4), (3, 3), (4, 4)),
+    (_TZ, _RM4): ((5, 5), (4, 4), (5, 5)),
+    (_TZ, _CYC): ((4, 4), (3, 3), (4, 4)),
+    (_TZ, _TZ): ((4, 4), (3, 3), (4, 4)),
+}
+
+
 class TestBounds:
     def test_steane_pair_goldens(self):
         code = steane()
@@ -234,19 +270,34 @@ class TestBounds:
         assert sorted(calls) == ["X", "X", "Z", "Z"]
 
     def test_soundness_suite_params_once_per_pair(self, monkeypatch):
-        # The suite derives the generic, comparison and criterion bounds of
-        # a pair from one set of factor invariants: four calls per pair.
-        calls = []
-        real = tensorops.factor_params
+        # Each side of each factor is searched once per pair, however many
+        # bounds read it: per pair, the product's two distances, and per
+        # factor its two distances and two stabilizer minima.
+        runs = []
+        real = css._Search.run
 
-        def counting(c, side):
-            calls.append(side)
-            return real(c, side)
+        def counting(search, *args, **kwargs):
+            runs.append(search)
+            return real(search, *args, **kwargs)
 
-        monkeypatch.setattr(tensorops, "factor_params", counting)
+        monkeypatch.setattr(css._Search, "run", counting)
         results = verify.bound_soundness_suite(5, 6)
         assert all(r.passed for r in results)
-        assert sorted(calls) == ["X"] * 12 + ["Z"] * 12
+        assert len(runs) == 6 * (2 + 2 * 4)
+
+    def test_pinned_factor_params_and_bounds(self):
+        # Values of the bound machine on family codes: k = 0 codes, codes
+        # with redundant checks (h_top > 0) and every pair with k >= 1.
+        codes = {spec: families.parse_family_spec(spec)[1] for spec in PINNED_PARAMS}
+        for spec, (x, z) in PINNED_PARAMS.items():
+            got = tuple(astuple(tensorops.factor_params(codes[spec], side)) for side in "XZ")
+            assert got == (x, z), spec
+        for (a, b), (generic, known, strong) in PINNED_BOUNDS.items():
+            c, d = codes[a], codes[b]
+            assert generic_lower_bound(c, d) == generic, (a, b)
+            assert known_comparison_bound(c, d) == known, (a, b)
+            crit = check_distance_criterion(c)
+            assert tensor_distance_lower_bound(c, d, crit) == strong, (a, b)
 
     def test_bounds_below_exact_steane_square(self):
         code = steane()
