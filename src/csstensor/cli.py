@@ -84,13 +84,11 @@ def cmd_tensor(args: argparse.Namespace) -> int:
 
 def cmd_power(args: argparse.Namespace) -> int:
     base_name, base = _load_named_code(args.input)
-    x = css.to_complex(base)
     if args.reduced:
-        reduced = tensorops.reduced_power_complex(x, args.ell)
-        predicted = reduced.dims[1]
-        code = css.from_complex(reduced)
+        code = tensorops.css_power(base, args.ell, reduced=True)
+        predicted = code.n
     else:
-        predicted = tensorops.power_length(x.dims, args.ell)
+        predicted = tensorops.power_length(css.to_complex(base).dims, args.ell)
         code = tensorops.css_power(base, args.ell, max_n=_ceiling())
     if args.ell == 1 and not args.reduced:
         name = base_name  # the first power is the code itself

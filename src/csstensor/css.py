@@ -442,8 +442,8 @@ class _Side:
     them are even.  So rank(kernel_of) = n - |kernel| and
     rank(stab) = |kernel| - k.
 
-    ``distance`` and ``stab_min`` are the exact, uncapped minima, searched
-    on first use and kept.  They depend on the side alone: an unbudgeted
+    ``distance``, ``stab_min`` and ``top_min`` are exact, uncapped minima,
+    searched on first use and kept.  They depend on the side alone: an unbudgeted
     search is a fixed walk over the kernel basis and the stabilizer rows,
     so its value and its witness are the same on every run.
     """
@@ -468,6 +468,18 @@ class _Side:
     def stab_min(self) -> DistanceResult | None:
         """The exact stabilizer minimum; None when no stabilizer row is nonzero."""
         return _min_weight(self.stab.data, self.stab.cols)
+
+    @cached_property
+    def top_min(self) -> int | None:
+        """Minimum weight of a nonzero relation among the stabilizer rows.
+
+        None, with no elimination, when the rows are independent
+        (rank(stab) = |kernel| - k equals their number).
+        """
+        if self.stab.rows == len(self.kernel) - self.k:
+            return None
+        relations = gf2.kernel_basis(gf2.transpose(self.stab))
+        return _min_weight(relations.data, self.stab.rows).value
 
 
 def _side(code: CssCode, side: str) -> _Side:
@@ -580,9 +592,15 @@ def stabilizer_min_weight(
     return res
 
 
-def _decide_degenerate(
-    stabs: list[DistanceResult], dists: list[DistanceResult]
-) -> bool | None:
+def _decide_degenerate(k: int, stabs: Sequence, dists: Sequence) -> bool | None:
+    """Whether a stabilizer is lighter than the distance, decided by the bounds.
+
+    None when k = 0 or the bounds overlap; sides with no nonzero stabilizer
+    (None) are skipped.
+    """
+    if not k:
+        return None
+    stabs = [s for s in stabs if s is not None]
     if not stabs:
         return False
     stab_lo = min(s.lower for s in stabs)
@@ -604,8 +622,6 @@ class WeightProfile:
     max_col_weight_z: int
     mean_row_weight_x: float
     mean_row_weight_z: float
-    mean_col_weight_x: float
-    mean_col_weight_z: float
 
 
 def weight_profile(code: CssCode) -> WeightProfile:
@@ -618,9 +634,9 @@ def weight_profile(code: CssCode) -> WeightProfile:
 
     rx, mrx = stats(code.h_x.row_weights())
     rz, mrz = stats(code.h_z.row_weights())
-    cx, mcx = stats(code.h_x.col_weights())
-    cz, mcz = stats(code.h_z.col_weights())
-    return WeightProfile(rx, rz, cx, cz, mrx, mrz, mcx, mcz)
+    cx = max(code.h_x.col_weights(), default=0)
+    cz = max(code.h_z.col_weights(), default=0)
+    return WeightProfile(rx, rz, cx, cz, mrx, mrz)
 
 
 # -- reports ----------------------------------------------------------------
@@ -637,7 +653,11 @@ class CodeReport:
     profile: WeightProfile
     min_stabilizer_weight_x: DistanceResult | None
     min_stabilizer_weight_z: DistanceResult | None
-    degenerate: bool | None
+
+    @property
+    def degenerate(self) -> bool | None:
+        stabs = (self.min_stabilizer_weight_x, self.min_stabilizer_weight_z)
+        return _decide_degenerate(self.k, stabs, (self.d_x, self.d_z))
 
     def to_json_dict(self) -> dict:
         return {
@@ -661,6 +681,19 @@ DEFAULT_WEIGHT_CAP = 6
 DEFAULT_TRIALS = 200
 
 
+def _bracket(res: DistanceResult, lower: int = 0, upper: int | None = None) -> DistanceResult:
+    """``res`` with a second certified lower bound and a second upper bound merged in.
+
+    Exact when ``res`` is or when the bounds meet; ``res``'s witness is
+    kept.  No clamp of lower to upper: a search seeded with an upper bound
+    u stops once its certificate reaches u, so it never certifies above u,
+    and a lower bound above the upper one (an unsound bound) stays visible.
+    """
+    lo = max(res.lower, lower)
+    hi = min((u for u in (res.upper, upper) if u is not None), default=None)
+    return DistanceResult(lo, hi, res.exact or lo == hi, res.witness)
+
+
 def analyze(
     code: CssCode,
     exact_up_to: int = DEFAULT_WEIGHT_CAP,
@@ -671,11 +704,12 @@ def analyze(
     """Full report: k, distance bounds per side, LDPC profile, degeneracy.
 
     Exact searches run up to ``exact_up_to`` (and ``time_budget`` seconds
-    each, when given); whatever is not settled exactly is bracketed by the
-    certified lower bound and a seeded randomized upper bound, with the
-    exactness flags kept honest.  For a fixed seed the result is
-    deterministic whenever the searches finish within budget; an expiring
-    budget can only weaken the certified lower bound, never the flags.
+    each, when given), seeded with a randomized upper bound; ``_bracket``
+    merges that upper bound into the search's certified result, which
+    sets the exactness flag, and the degeneracy verdict follows from the
+    reported bounds.  For a fixed seed the result is deterministic
+    whenever the searches finish within budget; an expiring budget can
+    only weaken the certified lower bound, never the flags.
     """
     k = _side(code, "X").k
     profile = weight_profile(code)
@@ -686,24 +720,16 @@ def analyze(
         for side in ("X", "Z")
     )
     if k == 0:
-        return CodeReport(code.n, 0, None, None, profile, stab_x, stab_z, None)
+        return CodeReport(code.n, 0, None, None, profile, stab_x, stab_z)
 
-    dists = {}
+    dists = []
     for side in ("X", "Z"):
         upper = min_distance_random_upper(code, side, trials, seed)
         res = min_distance_exact(
             code, side, weight_cap=exact_up_to, time_budget=time_budget, seed_upper=upper
         )
-        best = upper if res.upper is None else min(res.upper, upper)
-        lower = min(res.lower, best)
-        dists[side] = DistanceResult(lower, best, res.exact or lower == best, res.witness)
-
-    degenerate = _decide_degenerate(
-        [s for s in (stab_x, stab_z) if s is not None], [dists["X"], dists["Z"]]
-    )
-    return CodeReport(
-        code.n, k, dists["X"], dists["Z"], profile, stab_x, stab_z, degenerate
-    )
+        dists.append(_bracket(res, upper=upper))
+    return CodeReport(code.n, k, *dists, profile, stab_x, stab_z)
 
 
 # -- JSON file format --------------------------------------------------------

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from . import chain, css, gf2
+from . import chain, css
 from .chain import ChainComplex
 from .css import CssCode, DistanceResult, KIsZero
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinVector
 
 DEFAULT_SEED = 101
 
@@ -137,9 +137,10 @@ def css_power(
     """The ell-th iterated tensor power of a code.
 
     Assembles only the three degrees around the middle degree ell of the
-    power complex.  With ``reduced`` the pipeline interleaves the
-    deterministic pivot reduction after every product stage, which
-    collapses each stage to its homology; see ``reduced_power_complex``.
+    power complex; the first power is ``c`` itself.  With ``reduced`` the
+    pipeline interleaves the deterministic pivot reduction after every
+    product stage, which collapses each stage to its homology; see
+    ``reduced_power_complex``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -149,6 +150,8 @@ def css_power(
     predicted = power_length(x.dims, ell)
     if max_n is not None and predicted > max_n:
         raise ResourceCeiling(predicted, max_n)
+    if ell == 1:
+        return c
     return css.from_complex(power_complex_window(x, ell, ell - 1, ell + 1))
 
 
@@ -170,23 +173,9 @@ def reduced_power_complex(x: ChainComplex, ell: int) -> ChainComplex:
     return s
 
 
-def reduced_power_length(
-    base: CssCode | ChainComplex | Sequence[int], ell: int
-) -> int:
-    """Qubit count of the reduced power pipeline (middle dimension).
-
-    Accepts a code, a length-3 complex, or a bare dimension triple (read
-    as a complex with zero boundary maps, i.e. already reduced).
-    """
-    if isinstance(base, ChainComplex):
-        x = base
-    elif isinstance(base, CssCode):
-        x = css.to_complex(base)
-    else:
-        c0, c1, c2 = base
-        x = ChainComplex(
-            (c0, c1, c2), (BinMatrix.zeros(c0, c1), BinMatrix.zeros(c1, c2))
-        )
+def reduced_power_length(base: CssCode | ChainComplex, ell: int) -> int:
+    """Qubit count (middle dimension) of the reduced power of a code or length-3 complex."""
+    x = css.to_complex(base) if isinstance(base, CssCode) else base
     return reduced_power_complex(x, ell).dims[1]
 
 
@@ -293,21 +282,17 @@ def _factor_params(
     ``dist`` is None when k = 0 and ``stab`` when no stabilizer is nonzero.
     The cycle bound is the smaller of their lower bounds, 1 when both are
     None (see the module docstring).  Ranks come from the side's sizes
-    (see ``css._Side``).
+    (see ``css._Side``) and the top-homology minimum is the side's kept
+    ``top_min``, so no elimination runs here.
     """
-    h_top = s.stab.rows - (len(s.kernel) - s.k)
-    top_min = None
-    if h_top:
-        left_kernel = gf2.kernel_basis(gf2.transpose(s.stab))
-        top_min = css._min_weight(left_kernel.data, s.stab.rows).value
     return FactorParams(
         k=s.k,
         d_lo=0 if dist is None else dist.lower,
         cycle_lo=min((r.lower for r in (dist, stab) if r is not None), default=1),
         check_w=max(s.stab.row_weights(), default=0),
-        h_top=h_top,
+        h_top=s.stab.rows - (len(s.kernel) - s.k),
         h_bot=s.kernel_of.rows - (s.stab.cols - len(s.kernel)),
-        top_min_lo=top_min,
+        top_min_lo=s.top_min,
     )
 
 
@@ -379,20 +364,12 @@ def tensor_distance_lower_bound(
 ) -> tuple[int, int]:
     """Lower bounds (bound_x, bound_z) for the product of c with any d.
 
-    With the criterion holding on c, the cycle minimum of c equals its
-    distance, so the middle-sector refinement runs at full strength; when
-    it fails the same machinery still applies with c's true cycle minimum
-    and the result coincides with ``generic_lower_bound``.
+    This is ``generic_lower_bound``.  With the criterion holding on c, the
+    middle sector runs with c's distance d as its cycle bound, but
+    ``factor_params`` already has d_lo = d and cycle_lo =
+    min(d, stabilizer minimum) = d; when it fails, c's cycle minimum is used.
     """
-    bounds = []
-    for side, d_side in (("X", criterion.d_x), ("Z", criterion.d_z)):
-        cp, dp = factor_params(c, side), factor_params(d, side)
-        bound = bound_from_params(cp, dp)
-        if criterion.holds:
-            strong = replace(cp, d_lo=d_side, cycle_lo=d_side)
-            bound = max(bound, bound_from_params(strong, dp))
-        bounds.append(bound)
-    return bounds[0], bounds[1]
+    return generic_lower_bound(c, d)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -400,17 +377,18 @@ def tensor_distance_lower_bound(
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One sweep stage; a ceiling row carries only ell, the predicted n and the error."""
+
     ell: int
     n: int
-    k: int
-    d_x: DistanceResult | None
-    d_z: DistanceResult | None
-    wmax_x: int
-    wmax_z: int
-    stab_min_x: DistanceResult | None
-    stab_min_z: DistanceResult | None
-    degenerate: bool | None
-    seconds: float
+    k: int = 0
+    d_x: DistanceResult | None = None
+    d_z: DistanceResult | None = None
+    wmax_x: int = 0
+    wmax_z: int = 0
+    stab_min_x: DistanceResult | None = None
+    stab_min_z: DistanceResult | None = None
+    seconds: float = 0.0
     error: str | None = None
 
     @property
@@ -421,6 +399,11 @@ class SweepRecord:
             if s is not None and s.upper is not None
         ]
         return min(values) if values else None
+
+    @property
+    def degenerate(self) -> bool | None:
+        stabs = (self.stab_min_x, self.stab_min_z)
+        return css._decide_degenerate(self.k, stabs, (self.d_x, self.d_z))
 
     def to_json_dict(self) -> dict:
         return {
@@ -444,26 +427,38 @@ SWEEP_CSV_HEADER = (
 )
 
 
+def _csv_cell(value: object) -> str:
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def sweep_to_csv(records: Sequence[SweepRecord], with_seconds: bool = True) -> str:
-    """CSV table of a sweep; seconds can be masked for byte-stable output."""
+    """CSV table of a sweep, rows read off ``to_json_dict``; seconds maskable for stable bytes."""
     lines = [SWEEP_CSV_HEADER]
     for r in records:
-        def fmt(res: DistanceResult | None) -> tuple[str, str, str]:
-            if res is None:
-                return "", "", ""
-            hi = "" if res.upper is None else str(res.upper)
-            return str(res.lower), hi, str(res.exact).lower()
-
-        dx = fmt(r.d_x)
-        dz = fmt(r.d_z)
-        degen = "unknown" if r.degenerate is None else str(r.degenerate).lower()
-        seconds = f"{r.seconds:.3f}" if with_seconds else ""
-        stab = "" if r.stab_min is None else str(r.stab_min)
-        lines.append(
-            f"{r.ell},{r.n},{r.k},{dx[0]},{dx[1]},{dx[2]},{dz[0]},{dz[1]},{dz[2]},"
-            f"{r.wmax_x},{r.wmax_z},{stab},{degen},{seconds}"
-        )
+        row = r.to_json_dict()
+        cells = [row["ell"], row["n"], row["k"]]
+        for key in ("d_x", "d_z"):
+            d = row[key] or {}
+            cells += [d.get("lower"), d.get("upper"), d.get("exact")]
+        cells += [row["wmax_x"], row["wmax_z"], row["stab_min"]]
+        cells.append("unknown" if row["degenerate"] is None else row["degenerate"])
+        cells.append(f"{row['seconds']:.3f}" if with_seconds else None)
+        lines.append(",".join(map(_csv_cell, cells)))
     return "\n".join(lines) + "\n"
+
+
+def _machine_bound(base: CssCode, prev: tuple[CssCode, SweepRecord], side: str) -> int:
+    """Sector bound on one side of base (x) the previous stage, from its record; 0 if none."""
+    code, last = prev
+    dist, stab = (last.d_x, last.stab_min_x) if side == "X" else (last.d_z, last.stab_min_z)
+    try:
+        return bound_from_params(
+            factor_params(base, side), _factor_params(css._side(code, side), dist, stab)
+        )
+    except KIsZero:
+        return 0
 
 
 def sweep(
@@ -477,83 +472,40 @@ def sweep(
 ) -> list[SweepRecord]:
     """Analyze the powers of a base code for ell = 1..ell_max.
 
-    Each stage builds the (reduced or full) power, runs the budgeted
-    analysis, and strengthens the certified distance lower bounds with
-    the sector bound applied to base (x) previous power.  Lower bounds
-    never exceed upper bounds; capped searches record cap + 1, never a
-    guess.  A stage rejected by the resource ceiling is recorded in-row
-    (predicted n, empty analytics, the message in ``error``) and the run
+    Each stage builds the (reduced or full) power, the base itself at
+    ell = 1, and runs the budgeted analysis.  For full powers it then
+    merges the sector bound of base (x) previous power into each
+    certified distance lower bound through ``css._bracket``, which also
+    settles the exactness flag; the degeneracy verdict is derived from
+    the record's bounds.  Capped searches record cap + 1, never a guess.
+    A stage rejected by the resource ceiling is recorded in-row (the
+    predicted n, the message in ``error``, nothing else) and the run
     continues.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     records: list[SweepRecord] = []
-    prev_code: CssCode | None = None
+    prev: tuple[CssCode, SweepRecord] | None = None
     for ell in range(1, ell_max + 1):
         t0 = time.monotonic()
         try:
             code = css_power(spec.base, ell, reduced=spec.reduced, max_n=max_n)
         except ResourceCeiling as exc:
             records.append(
-                SweepRecord(
-                    ell=ell,
-                    n=exc.predicted,
-                    k=0,
-                    d_x=None,
-                    d_z=None,
-                    wmax_x=0,
-                    wmax_z=0,
-                    stab_min_x=None,
-                    stab_min_z=None,
-                    degenerate=None,
-                    seconds=time.monotonic() - t0,
-                    error=str(exc),
-                )
+                SweepRecord(ell, exc.predicted, seconds=time.monotonic() - t0, error=str(exc))
             )
-            prev_code = None
+            prev = None
             continue
-        report = css.analyze(
-            code,
-            exact_up_to=weight_cap,
-            trials=trials,
-            seed=seed + ell,
-            time_budget=time_budget,
-        )
+        report = css.analyze(code, weight_cap, trials, seed + ell, time_budget)
         d_x, d_z = report.d_x, report.d_z
-        if not spec.reduced and prev_code is not None and report.k >= 1:
-            prev = records[-1]
-            merged = []
-            for side, current, prev_dist, prev_stab in (
-                ("X", d_x, prev.d_x, prev.stab_min_x),
-                ("Z", d_z, prev.d_z, prev.stab_min_z),
-            ):
-                prev_params = _factor_params(css._side(prev_code, side), prev_dist, prev_stab)
-                try:
-                    machine = bound_from_params(factor_params(spec.base, side), prev_params)
-                except KIsZero:
-                    machine = 1
-                lower = max(current.lower, machine)
-                exact = current.exact or (current.upper is not None and lower == current.upper)
-                merged.append(DistanceResult(lower, current.upper, exact, current.witness))
-            d_x, d_z = merged
-        degenerate = css._decide_degenerate(
-            [s for s in (report.min_stabilizer_weight_x, report.min_stabilizer_weight_z) if s],
-            [d_x, d_z],
-        ) if report.k >= 1 else None
-        records.append(
-            SweepRecord(
-                ell=ell,
-                n=report.n,
-                k=report.k,
-                d_x=d_x,
-                d_z=d_z,
-                wmax_x=report.profile.max_row_weight_x,
-                wmax_z=report.profile.max_row_weight_z,
-                stab_min_x=report.min_stabilizer_weight_x,
-                stab_min_z=report.min_stabilizer_weight_z,
-                degenerate=degenerate,
-                seconds=time.monotonic() - t0,
-            )
+        if not spec.reduced and prev is not None and report.k >= 1:
+            d_x = css._bracket(d_x, lower=_machine_bound(spec.base, prev, "X"))
+            d_z = css._bracket(d_z, lower=_machine_bound(spec.base, prev, "Z"))
+        profile = report.profile
+        record = SweepRecord(
+            ell, report.n, report.k, d_x, d_z, profile.max_row_weight_x, profile.max_row_weight_z,
+            report.min_stabilizer_weight_x, report.min_stabilizer_weight_z, time.monotonic() - t0,
         )
-        prev_code = code
+        records.append(record)
+        prev = (code, record)
     return records

@@ -3,6 +3,8 @@
 Every public module-level function in ``src/csstensor`` must be referenced
 somewhere in ``src/`` outside its own definition, or be listed below with
 the reason it stays.  A function that only tests call belongs in the tests.
+Every dataclass field declared in ``src/`` must be read as an attribute
+somewhere in ``src/``: a field nothing reads is computed for nobody.
 """
 
 from __future__ import annotations
@@ -77,3 +79,31 @@ def test_public_functions_are_used_in_src():
 def test_allowlist_is_current():
     defined = {name for tree in _trees().values() for name in _public_functions(tree)}
     assert set(ALLOWED) <= defined
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_dataclass_fields_are_read_in_src():
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{cls.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+    assert unread == []

@@ -266,7 +266,32 @@ PINNED_STDOUT = [
      "ab7d3181eeaebf87beab796e8d199b011ced672c12ab50cfc46d1cd81345826c"),
     (("verify", "fast", "--seed", "101"),
      "898b85fa522bab75a0e5a8aba15bf73cbd01d9ff0112f2ce2bb62cac773b099d"),
+    (("sweep", "steane", "--ell-max", "3", "--weight-cap", "2", "--trials", "10",
+      "--format", "json"),
+     "f533e61151cb5806bc14e751ce0d5aede8e3b2888cc23a128ddf70e4a644f0b0"),
+    (("sweep", "steane", "--ell-max", "2", "--reduced", "--trials", "10"),
+     "d94d76830646b70690e034a686f5ba26f75f1a1e98bf36e4d9edd0abd65d4eb5"),
+    # Redundant checks on both sides, so the machine's end sectors are active.
+    (("sweep", "cyclic:n=7,g1=1011,g2=1011", "--ell-max", "2", "--weight-cap", "3",
+      "--trials", "10"),
+     "9c75d601a674a7f80847c75e664bb31d5baa7af8f9e2edcb30c396728f03dd85"),
+    # Run under PINNED_ENV: the ell = 3 stage (n = 721) is a ceiling row.
+    (("sweep", "steane", "--ell-max", "3", "--weight-cap", "3", "--trials", "10"),
+     "5d610ec16430a02c3702e827bd647e7044a5d3e7f983e0824d8461408dd741cd"),
+    (("power", "steane.json", "--ell", "1"),
+     "7660e795b1a5eb6b7cc0ffdc14b56fd61f8210c002ee3ad668bea96dfa21e79f"),
+    (("power", "steane.json", "--ell", "3", "--reduced"),
+     "a24f100f27e40e87591d076ddf54c16ddb46ab55352aa345c60237029d747add"),
+    # Capped below d = 9: an inexact bracket on both sides.
+    (("analyze", "sq.json", "--exact-up-to", "4", "--trials", "5"),
+     "ae8714b7c473efb0e254109f5ef9ed99f3ececafbf704e50c877692663d4a19e"),
 ]
+
+# Environment settings of single pinned commands.
+PINNED_ENV = {
+    ("sweep", "steane", "--ell-max", "3", "--weight-cap", "3", "--trials", "10"):
+        {cli.RESOURCE_CEILING_ENV: "70"},
+}
 
 
 class TestPinnedStdout:
@@ -275,7 +300,10 @@ class TestPinnedStdout:
         run(capsys, "family", "steane", "--out", "steane.json")
         run(capsys, "power", "steane.json", "--ell", "2", "--out", "sq.json")
         for argv, digest in PINNED_STDOUT:
-            code, stdout, _ = run(capsys, *argv)
+            with monkeypatch.context() as env:
+                for name, value in PINNED_ENV.get(argv, {}).items():
+                    env.setenv(name, value)
+                code, stdout, _ = run(capsys, *argv)
             assert code == 0
             assert hashlib.sha256(stdout.encode()).hexdigest() == digest, argv
 

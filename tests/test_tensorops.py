@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import astuple
+from dataclasses import astuple, fields, replace
 
 import pytest
 
@@ -299,6 +299,33 @@ class TestBounds:
             crit = check_distance_criterion(c)
             assert tensor_distance_lower_bound(c, d, crit) == strong, (a, b)
 
+    def test_criterion_bound_is_generic_bound(self):
+        # With the criterion holding, putting c's distance in for its d_lo
+        # and cycle bound rebuilds the params factor_params already has.
+        rng = random.Random(8)
+        pool = []
+        for _ in range(40):
+            n = rng.randrange(3, 10)
+            pool.append(random_css_code(
+                rng, n, rng.randrange(0, n // 2 + 1), rng.randrange(0, n // 2 + 1)
+            ))
+        outcomes = []
+        for _ in range(300):
+            c, d = rng.choice(pool), rng.choice(pool)
+            crit = check_distance_criterion(c)
+            outcomes.append(crit.holds)
+            strong = []
+            for side, dist in (("X", crit.d_x), ("Z", crit.d_z)):
+                cp, dp = tensorops.factor_params(c, side), tensorops.factor_params(d, side)
+                bound = tensorops.bound_from_params(cp, dp)
+                if crit.holds:
+                    full = replace(cp, d_lo=dist, cycle_lo=dist)
+                    bound = max(bound, tensorops.bound_from_params(full, dp))
+                strong.append(bound)
+            generic = generic_lower_bound(c, d)
+            assert tensor_distance_lower_bound(c, d, crit) == generic == tuple(strong)
+        assert True in outcomes and False in outcomes
+
     def test_bounds_below_exact_steane_square(self):
         code = steane()
         crit = check_distance_criterion(code)
@@ -437,6 +464,39 @@ class TestSweep:
         row = records[0].to_json_dict()
         assert row["n"] == 7 and row["d_x"]["exact"] is True
         assert row["error"] is None
+
+    def test_first_stage_is_the_base(self, monkeypatch):
+        # ell = 1 analyses the base itself, so its sides are eliminated
+        # once, and the top-homology minimum is kept on each side.
+        base = families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")[1]
+        assert css_power(base, 1) is base
+        calls = []
+        real = gf2._kernel_bitrows
+
+        def counting(bitrows, columns):
+            calls.append(len(bitrows))
+            return real(bitrows, columns)
+
+        monkeypatch.setattr(gf2, "_kernel_bitrows", counting)
+        records = tensorops.sweep(
+            PowerSpec(base, 1), 2, weight_cap=3, time_budget=60.0, trials=10
+        )
+        assert [r.n for r in records] == [7, 147]
+        assert len(calls) <= 10
+
+    def test_degeneracy_is_derived_from_bounds(self):
+        assert "degenerate" not in {f.name for f in fields(tensorops.SweepRecord)}
+        assert "degenerate" not in {f.name for f in fields(css.CodeReport)}
+        undecided = css.DistanceResult(4, 9, False)
+        record = tensorops.SweepRecord(2, 67, 1, undecided, undecided,
+                                       stab_min_x=css.DistanceResult(5, 5, True))
+        assert record.degenerate is None
+        raised = css._bracket(undecided, lower=6)
+        assert raised == css.DistanceResult(6, 9, False)
+        assert replace(record, d_x=raised, d_z=raised).degenerate is True
+        assert css._bracket(undecided, lower=9) == css.DistanceResult(9, 9, True)
+        assert css._bracket(css.DistanceResult(5, None, False), upper=7).upper == 7
+        assert tensorops.SweepRecord(3, 721, error="ceiling").degenerate is None
 
     def test_ceiling_failures_recorded_in_row(self):
         records = tensorops.sweep(
