@@ -40,9 +40,7 @@ def _ceiling() -> int:
 
 
 def _load_code(path: str) -> CssCode:
-    name, code = _load_named_code(path)
-    del name
-    return code
+    return _load_named_code(path)[1]
 
 
 def _load_named_code(path: str) -> tuple[str, CssCode]:

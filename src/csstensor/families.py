@@ -7,6 +7,7 @@ row pair instead of producing a non-code.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,9 +99,7 @@ def reed_muller_generator(r: int, m: int) -> BinMatrix:
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     n = 1 << m
-    monomials: list[tuple[int, ...]] = []
-    for deg in range(r + 1):
-        monomials.extend(_subsets_of_size(m, deg))
+    monomials = [c for deg in range(r + 1) for c in itertools.combinations(range(m), deg)]
     rows = []
     for mono in monomials:
         bits = 0
@@ -109,20 +108,6 @@ def reed_muller_generator(r: int, m: int) -> BinMatrix:
                 bits |= 1 << p
         rows.append(bits)
     return BinMatrix(len(rows), n, tuple(rows))
-
-
-def _subsets_of_size(m: int, size: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(start: int, chosen: tuple[int, ...]) -> None:
-        if len(chosen) == size:
-            out.append(chosen)
-            return
-        for i in range(start, m):
-            rec(i + 1, chosen + (i,))
-
-    rec(0, ())
-    return out
 
 
 def quantum_reed_muller(m: int, r1: int, r2: int) -> CssCode:
@@ -241,78 +226,47 @@ SUPPORTED_GEOMETRY_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 class _GF:
-    """Arithmetic in GF(q), q <= 16, with a fixed primitive polynomial per q.
+    """Arithmetic tables ``add[a][b]`` and ``mul[a][b]`` of GF(q), q <= 16.
 
     Elements are integers 0..q-1 read as base-p digit vectors over the
     prime subfield, which fixes a canonical element order shared by every
-    run.
+    run; products are reduced by the fixed primitive polynomial of q.  A
+    prime q is the one-digit case: a product of two digits never reaches
+    degree 1, so its polynomial x is never used.
     """
 
     def __init__(self, q: int):
         if q not in SUPPORTED_GEOMETRY_ORDERS:
             raise ValueError(f"unsupported field order {q}")
         self.q = q
-        self.p = _smallest_prime_factor(q)
-        if q == self.p:
-            self.add_table = None
-            return
-        p, poly = _PRIMITIVE_POLYS[q]
-        assert p == self.p
+        p, poly = _PRIMITIVE_POLYS.get(q, (q, [0, 1]))
         e = len(poly) - 1
-        self._e = e
-        self._poly = poly
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(q):
-                self._mul[a][b] = self._poly_mul(a, b)
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self._e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        def digits(a: int) -> list[int]:
+            return [a // p**i % p for i in range(e)]
 
-    def _undigits(self, ds: list[int]) -> int:
-        out = 0
-        for d in reversed(ds):
-            out = out * self.p + d
-        return out
+        def undigits(ds: list[int]) -> int:
+            return sum(d * p**i for i, d in enumerate(ds))
 
-    def _poly_mul(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self._e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
+        def poly_mul(a: int, b: int) -> int:
+            prod = [0] * (2 * e - 1)
+            for i, x in enumerate(digits(a)):
+                for j, y in enumerate(digits(b)):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by the primitive polynomial (monic of degree e)
-        for i in range(len(prod) - 1, self._e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self._e):
-                    prod[i - self._e + j] = (prod[i - self._e + j] - c * self._poly[j]) % p
-        return self._undigits(prod[: self._e])
+            # reduce by the primitive polynomial (monic of degree e)
+            for i in range(len(prod) - 1, e - 1, -1):
+                c = prod[i]
+                if c:
+                    prod[i] = 0
+                    for j in range(e):
+                        prod[i - e + j] = (prod[i - e + j] - c * poly[j]) % p
+            return undigits(prod[:e])
 
-    def add(self, a: int, b: int) -> int:
-        if self.q == self.p:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-
-    def mul(self, a: int, b: int) -> int:
-        if self.q == self.p:
-            return (a * b) % self.p
-        return self._mul[a][b]
-
-
-def _smallest_prime_factor(q: int) -> int:
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            return p
-    raise ValueError(f"unsupported order {q}")
+        self.add = [
+            [undigits([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)]
+            for a in range(q)
+        ]
+        self.mul = [[poly_mul(a, b) for b in range(q)] for a in range(q)]
 
 
 def _pg_points(gf: _GF) -> list[tuple[int, int, int]]:
@@ -339,7 +293,7 @@ def finite_geometry_incidence(kind: str, q: int) -> BinMatrix:
         for (u, v, w) in pts:
             bits = 0
             for jPt, (x, y, z) in enumerate(pts):
-                s = gf.add(gf.add(gf.mul(u, x), gf.mul(v, y)), gf.mul(w, z))
+                s = gf.add[gf.add[gf.mul[u][x]][gf.mul[v][y]]][gf.mul[w][z]]
                 if s == 0:
                     bits |= 1 << jPt
             rows.append(bits)
@@ -355,7 +309,7 @@ def finite_geometry_incidence(kind: str, q: int) -> BinMatrix:
             for c in range(q):
                 bits = 0
                 for a in range(q):
-                    b = gf.add(gf.mul(m, a), c)
+                    b = gf.add[gf.mul[m][a]][c]
                     bits |= 1 << pt(a, b)
                 rows.append(bits)
         for c in range(q):

@@ -63,11 +63,6 @@ class BinVector:
     def support(self) -> list[int]:
         return _support_of(self.bits)
 
-    def __add__(self, other: BinVector) -> BinVector:
-        if self.n != other.n:
-            raise DimensionMismatch("vector lengths differ")
-        return BinVector(self.n, self.bits ^ other.bits)
-
 
 @dataclass(frozen=True)
 class BinMatrix:
@@ -148,11 +143,6 @@ class BinMatrix:
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.data)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "".join("1" if (r >> j) & 1 else "." for j in range(self.cols)) for r in self.data
-        )
 
 
 def _support_of(bits: int) -> list[int]:

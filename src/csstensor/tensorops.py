@@ -41,7 +41,6 @@ C in place of its cycle minimum for every partner D.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,41 +92,20 @@ def power_complex_window(x: ChainComplex, ell: int, lo: int, hi: int) -> ChainCo
 
 
 def power_length(dims: Sequence[int], ell: int, degree: int | None = None) -> int:
-    """Dimension of one graded piece of the ell-th power, in closed form.
+    """Dimension of one graded piece of the ell-th power.
 
-    For a length-3 complex this is the coefficient of z^degree in
-    (c0 + c1 z + c2 z^2)^ell, expanded as a trinomial sum; the default
-    degree is the middle one (= ell).  Exact big-integer arithmetic, so
-    no overflow at any ell.
+    The ell-fold dimension convolution ``chain.tensor_dims`` of ``dims``,
+    read at ``degree`` (default the middle one, ell for a length-3
+    complex): the coefficient of z^degree in (c0 + c1 z + c2 z^2)^ell.
+    Exact big-integer arithmetic, so no overflow at any ell.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if degree is None:
         degree = ell * (len(dims) - 1) // 2
-    if len(dims) == 3:
-        c0, c1, c2 = dims
-        total = 0
-        for twos in range(0, min(ell, degree // 2) + 1):
-            ones = degree - 2 * twos
-            zeros = ell - ones - twos
-            if ones < 0 or zeros < 0:
-                continue
-            total += (
-                math.comb(ell, twos)
-                * math.comb(ell - twos, ones)
-                * (c0**zeros)
-                * (c1**ones)
-                * (c2**twos)
-            )
-        return total
-    poly = [1]
+    poly: tuple[int, ...] = (1,)
     for _ in range(ell):
-        out = [0] * (len(poly) + len(dims) - 1)
-        for i, a in enumerate(poly):
-            if a:
-                for j, b in enumerate(dims):
-                    out[i + j] += a * b
-        poly = out
+        poly = chain.tensor_dims(poly, dims)
     return poly[degree] if 0 <= degree < len(poly) else 0
 
 
@@ -138,9 +116,8 @@ def css_power(
 
     Assembles only the three degrees around the middle degree ell of the
     power complex; the first power is ``c`` itself.  With ``reduced`` the
-    pipeline interleaves the deterministic pivot reduction after every
-    product stage, which collapses each stage to its homology; see
-    ``reduced_power_complex``.
+    pipeline collapses every product stage to the zero complex on its
+    homology; see ``reduced_power_complex``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -156,10 +133,12 @@ def css_power(
 
 
 def reduced_power_complex(x: ChainComplex, ell: int) -> ChainComplex:
-    """Iterated power with pivot reduction applied after every stage.
+    """Iterated power reduced to its homology after every stage.
 
     Stage 1 reduces the input; each later stage tensors with the original
-    factor, keeping only the middle three degrees, and reduces again.  An
+    factor, keeping only the middle three degrees, and reduces again.
+    ``chain.reduce`` replaces a stage by the zero complex on its homology
+    profile, so each stage costs the ranks of one small window.  An
     exact input collapses immediately, so all its reduced powers are
     empty.  Lengths of these minimal representatives are the homology
     analogue of the unreduced length formula.

@@ -4,7 +4,9 @@ Every public module-level function in ``src/csstensor`` must be referenced
 somewhere in ``src/`` outside its own definition, or be listed below with
 the reason it stays.  A function that only tests call belongs in the tests.
 Every dataclass field declared in ``src/`` must be read as an attribute
-somewhere in ``src/``: a field nothing reads is computed for nobody.
+somewhere in ``src/``: a field nothing reads is computed for nobody.  So
+must every public method, property and classmethod of a class in ``src/``,
+unless it is listed below with the reason it stays.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ ALLOWED = {
     "reduced_power_length": "used by the acceptance tests",
     "euler_characteristic": "test oracle",
     "quantum_reed_muller_k": "test oracle",
+}
+
+ALLOWED_METHODS = {
+    "BinMatrix.identity": "test constructor",
+    "BinMatrix.from_rows": "test constructor",
+    "BinVector.weight": "test constructor",
+    "ChainComplex.single": "test constructor",
 }
 
 
@@ -81,6 +90,43 @@ def test_allowlist_is_current():
     assert set(ALLOWED) <= defined
 
 
+def _public_methods(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(class, name) of every public method, property and classmethod in ``src/``."""
+    return [
+        (cls.name, stmt.name)
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+    ]
+
+
+def _attributes_read(trees: dict[str, ast.Module]) -> set[str]:
+    return {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_public_methods_are_read_in_src():
+    trees = _trees()
+    read = _attributes_read(trees)
+    unread = [
+        f"{cls}.{name}"
+        for cls, name in _public_methods(trees)
+        if name not in read and f"{cls}.{name}" not in ALLOWED_METHODS
+    ]
+    assert unread == []
+
+
+def test_method_allowlist_is_current():
+    defined = {f"{cls}.{name}" for cls, name in _public_methods(_trees())}
+    assert set(ALLOWED_METHODS) <= defined
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -91,12 +137,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def test_dataclass_fields_are_read_in_src():
     trees = _trees()
-    read = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    read = _attributes_read(trees)
     unread = [
         f"{module}.{cls.name}.{stmt.target.id}"
         for module, tree in trees.items()

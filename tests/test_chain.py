@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from csstensor import chain, gf2, tensorops
+from csstensor import chain, gf2, tensorops, verify
 from csstensor.chain import BoundarySquareNonzero, ChainComplex, ShapeMismatch
 from csstensor.families import hamming_parity_check
 from csstensor.rand import random_complex3
@@ -18,6 +18,49 @@ from csstensor.rand import random_complex3
 def steane_complex() -> ChainComplex:
     h = hamming_parity_check(3)
     return ChainComplex((3, 7, 3), (h, gf2.transpose(h)))
+
+
+def pivot_cancellation(x: ChainComplex) -> ChainComplex:
+    """Reduce by cancelling unit pivots until every boundary map is zero.
+
+    Each step takes the entry 1 with the lowest (degree, row, column)
+    triple, removes that row/column pair of basis vectors and applies the
+    Schur complement update to the pivot's own matrix; the two
+    neighbouring maps only lose the paired row/column.
+    """
+    chain.validate(x)
+    dims = list(x.dims)
+    top = x.top_degree()
+    bnd = {i: list(x.boundary(i).data) for i in range(1, top + 1)}
+
+    def lowest_pivot():
+        for d in range(1, top + 1):
+            for r, row in enumerate(bnd[d]):
+                if row:
+                    return d, r, (row & -row).bit_length() - 1
+        return None
+
+    while (piv := lowest_pivot()) is not None:
+        d, r, c = piv
+        rows = bnd[d]
+        piv_row = rows[r]
+        for t in range(len(rows)):
+            if t != r and rows[t] >> c & 1:
+                rows[t] ^= piv_row
+        del rows[r]
+        low = (1 << c) - 1
+        bnd[d] = [(row & low) | ((row >> 1) & ~low) for row in rows]
+        if d + 1 <= top:
+            del bnd[d + 1][c]
+        if d - 1 >= 1:
+            low_r = (1 << r) - 1
+            bnd[d - 1] = [(row & low_r) | ((row >> 1) & ~low_r) for row in bnd[d - 1]]
+        dims[d] -= 1
+        dims[d - 1] -= 1
+    boundaries = tuple(
+        gf2.BinMatrix(dims[i - 1], dims[i], tuple(bnd[i])) for i in range(1, top + 1)
+    )
+    return ChainComplex(tuple(dims), boundaries)
 
 
 def convolve(a, b):
@@ -235,6 +278,54 @@ class TestReduce:
         rng = random.Random(10)
         x = random_complex3(rng, 6)
         assert chain.reduce(x) == chain.reduce(x)
+
+    def test_matches_pivot_cancellation_on_random_complexes(self):
+        rng = random.Random(13)
+        for _ in range(2000):
+            x = random_complex3(rng, 6)
+            assert chain.reduce(x) == pivot_cancellation(x)
+
+    def test_matches_pivot_cancellation_on_products_and_windows(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            x, y = random_complex3(rng, 4), random_complex3(rng, 4)
+            product = chain.tensor(x, y)
+            assert chain.reduce(product) == pivot_cancellation(product)
+            lo = rng.randrange(0, 4)
+            window = chain.tensor(x, y, lo=lo, hi=rng.randrange(lo, 5))
+            assert chain.reduce(window) == pivot_cancellation(window)
+        square = chain.tensor(steane_complex(), steane_complex(), lo=1, hi=3)
+        assert chain.reduce(square) == pivot_cancellation(square)
+
+    def test_matches_pivot_cancellation_in_reduced_power(self, monkeypatch):
+        reduce = chain.reduce
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return reduce(x)
+
+        monkeypatch.setattr(chain, "reduce", recording)
+        tensorops.reduced_power_complex(steane_complex(), 3)
+        assert len(seen) == 3
+        for x in seen:
+            assert reduce(x) == pivot_cancellation(x)
+
+    def test_verify_checks_reduce_without_homology_dims(self, monkeypatch):
+        def failures(results):
+            return {r.name: r.failures for r in results}
+
+        clean = failures(verify.reduce_suite(103, 200))
+        assert clean["chain/reduce_homology"] == 0
+        homology_dims = chain.homology_dims
+
+        def off_by_one(x):
+            h = list(homology_dims(x))
+            h[1] = max(h[1] - 1, 0)
+            return tuple(h)
+
+        monkeypatch.setattr(chain, "homology_dims", off_by_one)
+        assert failures(verify.reduce_suite(103, 200))["chain/reduce_homology"] > 0
 
     def test_five_term_complexes(self):
         rng = random.Random(12)
