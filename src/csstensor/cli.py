@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import css, families, tensorops, verify
+from . import chain, css, families, tensorops, verify
 from .css import CssCode, KIsZero, OrthogonalityViolation
 from .families import FamilyParseError, NotADivisor
 from .tensorops import DEFAULT_SEED, PowerSpec, ResourceCeiling
@@ -50,8 +50,7 @@ def _load_named_code(path: str) -> tuple[str, CssCode]:
     return obj.get("name", ""), code
 
 
-def _dump_json(obj: dict | list, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -59,9 +58,13 @@ def _dump_json(obj: dict | list, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _dump_json(obj: dict | list, path: str | None) -> None:
+    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+
+
 def _write_code(code: CssCode, name: str, path: str | None) -> None:
     if path:
-        _dump_json(css.code_to_json(code, name), path)
+        _emit(css.code_to_text(code, name), path)
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -85,15 +88,21 @@ def cmd_power(args: argparse.Namespace) -> int:
     if args.reduced:
         code = tensorops.css_power(base, args.ell, reduced=True)
         predicted = code.n
+        k = css.dimension_k(code)  # the maps are zero: no elimination
     else:
-        predicted = tensorops.power_length(css.to_complex(base).dims, args.ell)
+        x = css.to_complex(base)
+        predicted = tensorops.power_length(x.dims, args.ell)
         code = tensorops.css_power(base, args.ell, max_n=_ceiling())
+        # Kunneth: H(X^l) is the l-fold convolution of H(X), and the built
+        # window l-1..l+1 holds both boundaries at degree l, so its middle
+        # homology, the code's k, is the full power's H_l.
+        k = tensorops.power_length(chain.homology_dims(x), args.ell)
     if args.ell == 1 and not args.reduced:
         name = base_name  # the first power is the code itself
     else:
         name = f"power(ell={args.ell},reduced={args.reduced})"
     _write_code(code, name, args.out)
-    print(f"predicted_n={predicted} actual_n={code.n} k={css.dimension_k(code)}")
+    print(f"predicted_n={predicted} actual_n={code.n} k={k}")
     if predicted != code.n:
         print("warning: predicted and constructed lengths disagree", file=sys.stderr)
         return EXIT_CONSTRUCTION

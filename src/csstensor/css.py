@@ -34,6 +34,7 @@ best so far.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -733,6 +734,13 @@ def analyze(
 
 
 # -- JSON file format --------------------------------------------------------
+#
+# A code file is ``code_to_json`` dumped with ``indent=2, sort_keys=True``
+# plus a final newline: keys "h_x", "h_z", "n", "name", each matrix as
+# "cols", "rows", "support", one support entry per line.  ``code_to_text``
+# is the one writer of that layout; it builds the text directly, one join
+# per support row, because ``indent`` forces the pure-Python JSON encoder,
+# which made writing the l = 4 Steane power cost more than assembling it.
 
 
 def matrix_to_json(m: BinMatrix) -> dict:
@@ -750,6 +758,30 @@ def code_to_json(code: CssCode, name: str = "") -> dict:
         "h_x": matrix_to_json(code.h_x),
         "h_z": matrix_to_json(code.h_z),
     }
+
+
+def _matrix_text(m: dict) -> str:
+    rows = [
+        "[\n        " + ",\n        ".join(map(str, row)) + "\n      ]" if row else "[]"
+        for row in m["support"]
+    ]
+    support = "[\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "[]"
+    return (
+        f'{{\n    "cols": {m["cols"]},\n    "rows": {m["rows"]},\n'
+        f'    "support": {support}\n  }}'
+    )
+
+
+def code_to_text(code: CssCode, name: str = "") -> str:
+    """The code file, byte for byte ``json.dumps(code_to_json(code, name),
+    indent=2, sort_keys=True) + "\\n"``."""
+    obj = code_to_json(code, name)
+    # A name read back from a hand-written file may be any JSON value.
+    name_text = json.dumps(obj["name"], indent=2, sort_keys=True).replace("\n", "\n  ")
+    return (
+        f'{{\n  "h_x": {_matrix_text(obj["h_x"])},\n  "h_z": {_matrix_text(obj["h_z"])},\n'
+        f'  "n": {obj["n"]},\n  "name": {name_text}\n}}\n'
+    )
 
 
 def code_from_json(obj: dict) -> CssCode:

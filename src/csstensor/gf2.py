@@ -15,6 +15,13 @@ space is unique, so the result is independent of row order and method:
 it is the form a column-scan Gauss-Jordan gives.  Another column priority
 is a column permutation (``_permute_bits``) before and after.
 
+Loops over the set bits of a row whose visiting order cannot change the
+result (supports, products, back-substitution, reduction) strip the top
+bit, ``t = x.bit_length() - 1; x ^= 1 << t``, so every step shrinks the
+int; ``x & -x`` would rebuild a full-width int per set bit.  Pivots stay
+a row's lowest set bit, which fixes the RREF and every basis read from
+it, and the free columns of a kernel are still listed lowest first.
+
 Kronecker products use left-factor-major index ordering throughout:
 ``kron(A, B)`` places entry ``(i1, i2), (j1, j2)`` at row
 ``i1 * B.rows + i2`` and column ``j1 * B.cols + j2``.  Every tensor-style
@@ -81,9 +88,9 @@ class BinMatrix:
             raise ValueError("negative dimension")
         if len(self.data) != self.rows:
             raise ValueError("row count does not match data")
-        m = _mask(self.cols)
+        cols = self.cols
         for r in self.data:
-            if r < 0 or r & ~m:
+            if r < 0 or r.bit_length() > cols:
                 raise ValueError("row has bits beyond declared width")
 
     # -- constructors ---------------------------------------------------
@@ -148,9 +155,10 @@ class BinMatrix:
 def _support_of(bits: int) -> list[int]:
     out = []
     while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+        t = bits.bit_length() - 1
+        out.append(t)
+        bits ^= 1 << t
+    out.reverse()
     return out
 
 
@@ -186,9 +194,9 @@ def _rref_bitrows(bitrows: Sequence[int]) -> tuple[list[int], list[int]]:
         row = echelon[p]
         hit = row & done
         while hit:
-            low = hit & -hit
-            row ^= echelon[low.bit_length() - 1]
-            hit ^= low
+            t = hit.bit_length() - 1
+            row ^= echelon[t]
+            hit ^= 1 << t
         echelon[p] = row
         done |= 1 << p
     return [echelon[p] for p in pivots], pivots
@@ -209,9 +217,9 @@ def _reduce_by_rref(vec: int, by_pivot: dict[int, int], pivot_mask: int) -> int:
     """
     hit = vec & pivot_mask
     while hit:
-        low = hit & -hit
-        vec ^= by_pivot[low.bit_length() - 1]
-        hit ^= low
+        t = hit.bit_length() - 1
+        vec ^= by_pivot[t]
+        hit ^= 1 << t
     return vec
 
 
@@ -255,9 +263,9 @@ def _kernel_bitrows(bitrows: Sequence[int], columns: int) -> tuple[list[int], in
         bit = 1 << p
         rest = row ^ bit
         while rest:
-            low = rest & -rest
-            basis[low.bit_length() - 1] |= bit
-            rest ^= low
+            t = rest.bit_length() - 1
+            basis[t] |= bit
+            rest ^= 1 << t
     return list(basis.values()), free
 
 
@@ -276,11 +284,10 @@ def matmul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     bdata = b.data
     for row in a.data:
         acc = 0
-        rem = row
-        while rem:
-            low = rem & -rem
-            acc ^= bdata[low.bit_length() - 1]
-            rem ^= low
+        while row:
+            t = row.bit_length() - 1
+            acc ^= bdata[t]
+            row ^= 1 << t
         out.append(acc)
     return BinMatrix(a.rows, b.cols, tuple(out))
 

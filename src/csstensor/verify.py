@@ -131,8 +131,11 @@ def reduce_suite(seed: int, instances: int, max_dim: int = 6) -> list[PropertyRe
 def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[PropertyResult]:
     """Closed-form power length equals the assembled block dimension.
 
-    The assembly path enumerates summand compositions; small instances
-    additionally materialise the boundary matrices and validate them.
+    The assembly path enumerates summand compositions.  Small instances
+    additionally materialise the window ell-1..ell+1 of the power: its
+    middle degree must have the predicted dimension, and its middle
+    homology, counted by ranks, must equal the Kunneth convolution of the
+    factor's homology that ``power`` reports as k.
     """
     rng = random.Random(seed)
     failures = 0
@@ -141,6 +144,7 @@ def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[Prop
     for _ in range(triples):
         dims = (rng.randrange(0, 9), rng.randrange(1, 9), rng.randrange(0, 9))
         x = rand.random_complex(rng, dims)
+        homology = chain.homology_dims(x)
         for ell in range(1, ell_max + 1):
             predicted = tensorops.power_length(dims, ell)
             comps = tensorops._power_compositions(2, ell, ell)
@@ -156,7 +160,13 @@ def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[Prop
                 lo = max(0, ell - 1)
                 window = tensorops.power_complex_window(x, ell, lo, min(2 * ell, ell + 1))
                 materialised += 1
-                if window.dim(ell - lo) != predicted or not chain.is_valid(window):
+                try:
+                    window_homology = chain.homology_dims(window)
+                except (chain.ShapeMismatch, chain.BoundarySquareNonzero):
+                    materialised_failures += 1
+                    continue
+                k = tensorops.power_length(homology, ell)
+                if window.dim(ell - lo) != predicted or window_homology[ell - lo] != k:
                     materialised_failures += 1
     return [
         PropertyResult("tensorops/power_length_assembly", triples * ell_max, failures),

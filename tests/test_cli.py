@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from csstensor import cli, css, gf2, tensorops
+from csstensor import chain, cli, css, families, gf2, tensorops, verify
 from csstensor.gf2 import BinMatrix
+from csstensor.rand import random_css_code
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -74,6 +76,49 @@ class TestPower:
         code, stdout, _ = run(capsys, "power", str(base), "--ell", "2")
         assert code == 0
         assert stdout.strip() == "predicted_n=67 actual_n=67 k=1"
+
+    def test_ell_three_file_digest(self, capsys, tmp_path):
+        """The code file of the Steane cube, pinned to the bytes written
+        through json.dumps(indent=2, sort_keys=True) before the direct writer."""
+        base = tmp_path / "steane.json"
+        out = tmp_path / "p3.json"
+        run(capsys, "family", "steane", "--out", str(base))
+        code, _, _ = run(capsys, "power", str(base), "--ell", "3", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "42b64a5e9195493d8994d19a6999affc26eb3a06ef86d2a3d0db9b5eb3bc8a5a"
+        )
+
+    def test_k_matches_the_built_code(self, capsys, tmp_path):
+        """k printed from the Kunneth convolution equals the ranks of the code."""
+        bases = [
+            families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")[1],
+            # k = 0 with H_0 = H_2 = 1: the square has k = 2.
+            css.from_matrices(BinMatrix.from_rows([[1, 0], [1, 0]]),
+                              BinMatrix.from_rows([[0, 1], [0, 1]])),
+            css.from_matrices(BinMatrix.from_rows([[1, 0]]), BinMatrix.from_rows([[0, 1]])),
+        ]
+        rng = random.Random(12)
+        while len(bases) < 15:
+            n = rng.randrange(2, 8)
+            code = random_css_code(rng, n, rng.randrange(0, 3), rng.randrange(0, 3), min_k=0)
+            h_x, h_z = code.h_x, code.h_z
+            if h_x.rows and rng.random() < 0.6:  # a redundant X check
+                h_x = BinMatrix(h_x.rows + 1, n, h_x.data + (h_x.data[0] ^ h_x.data[-1],))
+            if h_z.rows and rng.random() < 0.6:
+                h_z = BinMatrix(h_z.rows + 1, n, h_z.data + (h_z.data[0],))
+            bases.append(css.from_matrices(h_x, h_z))
+        assert {css.dimension_k(b) for b in bases} >= {0, 1}
+        base_path, out = tmp_path / "base.json", tmp_path / "out.json"
+        for base in bases:
+            base_path.write_text(json.dumps(css.code_to_json(base)))
+            for ell in (1, 2, 3):
+                for flags in ((), ("--reduced",)):
+                    code, stdout, _ = run(capsys, "power", str(base_path), "--ell", str(ell),
+                                          "--out", str(out), *flags)
+                    assert code == 0
+                    built = css.code_from_json(json.loads(out.read_text()))
+                    assert stdout.split()[2] == f"k={css.dimension_k(built)}", (base, ell, flags)
 
     def test_reduced_exact_input_empty_with_warning(self, capsys, tmp_path):
         path = exact_complex_code_file(tmp_path)
@@ -238,6 +283,28 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in stdout
 
+
+    def test_window_with_wrong_homology_fails(self, capsys, monkeypatch):
+        """A window with the right dims and square-zero maps but the wrong k.
+
+        Zeroing the top boundary keeps every dimension and keeps the window
+        a complex, so only the homology check against the Kunneth
+        convolution can see it."""
+        true_window = tensorops.power_complex_window
+
+        def dropped_top(x, ell, lo, hi):
+            w = true_window(x, ell, lo, hi)
+            top = w.boundaries[-1]
+            zero = BinMatrix.zeros(top.rows, top.cols)
+            return chain.ChainComplex(w.dims, w.boundaries[:-1] + (zero,))
+
+        monkeypatch.setattr(tensorops, "power_complex_window", dropped_top)
+        results = {r.name: r for r in verify.length_formula_suite(101, 10)}
+        assert results["tensorops/power_length_assembly"].passed
+        assert results["tensorops/power_length_matrices"].failures > 0
+        code, stdout, _ = run(capsys, "verify", "fast")
+        assert code == 1
+        assert "FAIL tensorops/power_length_matrices" in stdout
 
     def test_crashed_suite_names_its_exception(self, capsys, monkeypatch):
         def broken_rank(m):

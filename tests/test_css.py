@@ -749,6 +749,27 @@ class TestCodeJson:
             blob = json.dumps(css.code_to_json(code, "test"))
             assert css.code_from_json(json.loads(blob)) == code
 
+    def test_file_text_is_the_indented_dump(self):
+        """code_to_text writes json.dumps(..., indent=2, sort_keys=True) byte for byte."""
+        rng = random.Random(1860)
+        names = ["", "steane", 'say "hi"', "back\\slash", "two\nlines", "tab\t\x00",
+                 "ñandú ∂ 𝔽₂ \u2028", "power(ell=2,reduced=False)",
+                 None, 5, [1, "a", {"z": [], "b": True}], {"b": {"c": [2.5]}, "a": "x"}]
+        codes = [CssCode(1, BinMatrix.zeros(0, 1), BinMatrix.zeros(0, 1)),
+                 CssCode(1, BinMatrix(2, 1, (1, 0)), BinMatrix.zeros(1, 1)),
+                 CssCode(0, BinMatrix.zeros(0, 0), BinMatrix.zeros(2, 0)),
+                 steane()]
+        while len(codes) < 240:
+            n = rng.choice([1, 2, 3, 5, 8, 13, 40])
+            code = random_css_code(rng, n, rng.randrange(0, 4), rng.randrange(0, 4), min_k=0)
+            if rng.random() < 0.3:  # an all-zero check row
+                code = CssCode(n, BinMatrix(code.h_x.rows + 1, n, code.h_x.data + (0,)), code.h_z)
+            codes.append(code)
+        for i, code in enumerate(codes):
+            name = names[i % len(names)]
+            expected = json.dumps(css.code_to_json(code, name), indent=2, sort_keys=True) + "\n"
+            assert css.code_to_text(code, name) == expected
+
     def test_declared_n_checked(self):
         obj = css.code_to_json(steane(), "steane")
         obj["n"] = 8

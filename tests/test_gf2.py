@@ -203,6 +203,120 @@ class TestReferenceOracle:
             assert list(gf2.kernel_basis(m).data) == reference_kernel(m.data, m.cols)
 
 
+# -- low-bit loop oracle ---------------------------------------------------
+#
+# The library's order-free bit loops strip a row's top bit.  These are the
+# loops they replaced, which strip the lowest bit with ``x & -x``; both must
+# give the same supports, products, reduced rows, residues and kernels.
+
+
+def lowbit_support(bits):
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def lowbit_matmul(a, b):
+    out = []
+    for row in a.data:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= b.data[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return BinMatrix(a.rows, b.cols, tuple(out))
+
+
+def lowbit_rref(bitrows):
+    echelon = gf2._echelon(bitrows)
+    pivots = sorted(echelon)
+    done = 0
+    for p in reversed(pivots):
+        row = echelon[p]
+        hit = row & done
+        while hit:
+            low = hit & -hit
+            row ^= echelon[low.bit_length() - 1]
+            hit ^= low
+        echelon[p] = row
+        done |= 1 << p
+    return [echelon[p] for p in pivots], pivots
+
+
+def lowbit_reduce(vec, by_pivot, pivot_mask):
+    hit = vec & pivot_mask
+    while hit:
+        low = hit & -hit
+        vec ^= by_pivot[low.bit_length() - 1]
+        hit ^= low
+    return vec
+
+
+def lowbit_kernel(bitrows, columns):
+    rows, pivots = lowbit_rref(bitrows)
+    free = columns & ~sum(1 << p for p in pivots)
+    basis = {}
+    rest = free
+    while rest:
+        low = rest & -rest
+        basis[low.bit_length() - 1] = low
+        rest ^= low
+    for p, row in zip(pivots, rows):
+        bit = 1 << p
+        rest = row ^ bit
+        while rest:
+            low = rest & -rest
+            basis[low.bit_length() - 1] |= bit
+            rest ^= low
+    return list(basis.values()), free
+
+
+WIDTHS = (1, 63, 64, 65, 721, 8179)
+
+
+def bit_loop_matrices():
+    """Random rows at word-boundary and power widths, with zero rows, and
+    the checks of the Steane cube."""
+    rng = random.Random(8179)
+    mats = []
+    for cols in WIDTHS:
+        for density in (2 / cols, 0.05, 0.5):
+            m = random_matrix(rng, rng.randrange(1, 25), cols, density=min(density, 1.0))
+            zero_at = rng.randrange(m.rows + 1)
+            data = m.data[:zero_at] + (0,) + m.data[zero_at:]
+            mats.append(BinMatrix(len(data), cols, data))
+        mats.append(BinMatrix.zeros(3, cols))
+    cube = css_power(steane(), 3)
+    return mats + [cube.h_x, cube.h_z]
+
+
+class TestLowBitOracle:
+    def test_support_and_matmul(self):
+        rng = random.Random(3)
+        for m in bit_loop_matrices():
+            for r in m.data:
+                assert gf2._support_of(r) == lowbit_support(r)
+            other = random_matrix(rng, m.cols, rng.randrange(0, 70), density=0.1)
+            assert gf2.matmul(m, other) == lowbit_matmul(m, other)
+            assert gf2.matmul(m, gf2.transpose(m)) == lowbit_matmul(m, gf2.transpose(m))
+
+    def test_rref_reduce_and_kernel(self):
+        rng = random.Random(4)
+        for m in bit_loop_matrices():
+            rows, pivots = gf2._rref_bitrows(m.data)
+            assert (rows, pivots) == lowbit_rref(m.data)
+            by_pivot, mask = gf2._pivot_index(m.data)
+            vecs = [0, rng.getrandbits(m.cols)] + [r ^ rng.getrandbits(m.cols) for r in m.data[:3]]
+            for v in vecs + list(m.data[:5]):
+                assert gf2._reduce_by_rref(v, by_pivot, mask) == lowbit_reduce(v, by_pivot, mask)
+            columns = gf2._mask(m.cols)
+            assert gf2._kernel_bitrows(m.data, columns) == lowbit_kernel(m.data, columns)
+
+
 class TestKron:
     def test_unit(self):
         a = random_matrix(random.Random(2), 3, 4)
@@ -286,6 +400,19 @@ class TestValidation:
     def test_row_width_enforced(self):
         with pytest.raises(ValueError):
             BinMatrix(1, 2, (0b100,))
+        for cols in WIDTHS:
+            BinMatrix(2, cols, (1 << (cols - 1), 0))
+            with pytest.raises(ValueError):
+                BinMatrix(1, cols, (1 << cols,))
+            with pytest.raises(ValueError):
+                BinMatrix(1, cols, ((1 << cols) | 1,))
+        assert BinMatrix(2, 0, (0, 0)).rows == 2
+        for row in (1, 2, 1 << 70):
+            with pytest.raises(ValueError):
+                BinMatrix(1, 0, (row,))
+        for row in (-1, -2, -(1 << 5)):
+            with pytest.raises(ValueError):
+                BinMatrix(1, 8, (row,))
 
     def test_vector_weight(self):
         v = BinVector.from_support(5, [0, 3])
