@@ -50,7 +50,8 @@ def _load_named_code(path: str) -> tuple[str, CssCode]:
     return obj.get("name", ""), code
 
 
-def _emit(text: str, path: str | None) -> None:
+def _dump_json(obj: dict | list, path: str | None) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -58,13 +59,10 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _dump_json(obj: dict | list, path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
-
-
 def _write_code(code: CssCode, name: str, path: str | None) -> None:
     if path:
-        _emit(css.code_to_text(code, name), path)
+        with open(path, "w", encoding="utf-8") as fh:
+            css.dump_code(code, fh, name)
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -87,7 +85,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     base_name, base = _load_named_code(args.input)
     if args.reduced:
         code = tensorops.css_power(base, args.ell, reduced=True)
-        predicted = code.n
+        predicted = code.n  # no formula predicts a reduced power: print the built n
         k = css.dimension_k(code)  # the maps are zero: no elimination
     else:
         x = css.to_complex(base)
@@ -103,7 +101,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         name = f"power(ell={args.ell},reduced={args.reduced})"
     _write_code(code, name, args.out)
     print(f"predicted_n={predicted} actual_n={code.n} k={k}")
-    if predicted != code.n:
+    if not args.reduced and predicted != code.n:
         print("warning: predicted and constructed lengths disagree", file=sys.stderr)
         return EXIT_CONSTRUCTION
     if code.n == 0:

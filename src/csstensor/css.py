@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from . import chain, gf2
 from .chain import ChainComplex
@@ -110,7 +110,13 @@ def from_complex(x: ChainComplex) -> CssCode:
     if len(x.dims) != 3:
         raise ValueError(f"expected a length-3 complex, got {len(x.dims)} spaces")
     chain.validate(x)
-    return CssCode(x.dims[1], x.boundary(1), gf2.transpose(x.boundary(2)))
+    n, h_x, top = x.dims[1], x.boundary(1), x.boundary(2)
+    # Drop the complex and then its top boundary before h_z is built, so a
+    # caller passing a temporary never holds three n-wide matrices at once.
+    del x
+    columns, width = gf2._column_supports(top), top.rows
+    del top
+    return CssCode(n, h_x, BinMatrix.from_support(len(columns), width, columns))
 
 
 def dimension_k(code: CssCode) -> int:
@@ -737,10 +743,14 @@ def analyze(
 #
 # A code file is ``code_to_json`` dumped with ``indent=2, sort_keys=True``
 # plus a final newline: keys "h_x", "h_z", "n", "name", each matrix as
-# "cols", "rows", "support", one support entry per line.  ``code_to_text``
-# is the one writer of that layout; it builds the text directly, one join
-# per support row, because ``indent`` forces the pure-Python JSON encoder,
-# which made writing the l = 4 Steane power cost more than assembling it.
+# "cols", "rows", "support", one support entry per line.  ``dump_code`` is
+# the one writer of that layout.  It writes straight to the open file,
+# _DUMP_CHUNK_ROWS rows at a time, one join per support row, so neither the
+# support lists nor the text of a whole power ever exist at once (the
+# l = 4 Steane file is 1.86 MB); ``indent`` would also force the
+# pure-Python JSON encoder, which cost more than assembling the power.
+
+_DUMP_CHUNK_ROWS = 256
 
 
 def matrix_to_json(m: BinMatrix) -> dict:
@@ -760,28 +770,35 @@ def code_to_json(code: CssCode, name: str = "") -> dict:
     }
 
 
-def _matrix_text(m: dict) -> str:
-    rows = [
-        "[\n        " + ",\n        ".join(map(str, row)) + "\n      ]" if row else "[]"
-        for row in m["support"]
-    ]
-    support = "[\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "[]"
-    return (
-        f'{{\n    "cols": {m["cols"]},\n    "rows": {m["rows"]},\n'
-        f'    "support": {support}\n  }}'
-    )
+def _row_text(row: int) -> str:
+    if not row:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, gf2._support_of(row))) + "\n      ]"
 
 
-def code_to_text(code: CssCode, name: str = "") -> str:
-    """The code file, byte for byte ``json.dumps(code_to_json(code, name),
-    indent=2, sort_keys=True) + "\\n"``."""
-    obj = code_to_json(code, name)
+def _dump_matrix(m: BinMatrix, fh: TextIO) -> None:
+    fh.write(f'{{\n    "cols": {m.cols},\n    "rows": {m.rows},\n    "support": ')
+    if not m.rows:
+        fh.write("[]\n  }")
+        return
+    sep = "[\n      "
+    for start in range(0, m.rows, _DUMP_CHUNK_ROWS):
+        chunk = m.data[start:start + _DUMP_CHUNK_ROWS]
+        fh.write(sep + ",\n      ".join(map(_row_text, chunk)))
+        sep = ",\n      "
+    fh.write("\n    ]\n  }")
+
+
+def dump_code(code: CssCode, fh: TextIO, name: str = "") -> None:
+    """Write the code file to ``fh`` a chunk of rows at a time, byte for byte
+    ``json.dumps(code_to_json(code, name), indent=2, sort_keys=True) + "\\n"``."""
+    fh.write('{\n  "h_x": ')
+    _dump_matrix(code.h_x, fh)
+    fh.write(',\n  "h_z": ')
+    _dump_matrix(code.h_z, fh)
     # A name read back from a hand-written file may be any JSON value.
-    name_text = json.dumps(obj["name"], indent=2, sort_keys=True).replace("\n", "\n  ")
-    return (
-        f'{{\n  "h_x": {_matrix_text(obj["h_x"])},\n  "h_z": {_matrix_text(obj["h_z"])},\n'
-        f'  "n": {obj["n"]},\n  "name": {name_text}\n}}\n'
-    )
+    name_text = json.dumps(name, indent=2, sort_keys=True).replace("\n", "\n  ")
+    fh.write(f',\n  "n": {code.n},\n  "name": {name_text}\n}}\n')
 
 
 def code_from_json(obj: dict) -> CssCode:

@@ -16,11 +16,12 @@ it is the form a column-scan Gauss-Jordan gives.  Another column priority
 is a column permutation (``_permute_bits``) before and after.
 
 Loops over the set bits of a row whose visiting order cannot change the
-result (supports, products, back-substitution, reduction) strip the top
-bit, ``t = x.bit_length() - 1; x ^= 1 << t``, so every step shrinks the
-int; ``x & -x`` would rebuild a full-width int per set bit.  Pivots stay
-a row's lowest set bit, which fixes the RREF and every basis read from
-it, and the free columns of a kernel are still listed lowest first.
+result (supports, products, transposes, permutations, back-substitution,
+reduction) strip the top bit, ``t = x.bit_length() - 1; x ^= 1 << t``, so
+every step shrinks the int; ``x & -x`` would rebuild a full-width int per
+set bit.  Pivots stay a row's lowest set bit, which fixes the RREF and
+every basis read from it, and the free columns of a kernel are still
+listed lowest first.
 
 Kronecker products use left-factor-major index ordering throughout:
 ``kron(A, B)`` places entry ``(i1, i2), (j1, j2)`` at row
@@ -293,12 +294,26 @@ def matmul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
 
 
 def transpose(m: BinMatrix) -> BinMatrix:
-    out = [0] * m.cols
+    """The transposed matrix.
+
+    Two phases: collect every column's support, then build each column int
+    once.  ``out[j] |= 1 << i`` per set bit would regrow thousands of ints
+    at once and fragment the heap.  The gain is memory, not time, and
+    ``css.from_complex`` runs the phases itself to drop the input between
+    them.
+    """
+    return BinMatrix.from_support(m.cols, m.rows, _column_supports(m))
+
+
+def _column_supports(m: BinMatrix) -> list[list[int]]:
+    """The rows holding a one in each column, ascending, one list per column."""
+    columns: list[list[int]] = [[] for _ in range(m.cols)]
     for i, row in enumerate(m.data):
-        bit = 1 << i
-        for j in _support_of(row):
-            out[j] |= bit
-    return BinMatrix(m.cols, m.rows, tuple(out))
+        while row:
+            t = row.bit_length() - 1
+            columns[t].append(i)
+            row ^= 1 << t
+    return columns
 
 
 def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
@@ -323,7 +338,9 @@ def _permute_bits(bitrows: Iterable[int], perm: Sequence[int]) -> list[int]:
     out = []
     for row in bitrows:
         bits = 0
-        for j in _support_of(row):
-            bits |= 1 << perm[j]
+        while row:
+            t = row.bit_length() - 1
+            bits |= 1 << perm[t]
+            row ^= 1 << t
         out.append(bits)
     return out

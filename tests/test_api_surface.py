@@ -12,17 +12,21 @@ unless it is listed below with the reason it stays.
 from __future__ import annotations
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import csstensor
 
 SRC = Path(csstensor.__file__).resolve().parent
+BENCHMARK = SRC.parent.parent / "BENCHMARK.json"
 
 ALLOWED = {
     "associativity_permutation": "documented in the README",
     "reduced_power_length": "used by the acceptance tests",
     "euler_characteristic": "test oracle",
     "quantum_reed_muller_k": "test oracle",
+    "code_to_json": "named by BENCHMARK.json's per-layer metrics; oracle of dump_code",
 }
 
 ALLOWED_METHODS = {
@@ -88,6 +92,20 @@ def test_public_functions_are_used_in_src():
 def test_allowlist_is_current():
     defined = {name for tree in _trees().values() for name in _public_functions(tree)}
     assert set(ALLOWED) <= defined
+
+
+def test_traced_benchmark_names_are_public_functions():
+    """``bench/run.py --trace 1`` stops on a ``layer.fn.{self_s,calls,total_s}``
+    metric whose function the tracer did not wrap: a public function of ``src/``."""
+    trees = _trees()
+    public = {(module, name) for module, tree in trees.items() for name in _public_functions(tree)}
+    named = [
+        (match[1], match[2], match[0])
+        for metric in json.loads(BENCHMARK.read_text())["per_layer"]
+        if (match := re.fullmatch(r"(\w+)\.(\w+)\.(?:self_s|calls|total_s)", metric["name"]))
+    ]
+    assert named
+    assert [metric for module, fn, metric in named if (module, fn) not in public] == []
 
 
 def _public_methods(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:

@@ -89,6 +89,20 @@ class TestPower:
             "42b64a5e9195493d8994d19a6999affc26eb3a06ef86d2a3d0db9b5eb3bc8a5a"
         )
 
+    def test_ell_four_file_digest(self, capsys, tmp_path):
+        """The code file of the Steane l = 4 power (n = 8179), pinned to the
+        bytes written through json.dumps(indent=2, sort_keys=True)."""
+        base = tmp_path / "steane.json"
+        out = tmp_path / "p4.json"
+        run(capsys, "family", "steane", "--out", str(base))
+        code, stdout, _ = run(capsys, "power", str(base), "--ell", "4", "--out", str(out))
+        assert code == 0 and stdout == "predicted_n=8179 actual_n=8179 k=1\n"
+        data = out.read_bytes()
+        assert len(data) == 1_858_386
+        assert hashlib.sha256(data).hexdigest() == (
+            "959b2cd7cd61ad29454b1e16be9b09a0e42f04b378e9fb8e1860fa963b50c276"
+        )
+
     def test_k_matches_the_built_code(self, capsys, tmp_path):
         """k printed from the Kunneth convolution equals the ranks of the code."""
         bases = [

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import random
 import time
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -83,6 +86,35 @@ class TestComplexCorrespondence:
         x = chain.ChainComplex((1, 2, 1), (d1, d2))
         with pytest.raises(chain.BoundarySquareNonzero):
             css.from_complex(x)
+
+    def test_window_released_before_h_z_is_built(self, monkeypatch):
+        """A complex passed as a temporary, and its top boundary, are freed
+        before h_z is built, and chain.validate still runs on it."""
+        square = css_power(steane(), 2)
+        x = css.to_complex(square)
+        dims, (d1, d2) = x.dims, x.boundaries
+        refs, seen, validated = [], [], []
+        real_from_support, real_validate = BinMatrix.from_support, chain.validate
+
+        def window():
+            x = chain.ChainComplex(dims, (d1, BinMatrix(d2.rows, d2.cols, d2.data)))
+            refs.extend([weakref.ref(x), weakref.ref(x.boundary(2))])
+            return x
+
+        def spy(rows, cols, support):
+            seen.append([ref() is None for ref in refs])
+            return real_from_support(rows, cols, support)
+
+        def counting_validate(x):
+            validated.append(x.dims)
+            return real_validate(x)
+
+        monkeypatch.setattr(BinMatrix, "from_support", spy)
+        monkeypatch.setattr(chain, "validate", counting_validate)
+        code = css.from_complex(window())
+        assert seen == [[True, True]]
+        assert validated == [dims]
+        assert code == square
 
     def test_one_product_per_construction(self, monkeypatch):
         products = []
@@ -750,14 +782,19 @@ class TestCodeJson:
             assert css.code_from_json(json.loads(blob)) == code
 
     def test_file_text_is_the_indented_dump(self):
-        """code_to_text writes json.dumps(..., indent=2, sort_keys=True) byte for byte."""
+        """dump_code writes json.dumps(..., indent=2, sort_keys=True) byte for byte."""
         rng = random.Random(1860)
         names = ["", "steane", 'say "hi"', "back\\slash", "two\nlines", "tab\t\x00",
                  "ñandú ∂ 𝔽₂ \u2028", "power(ell=2,reduced=False)",
-                 None, 5, [1, "a", {"z": [], "b": True}], {"b": {"c": [2.5]}, "a": "x"}]
+                 None, 5, 2.5, True, [1, "a", {"z": [], "b": True}], {"b": {"c": [2.5]}, "a": "x"}]
+        chunk = css._DUMP_CHUNK_ROWS
+        tall = random_matrix(rng, 2 * chunk + 3, 40, density=0.1)
+        tall = BinMatrix(tall.rows + 1, 40, tall.data[:chunk] + (0,) + tall.data[chunk:])
         codes = [CssCode(1, BinMatrix.zeros(0, 1), BinMatrix.zeros(0, 1)),
                  CssCode(1, BinMatrix(2, 1, (1, 0)), BinMatrix.zeros(1, 1)),
                  CssCode(0, BinMatrix.zeros(0, 0), BinMatrix.zeros(2, 0)),
+                 CssCode(40, tall, BinMatrix.zeros(chunk, 40)),
+                 CssCode(40, BinMatrix.zeros(0, 40), BinMatrix(chunk, 40, tall.data[:chunk])),
                  steane()]
         while len(codes) < 240:
             n = rng.choice([1, 2, 3, 5, 8, 13, 40])
@@ -768,7 +805,25 @@ class TestCodeJson:
         for i, code in enumerate(codes):
             name = names[i % len(names)]
             expected = json.dumps(css.code_to_json(code, name), indent=2, sort_keys=True) + "\n"
-            assert css.code_to_text(code, name) == expected
+            out = io.StringIO()
+            css.dump_code(code, out, name)
+            assert out.getvalue() == expected
+
+    def test_writing_the_ell_four_power_stays_small(self, tmp_path):
+        """The 1.86 MB file of the Steane l = 4 power is written with a
+        traced peak below half its size: no whole text, no support lists."""
+        code = css_power(steane(), 4)
+        path = tmp_path / "p4.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                css.dump_code(code, fh, "power(ell=4,reduced=False)")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == 1_858_386
+        assert peak < size / 2
 
     def test_declared_n_checked(self):
         obj = css.code_to_json(steane(), "steane")

@@ -317,6 +317,25 @@ class TestLowBitOracle:
             assert gf2._kernel_bitrows(m.data, columns) == lowbit_kernel(m.data, columns)
 
 
+class TestTranspose:
+    def test_entries_against_the_input(self):
+        """Entry (i, j) of the input is entry (j, i) of the output, on every
+        bit-loop matrix, on empty shapes and on matrices with zero rows."""
+        rng = random.Random(5)
+        sparse = random_matrix(rng, 30, 70, density=0.05)
+        mats = bit_loop_matrices() + [
+            BinMatrix.zeros(0, 0), BinMatrix.zeros(0, 5), BinMatrix.zeros(5, 0),
+            BinMatrix.zeros(4, 9), BinMatrix(3, 9, (0, 1 << 8, 0)),
+            BinMatrix(31, 70, sparse.data[:12] + (0,) + sparse.data[12:]),
+        ]
+        for m in mats:
+            t = gf2.transpose(m)
+            assert (t.rows, t.cols) == (m.cols, m.rows)
+            for i, row in enumerate(m.data):
+                for j in range(m.cols):
+                    assert (row >> j) & 1 == (t.data[j] >> i) & 1
+
+
 class TestKron:
     def test_unit(self):
         a = random_matrix(random.Random(2), 3, 4)
