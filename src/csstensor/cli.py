@@ -162,6 +162,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csstensor",
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="iterated tensor power of a code file")
     p.add_argument("input")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_positive_int, required=True)
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_power)
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full parameter report for a code file")
     p.add_argument("input")
     p.add_argument("--exact-up-to", type=int, default=css.DEFAULT_WEIGHT_CAP)
-    p.add_argument("--trials", type=int, default=css.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_positive_int, default=css.DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--time-budget", type=float, default=60.0)
     p.add_argument("--out")
@@ -203,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="power sweep table for a family spec")
     p.add_argument("spec")
-    p.add_argument("--ell-max", type=int, required=True)
+    p.add_argument("--ell-max", type=_positive_int, required=True)
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--weight-cap", type=int, default=css.DEFAULT_WEIGHT_CAP)
     p.add_argument("--time-budget", type=float, default=60.0)
-    p.add_argument("--trials", type=int, default=css.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_positive_int, default=css.DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")

@@ -251,8 +251,8 @@ class _Search:
     information set: a word of the span is the sum of exactly the rows
     whose pivots it has, so level r covers every word with r ones on P.
 
-    Pass 2 re-eliminates the rows with the complement N of P as the low
-    bits, so pivots land in N first.  G holds the rows with pivots in N and
+    Pass 2 re-eliminates the rows with the complement N of P first in the
+    column priority (``gf2._rref_by_priority``), so pivots land in N first.  G holds the rows with pivots in N and
     Z the rows that are zero on all of N.  Level j sums every j-subset of G
     with every element of span(Z); such a word has a one at the pivot of
     each row of the subset, and any word with at most j ones on N is such a
@@ -353,11 +353,11 @@ class _Search:
         """(G, Z): the rows re-eliminated with the non-pivot columns first."""
         pivot_set = set(self.pivots)
         order = [c for c in range(self.n) if c not in pivot_set] + self.pivots
-        position = [0] * self.n
-        for i, c in enumerate(order):
-            position[c] = i
-        rows, pivots = gf2._rref_bitrows(gf2._permute_bits(self.rows, position))
-        rows = gf2._permute_bits(rows, order)
+        rows, pivots, _ = gf2._rref_by_priority(
+            [gf2._support_of(row) for row in self.rows], order, gf2._descending_powers(self.n)
+        )
+        # Bit b holds column order[n - 1 - b]: move the rows back.
+        rows = gf2._permute_bits(rows, order[::-1])
         free = self.n - len(self.pivots)
         g = [row for row, p in zip(rows, pivots) if p < free]
         z = [row for row, p in zip(rows, pivots) if p >= free]
@@ -546,26 +546,26 @@ def min_distance_exact(
 def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) -> int:
     """Upper bound from seeded random information sets over the kernel.
 
-    Each trial re-eliminates the kernel basis with a random column
-    priority; the resulting rows (and their pairs, on small kernels) are
+    Each trial takes the RREF of the kernel basis under a random column
+    priority (``gf2._rref_by_priority``, from supports collected once per
+    call); the resulting rows (and their pairs, on small kernels) are
     low-weight kernel members and every nontrivial one bounds the distance
-    from above.  Deterministic for a fixed seed.
+    from above.  The checks move to the trial's coordinates with the rows.
+    At least one trial runs.  Deterministic for a fixed seed.
     """
     s = _side(code, side)
     if not s.k:
         raise KIsZero("distances are undefined for k = 0")
     rng = random.Random(seed)
     best: int | None = None
-    position = [0] * code.n
+    supports = [gf2._support_of(row) for row in s.kernel]
+    check_supports = [gf2._support_of(c) for c in s.checks]
+    powers = gf2._descending_powers(code.n)
     for _ in range(max(1, trials)):
         order = list(range(code.n))
         rng.shuffle(order)
-        for i, c in enumerate(order):
-            position[c] = i
-        # Column order[i] moves to bit i, so the moved rows' RREF is the
-        # RREF under the random priority; the checks move with them.
-        rows, _ = gf2._rref_bitrows(gf2._permute_bits(s.kernel, position))
-        moved_checks = gf2._permute_bits(s.checks, position)
+        rows, _, bit = gf2._rref_by_priority(supports, order, powers)
+        moved_checks = [sum(map(bit.__getitem__, c)) for c in check_supports]
         if len(rows) <= 80:
             rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]
         for word in rows:

@@ -11,17 +11,20 @@ maps each pivot column, a row's lowest set bit, to its row; an incoming
 row XORs in the row keyed by its current lowest bit until it is zero or
 claims a new key, and back-substitution in descending pivot order then
 clears the other pivot columns.  The reduced row echelon form of a row
-space is unique, so the result is independent of row order and method:
-it is the form a column-scan Gauss-Jordan gives.  Another column priority
-is a column permutation (``_permute_bits``) before and after.
+space under a column priority is unique, so the result is independent of
+row order and method: it is the form a column-scan Gauss-Jordan gives.
+Natural order scans columns lowest first.  Any other priority goes through
+``_rref_by_priority``, which builds each row once from its support with the
+highest-priority column at the top bit and pivots on the top set bit.
 
 Loops over the set bits of a row whose visiting order cannot change the
 result (supports, products, transposes, permutations, back-substitution,
 reduction) strip the top bit, ``t = x.bit_length() - 1; x ^= 1 << t``, so
 every step shrinks the int; ``x & -x`` would rebuild a full-width int per
-set bit.  Pivots stay a row's lowest set bit, which fixes the RREF and
-every basis read from it, and the free columns of a kernel are still
-listed lowest first.
+set bit.  In natural order pivots stay a row's lowest set bit, which fixes
+the RREF and every basis read from it (kernel bases, search pivots,
+criterion witnesses), and the free columns of a kernel are still listed
+lowest first.
 
 Kronecker products use left-factor-major index ordering throughout:
 ``kron(A, B)`` places entry ``(i1, i2), (j1, j2)`` at row
@@ -201,6 +204,58 @@ def _rref_bitrows(bitrows: Sequence[int]) -> tuple[list[int], list[int]]:
         echelon[p] = row
         done |= 1 << p
     return [echelon[p] for p in pivots], pivots
+
+
+def _descending_powers(n: int) -> list[int]:
+    """``[1 << (n - 1), ..., 2, 1]``: entry i is the bit of column priority i."""
+    return [1 << b for b in range(n - 1, -1, -1)]
+
+
+def _rref_by_priority(
+    supports: Sequence[Sequence[int]], order: Sequence[int], powers: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """RREF of the rows with these supports when columns are scanned in ``order``.
+
+    ``powers`` is ``_descending_powers(len(order))``.  Column ``order[i]``
+    moves to bit n - 1 - i, so the highest priority is the top bit, and
+    each row is built once from its support by summing its columns' bits.
+    Elimination pivots on a row's top set bit, which every XOR clears, and
+    takes the rows lightest first; back-substitution then runs in ascending
+    pivot order.  Returns the rows in scan order, in these moved
+    coordinates, their pivots as priority indices, and the bit of each
+    column, with which a caller moves further words alike.  The RREF under
+    a priority is unique: bit b read as column ``order[n - 1 - b]``, these
+    are the rows of a column scan in ``order``.
+    """
+    n = len(order)
+    bit = list(map(powers.__getitem__, sorted(range(n), key=order.__getitem__)))
+    by_top = [0] * n
+    tops = []
+    for support in sorted(supports, key=len):
+        row = sum(map(bit.__getitem__, support))
+        while row:
+            t = row.bit_length() - 1
+            other = by_top[t]
+            if not other:
+                by_top[t] = row
+                tops.append(t)
+                break
+            row ^= other
+    tops.sort()
+    # Rows with lower pivots are already reduced and have no bits above
+    # their pivot, so XOR-ing one in clears exactly its own pivot bit.
+    done = 0
+    for p in tops:
+        row = by_top[p]
+        hit = row & done
+        while hit:
+            t = hit.bit_length() - 1
+            row ^= by_top[t]
+            hit ^= 1 << t
+        by_top[p] = row
+        done |= 1 << p
+    tops.reverse()
+    return [by_top[p] for p in tops], [n - 1 - p for p in tops], bit
 
 
 def _pivot_index(bitrows: Sequence[int]) -> tuple[dict[int, int], int]:

@@ -412,3 +412,18 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             cli.main(["power", "input.json"])  # missing required --ell
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "input.json", "--ell", "0"],
+        ["power", "input.json", "--ell", "-2"],
+        ["sweep", "steane", "--ell-max", "0"],
+        ["sweep", "steane", "--ell-max", "2", "--trials", "0"],
+        ["analyze", "input.json", "--trials", "-1"],
+        ["sweep", "steane", "--ell-max", "two"],
+    ], ids=["ell-0", "ell-negative", "ell-max-0", "sweep-trials-0",
+            "analyze-trials-negative", "ell-max-not-int"])
+    def test_nonpositive_count_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err

@@ -639,9 +639,90 @@ class TestTwoSetSearch:
             assert res.upper is None
 
 
+def reference_random_upper(code, side, trials, seed):
+    """The permute-and-eliminate random upper bound, kept as an oracle.
+
+    Each trial moves the kernel rows and checks so that column order[i]
+    sits at bit i, then takes the lowest-bit-pivot RREF.
+    """
+    s = css._side(code, side)
+    rng = random.Random(seed)
+    best = None
+    position = [0] * code.n
+    for _ in range(max(1, trials)):
+        order = list(range(code.n))
+        rng.shuffle(order)
+        for i, c in enumerate(order):
+            position[c] = i
+        rows, _ = gf2._rref_bitrows(gf2._permute_bits(s.kernel, position))
+        moved_checks = gf2._permute_bits(s.checks, position)
+        if len(rows) <= 80:
+            rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]
+        for word in rows:
+            w = word.bit_count()
+            if (best is None or w < best) and css._signature(word, moved_checks):
+                best = w
+    return best
+
+
+def reference_second_form(rows, pivots, n):
+    """(G, Z) by permute, eliminate and unpermute, with N's columns first."""
+    pivot_set = set(pivots)
+    order = [c for c in range(n) if c not in pivot_set] + list(pivots)
+    position = [0] * n
+    for i, c in enumerate(order):
+        position[c] = i
+    reduced, moved_pivots = gf2._rref_bitrows(gf2._permute_bits(rows, position))
+    reduced = gf2._permute_bits(reduced, order)
+    free = n - len(pivots)
+    g = [row for row, p in zip(reduced, moved_pivots) if p < free]
+    z = [row for row, p in zip(reduced, moved_pivots) if p >= free]
+    return g, z
+
+
 class TestRandomUpper:
     def test_steane_finds_three(self):
         assert css.min_distance_random_upper(steane(), "Z", 100, 5) == 3
+
+    def test_matches_permute_and_eliminate_oracle(self):
+        # Kernels of at most 80 rows take the pair scan; the cube's 361 do not.
+        codes = [css_power(steane(), ell) for ell in (1, 2, 3)]
+        # fg:pg,q=2 has k = 0, so it checks that both refuse it; fg:pg,q=4 has k = 2.
+        codes += [families.parse_family_spec(spec)[1] for spec in (
+            "rm:m=4,r1=1,r2=1", "cyclic:n=7,g1=1011,g2=1011", "fg:pg,q=2", "fg:pg,q=4")]
+        rng = random.Random(41)
+        while len(codes) < 47:
+            n = rng.randrange(4, 16)
+            try:
+                codes.append(random_css_code(rng, n, rng.randrange(1, n // 2 + 1),
+                                             rng.randrange(1, n // 2 + 1)))
+            except RuntimeError:
+                continue
+        sizes = {len(css._side(code, side).kernel) for code in codes for side in "XZ"}
+        assert min(sizes) <= 80 < max(sizes)
+        for code in codes:
+            trials = 3 if code.n > 100 else 10
+            for side in ("X", "Z"):
+                if not css._side(code, side).k:
+                    with pytest.raises(KIsZero):
+                        css.min_distance_random_upper(code, side, trials, 0)
+                    continue
+                for seed in range(20):
+                    assert css.min_distance_random_upper(code, side, trials, seed) == (
+                        reference_random_upper(code, side, trials, seed)
+                    ), (code.n, side, seed)
+
+    def test_trials_do_not_permute_or_reeliminate(self, monkeypatch):
+        code = css_power(steane(), 2)
+        expected = reference_random_upper(code, "Z", 20, 3)
+        css._side(code, "Z")  # the side's own eliminations run before the trials
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial moved or eliminated rows the old way")
+
+        monkeypatch.setattr(gf2, "_permute_bits", forbidden)
+        monkeypatch.setattr(gf2, "_rref_bitrows", forbidden)
+        assert css.min_distance_random_upper(code, "Z", 20, 3) == expected
 
     def test_at_least_exact(self):
         rng = random.Random(6)
@@ -657,6 +738,19 @@ class TestRandomUpper:
         a = css.min_distance_random_upper(code, "X", 50, 11)
         b = css.min_distance_random_upper(code, "X", 50, 11)
         assert a == b
+
+
+class TestSecondForm:
+    def test_matches_permute_eliminate_unpermute(self):
+        bases = []
+        for ell in (2, 3):
+            code = css_power(steane(), ell)
+            bases += [(list(css._side(code, side).kernel), code.n) for side in "XZ"]
+        bases += [(rows, n) for rows, n, _, _ in _oracle_searches(43, 20)]
+        for rows, n in bases:
+            search = css._Search(rows, n, None, None)
+            g, z = search._second_form()
+            assert (g.rows, z.rows) == reference_second_form(search.rows, search.pivots, n)
 
 
 class TestStabilizerWeight:

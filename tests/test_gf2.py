@@ -183,6 +183,22 @@ class TestReferenceOracle:
                 reference_rref(m.data, m.cols, order)
             )
 
+    def test_priority_rref_is_reference_mirrored(self):
+        # The rows come back with column order[i] at bit n - 1 - i; moved
+        # back, they and their pivots are the column scan under ``order``.
+        rng = random.Random(13)
+        for m in oracle_matrices():
+            order = list(range(m.cols))
+            rng.shuffle(order)
+            supports = [gf2._support_of(row) for row in m.data]
+            rows, pivots, bit = gf2._rref_by_priority(
+                supports, order, gf2._descending_powers(m.cols)
+            )
+            assert (gf2._permute_bits(rows, order[::-1]), [order[i] for i in pivots]) == (
+                reference_rref(m.data, m.cols, order)
+            )
+            assert bit == [1 << (m.cols - 1 - order.index(c)) for c in range(m.cols)]
+
     def test_kernel_and_membership(self):
         rng = random.Random(11)
         for m in oracle_matrices():
