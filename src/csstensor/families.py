@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from . import chain, css, gf2
 from .chain import ChainComplex
@@ -391,74 +390,44 @@ def _classical_matrix(token: str) -> BinMatrix:
 _FAMILY_NAMES = ("steane", "hamming", "tz", "rm", "cyclic", "fg")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A parsed family string: the family name plus its raw parameters.
-
-    ``from_string`` performs all syntax checks (raising FamilyParseError);
-    ``build`` runs the constructor, so any violated validity predicate
-    surfaces as the family's own construction error.
-    """
-
-    name: str
-    parameters: dict[str, str] = field(default_factory=dict)
-    tokens: tuple[str, ...] = ()
-
-    @classmethod
-    def from_string(cls, spec: str) -> FamilySpec:
-        head, _, body = spec.partition(":")
-        head = head.strip()
-        if head not in _FAMILY_NAMES:
-            raise FamilyParseError(f"unknown family {head!r}")
-        try:
-            if head == "tz":
-                tokens = tuple(t.strip() for t in body.split(","))
-                if len(tokens) != 2:
-                    raise FamilyParseError("tz needs two classical codes")
-                return cls(head, {}, tokens)
-            if head == "fg":
-                parts = [t.strip() for t in body.split(",")]
-                return cls(head, _parse_kv(",".join(parts[1:])), (parts[0],))
-            return cls(head, _parse_kv(body))
-        except FamilyParseError:
-            raise
-        except ValueError as exc:
-            raise FamilyParseError(f"bad family spec {spec!r}: {exc}") from exc
-
-    def build(self) -> CssCode:
-        try:
-            if self.name == "steane":
-                return steane()
-            if self.name == "hamming":
-                return hamming_css(int(self.parameters["m"]))
-            if self.name == "tz":
-                return tillich_zemor(*[_classical_matrix(t) for t in self.tokens])
-            if self.name == "rm":
-                kv = self.parameters
-                return quantum_reed_muller(int(kv["m"]), int(kv["r1"]), int(kv["r2"]))
-            if self.name == "cyclic":
-                kv = self.parameters
-                g1 = int(kv["g1"][::-1], 2)
-                g2 = int(kv["g2"][::-1], 2)
-                return cyclic_css(int(kv["n"]), g1, g2)
-            if self.name == "fg":
-                kv = self.parameters
-                pairing = (kv.get("hx", "complement"), kv.get("hz", "incidence"))
-                return finite_geometry_css(self.tokens[0], int(kv["q"]), pairing)
-        except (KeyError, IndexError) as exc:
-            raise FamilyParseError(f"family {self.name!r} is missing {exc}") from exc
-        except ValueError as exc:
-            if isinstance(exc, (css.OrthogonalityViolation, NotADivisor)):
-                raise
-            raise FamilyParseError(f"bad parameters for {self.name!r}: {exc}") from exc
-        raise FamilyParseError(f"unknown family {self.name!r}")
-
-
 def parse_family_spec(spec: str) -> tuple[str, CssCode]:
     """Parse and build a family string; returns (spec string, code).
 
     Formats: ``steane``, ``hamming:m=4``, ``tz:hamming3,hamming3``,
     ``rm:m=4,r1=1,r2=1``, ``cyclic:n=7,g1=1011,g2=1011`` (coefficient
     bits, lowest degree first), ``fg:pg,q=2[,hx=...,hz=...]``.
+
+    A bad string or parameter raises FamilyParseError; a code that fails a
+    validity predicate raises its constructor's own error.
     """
-    return spec, FamilySpec.from_string(spec).build()
+    head, _, body = spec.partition(":")
+    name = head.strip()
+    if name not in _FAMILY_NAMES:
+        raise FamilyParseError(f"unknown family {name!r}")
+    tokens = [t.strip() for t in body.split(",")]
+    if name == "tz" and len(tokens) != 2:
+        raise FamilyParseError("tz needs two classical codes")
+    kv = {} if name == "tz" else _parse_kv(",".join(tokens[1:]) if name == "fg" else body)
+    try:
+        if name == "steane":
+            code = steane()
+        elif name == "hamming":
+            code = hamming_css(int(kv["m"]))
+        elif name == "tz":
+            code = tillich_zemor(*[_classical_matrix(t) for t in tokens])
+        elif name == "rm":
+            code = quantum_reed_muller(int(kv["m"]), int(kv["r1"]), int(kv["r2"]))
+        elif name == "cyclic":
+            g1 = int(kv["g1"][::-1], 2)
+            g2 = int(kv["g2"][::-1], 2)
+            code = cyclic_css(int(kv["n"]), g1, g2)
+        else:  # fg
+            pairing = (kv.get("hx", "complement"), kv.get("hz", "incidence"))
+            code = finite_geometry_css(tokens[0], int(kv["q"]), pairing)
+    except (KeyError, IndexError) as exc:
+        raise FamilyParseError(f"family {name!r} is missing {exc}") from exc
+    except ValueError as exc:
+        if isinstance(exc, (css.OrthogonalityViolation, NotADivisor)):
+            raise
+        raise FamilyParseError(f"bad parameters for {name!r}: {exc}") from exc
+    return spec, code

@@ -6,16 +6,16 @@ operations at any width, so rank/kernel/product all reduce to integer
 bit twiddling.  All values are immutable and safe to share between
 threads.
 
-All elimination is pivot-keyed (``_echelon``, ``_rref_bitrows``): a dict
-maps each pivot column, a row's lowest set bit, to its row; an incoming
-row XORs in the row keyed by its current lowest bit until it is zero or
-claims a new key, and back-substitution in descending pivot order then
-clears the other pivot columns.  The reduced row echelon form of a row
-space under a column priority is unique, so the result is independent of
-row order and method: it is the form a column-scan Gauss-Jordan gives.
-Natural order scans columns lowest first.  Any other priority goes through
-``_rref_by_priority``, which builds each row once from its support with the
-highest-priority column at the top bit and pivots on the top set bit.
+All elimination is pivot-keyed: two echelon loops, one back-substitution.
+In natural order (columns scanned lowest first) ``_echelon`` keys each row
+by its lowest set bit; an incoming row XORs in the row keyed by its current
+lowest bit until it is zero or claims a new key.  Any other priority goes
+through ``_rref_by_priority``, which builds each row once from its support
+with the highest-priority column at the top bit and pivots on the top set
+bit.  ``_back_substitute`` then clears the other pivot columns of both.
+The reduced row echelon form of a row space under a column priority is
+unique, so the result is independent of row order and method: it is the
+form a column-scan Gauss-Jordan gives.
 
 Loops over the set bits of a row whose visiting order cannot change the
 result (supports, products, transposes, permutations, back-substitution,
@@ -191,19 +191,21 @@ def _rref_bitrows(bitrows: Sequence[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of int rows: (nonzero rows, pivot cols)."""
     echelon = _echelon(bitrows)
     pivots = sorted(echelon)
-    # Rows already reduced are zero on the other pivots, so XOR-ing one
-    # in clears exactly its own pivot bit.
-    done = 0
-    for p in reversed(pivots):
-        row = echelon[p]
-        hit = row & done
-        while hit:
-            t = hit.bit_length() - 1
-            row ^= echelon[t]
-            hit ^= 1 << t
-        echelon[p] = row
-        done |= 1 << p
+    _back_substitute(echelon, reversed(pivots))
     return [echelon[p] for p in pivots], pivots
+
+
+def _back_substitute(rows: dict[int, int] | list[int], pivots: Iterable[int]) -> None:
+    """Clear the other pivot bits of each echelon row ``rows[p]``, in place.
+
+    ``pivots`` runs away from each row's pivot: no row has a set bit on the
+    side of its pivot the walk has yet to reach, so a reduced row XOR-ed
+    into a later one clears exactly its own pivot bit.
+    """
+    done = 0
+    for p in pivots:
+        rows[p] = _reduce_by_rref(rows[p], rows, done)
+        done |= 1 << p
 
 
 def _descending_powers(n: int) -> list[int]:
@@ -242,18 +244,7 @@ def _rref_by_priority(
                 break
             row ^= other
     tops.sort()
-    # Rows with lower pivots are already reduced and have no bits above
-    # their pivot, so XOR-ing one in clears exactly its own pivot bit.
-    done = 0
-    for p in tops:
-        row = by_top[p]
-        hit = row & done
-        while hit:
-            t = hit.bit_length() - 1
-            row ^= by_top[t]
-            hit ^= 1 << t
-        by_top[p] = row
-        done |= 1 << p
+    _back_substitute(by_top, tops)
     tops.reverse()
     return [by_top[p] for p in tops], [n - 1 - p for p in tops], bit
 
@@ -264,12 +255,12 @@ def _pivot_index(bitrows: Sequence[int]) -> tuple[dict[int, int], int]:
     return dict(zip(pivots, rows)), sum(1 << p for p in pivots)
 
 
-def _reduce_by_rref(vec: int, by_pivot: dict[int, int], pivot_mask: int) -> int:
-    """Residue of ``vec`` modulo the row space given by ``_pivot_index``.
+def _reduce_by_rref(vec: int, by_pivot: dict[int, int] | list[int], pivot_mask: int) -> int:
+    """Residue of ``vec`` modulo the reduced rows ``by_pivot[p]``, p in ``pivot_mask``.
 
     Reduced rows are zero on the other pivots, so one XOR per pivot bit
-    set in ``vec`` suffices; the residue is zero exactly when ``vec``
-    lies in the row space.
+    set in ``vec`` suffices.  With all the rows of ``_pivot_index`` the
+    residue is zero exactly when ``vec`` lies in the row space.
     """
     hit = vec & pivot_mask
     while hit:

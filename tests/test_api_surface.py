@@ -24,6 +24,7 @@ BENCHMARK = SRC.parent.parent / "BENCHMARK.json"
 ALLOWED = {
     "associativity_permutation": "documented in the README",
     "reduced_power_length": "used by the acceptance tests",
+    "tensor_distance_lower_bound": "used by the acceptance tests",
     "euler_characteristic": "test oracle",
     "quantum_reed_muller_k": "test oracle",
     "code_to_json": "named by BENCHMARK.json's per-layer metrics; oracle of dump_code",

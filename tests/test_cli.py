@@ -276,6 +276,13 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in stdout
 
+    @pytest.mark.parametrize("scale", ["fast", "full"])
+    def test_fifteen_uniquely_named_properties(self, scale):
+        # The benchmark's verify workload accepts a run only when it ends
+        # "pass total: 15 properties".
+        names = [r.name for r in verify.run_suite(scale, 101)]
+        assert len(names) == 15 and len(set(names)) == 15
+
     def test_fixed_seed_identical_bytes(self, capsys):
         _, first, _ = run(capsys, "verify", "fast", "--seed", "7")
         _, second, _ = run(capsys, "verify", "fast", "--seed", "7")
@@ -345,8 +352,10 @@ PINNED_STDOUT = [
     (("sweep", "steane", "--ell-max", "3", "--weight-cap", "2", "--trials", "10",
       "--seed", "101"),
      "ab7d3181eeaebf87beab796e8d199b011ced672c12ab50cfc46d1cd81345826c"),
+    # Renaming criterion_bound_sound to product_witness_bound is the only
+    # change from 898b85fa522bab75a0e5a8aba15bf73cbd01d9ff0112f2ce2bb62cac773b099d.
     (("verify", "fast", "--seed", "101"),
-     "898b85fa522bab75a0e5a8aba15bf73cbd01d9ff0112f2ce2bb62cac773b099d"),
+     "c26fd1c0dd05f2d9359cdc5ccff1835509d0d994ef95338be2b03e04ff1e07fd"),
     (("sweep", "steane", "--ell-max", "3", "--weight-cap", "2", "--trials", "10",
       "--format", "json"),
      "f533e61151cb5806bc14e751ce0d5aede8e3b2888cc23a128ddf70e4a644f0b0"),
@@ -420,10 +429,27 @@ class TestErrorPaths:
         ["sweep", "steane", "--ell-max", "2", "--trials", "0"],
         ["analyze", "input.json", "--trials", "-1"],
         ["sweep", "steane", "--ell-max", "two"],
+        ["analyze", "input.json", "--time-budget", "nan"],
+        ["analyze", "input.json", "--time-budget", "0"],
+        ["sweep", "steane", "--ell-max", "2", "--time-budget", "-1"],
+        ["sweep", "steane", "--ell-max", "2", "--time-budget", "-inf"],
+        ["analyze", "input.json", "--exact-up-to", "-1"],
+        ["sweep", "steane", "--ell-max", "2", "--weight-cap", "-3"],
     ], ids=["ell-0", "ell-negative", "ell-max-0", "sweep-trials-0",
-            "analyze-trials-negative", "ell-max-not-int"])
+            "analyze-trials-negative", "ell-max-not-int", "analyze-budget-nan",
+            "analyze-budget-0", "sweep-budget-negative", "sweep-budget-minus-inf",
+            "exact-up-to-negative", "weight-cap-negative"])
     def test_nonpositive_count_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         assert "error: argument --" in capsys.readouterr().err
+
+    def test_budget_and_cap_limits_accepted(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["analyze", "in.json", "--time-budget", "inf",
+                                  "--exact-up-to", "0"])
+        assert args.time_budget == float("inf") and args.exact_up_to == 0
+        args = parser.parse_args(["sweep", "steane", "--ell-max", "1", "--time-budget",
+                                  "0.5", "--weight-cap", "0"])
+        assert args.time_budget == 0.5 and args.weight_cap == 0

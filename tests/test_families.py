@@ -292,12 +292,53 @@ class TestParseFamilySpec:
         with pytest.raises(OrthogonalityViolation):
             parse_family_spec("rm:m=3,r1=1,r2=2")
 
-    def test_family_spec_object(self):
-        spec = families.FamilySpec.from_string("rm:m=4,r1=1,r2=1")
-        assert spec.name == "rm"
-        assert spec.parameters == {"m": "4", "r1": "1", "r2": "1"}
-        assert spec.build().n == 16
 
-    def test_family_spec_unknown_name_at_parse(self):
-        with pytest.raises(FamilyParseError):
-            families.FamilySpec.from_string("mystery:x=1")
+SPEC_TABLE_VALID = [
+    ("steane", 7, 1),
+    ("hamming:m=4", 15, 7),
+    ("tz:hamming3,hamming3", 58, 16),
+    ("tz:rep3,rep3", 13, 1),
+    ("rm:m=4,r1=1,r2=1", 16, 6),
+    ("cyclic:n=7,g1=1011,g2=1011", 7, 1),
+    ("fg:pg,q=2", 7, 0),
+    ("fg:pg,q=2,hx=complement,hz=incidence", 7, 0),
+]
+
+# Exception types and messages as the two-phase parser (parse, then build) gave them.
+SPEC_TABLE_BAD = [
+    ("nope", FamilyParseError, "unknown family 'nope'"),
+    ("mystery:x=1", FamilyParseError, "unknown family 'mystery'"),
+    ("rm:m=4", FamilyParseError, "family 'rm' is missing 'r1'"),
+    ("rm:m4", FamilyParseError, "expected key=value, got 'm4'"),
+    ("steane:x", FamilyParseError, "expected key=value, got 'x'"),
+    ("tz:hamming3", FamilyParseError, "tz needs two classical codes"),
+    ("tz:foo,bar", FamilyParseError,
+     "bad parameters for 'tz': unknown classical code token 'foo'"),
+    ("tz:rep1,rep3", FamilyParseError, "bad parameters for 'tz': rep needs length >= 2"),
+    ("cyclic:n=7,g1=xx,g2=1011", FamilyParseError,
+     "bad parameters for 'cyclic': invalid literal for int() with base 2: 'xx'"),
+    ("fg:pg", FamilyParseError, "family 'fg' is missing 'q'"),
+    ("fg:xx,q=2", FamilyParseError,
+     "bad parameters for 'fg': kind must be 'pg' or 'eg', got 'xx'"),
+    ("fg:pg,q=6", FamilyParseError, "bad parameters for 'fg': unsupported field order 6"),
+    ("hamming:m=1", FamilyParseError, "bad parameters for 'hamming': m must be >= 2"),
+    ("rm:m=3,r1=1,r2=2", OrthogonalityViolation,
+     "h_x row 1 and h_z row 6 overlap on an odd number of qubits"),
+    ("cyclic:n=7,g1=111,g2=1011", NotADivisor, "g (bits 111) does not divide x^7 - 1"),
+]
+
+
+class TestParseFamilySpecTable:
+    @pytest.mark.parametrize("spec, n, k", SPEC_TABLE_VALID, ids=[r[0] for r in SPEC_TABLE_VALID])
+    def test_valid(self, spec, n, k):
+        name, code = parse_family_spec(spec)
+        assert name == spec
+        assert (code.n, css.dimension_k(code)) == (n, k)
+
+    @pytest.mark.parametrize("spec, error, message", SPEC_TABLE_BAD,
+                             ids=[r[0] for r in SPEC_TABLE_BAD])
+    def test_bad(self, spec, error, message):
+        with pytest.raises(ValueError) as exc:
+            parse_family_spec(spec)
+        assert type(exc.value) is error
+        assert str(exc.value) == message

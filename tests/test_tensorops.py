@@ -305,6 +305,19 @@ class TestBounds:
         assert all(r.passed for r in results)
         assert len(runs) == 6 * (2 + 2 * 4)
 
+    def test_soundness_suite_catches_inflated_product_distance(self, monkeypatch):
+        # An exact product distance 100 above the truth still dominates every
+        # lower bound; only the product witness x (x) y can expose it.
+        real = css.min_distance_exact
+
+        def inflated(code, side, *args, **kwargs):
+            value = real(code, side, *args, **kwargs).value + 100
+            return css.DistanceResult(value, value, True)
+
+        monkeypatch.setattr(css, "min_distance_exact", inflated)
+        failed = [r.name for r in verify.bound_soundness_suite(5, 6) if not r.passed]
+        assert failed == ["tensorops/product_witness_bound"]
+
     def test_pinned_factor_params_and_bounds(self):
         # Values of the bound machine on family codes: k = 0 codes, codes
         # with redundant checks (h_top > 0) and every pair with k >= 1.
