@@ -12,7 +12,8 @@ Summand ordering inside a tensor product is fixed once and for all:
 each summand uses left-factor-major Kronecker indexing.  A product of
 more factors is the left fold of pairwise products.  This makes every
 block matrix reproducible bit for bit.  ``tensor`` is the one assembler:
-products of codes, powers and truncations are all windows of it.
+products of codes, powers and truncations are all windows of it, and it
+writes each Kronecker block straight into the product's rows in one pass.
 """
 
 from __future__ import annotations
@@ -79,16 +80,15 @@ class ChainComplex:
 
 def validate(x: ChainComplex) -> None:
     """Raise ShapeMismatch or BoundarySquareNonzero at the first failing degree."""
-    for i in range(1, x.top_degree() + 1):
-        b = x.boundary(i)
+    for i, b in enumerate(x.boundaries, 1):
         if b.cols != x.dims[i] or b.rows != x.dims[i - 1]:
             raise ShapeMismatch(
                 i,
                 f"boundary {i} has shape {b.rows}x{b.cols}, "
                 f"expected {x.dims[i - 1]}x{x.dims[i]}",
             )
-    for i in range(2, x.top_degree() + 1):
-        if not gf2.matmul(x.boundary(i - 1), x.boundary(i)).is_zero():
+    for i, (b1, b2) in enumerate(zip(x.boundaries, x.boundaries[1:]), 2):
+        if not gf2.matmul(b1, b2).is_zero():
             raise BoundarySquareNonzero(i, f"boundary {i - 1} o boundary {i} != 0")
 
 
@@ -101,10 +101,10 @@ def is_valid(x: ChainComplex) -> bool:
 
 
 def homology_dims(x: ChainComplex) -> HomologyProfile:
-    """dim H_i = dims[i] - rank(boundary i) - rank(boundary i+1) at every degree."""
+    """dim H_i = dims[i] - rank(boundary i) - rank(boundary i+1); end maps have rank 0."""
     validate(x)
-    ranks = [gf2.rank(x.boundary(i)) for i in range(len(x.dims) + 1)]
-    return tuple(x.dims[i] - ranks[i] - ranks[i + 1] for i in range(len(x.dims)))
+    ranks = [0, *map(gf2.rank, x.boundaries), 0]
+    return tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(x.dims))
 
 
 def euler_characteristic(x: ChainComplex) -> int:
@@ -120,35 +120,29 @@ def tensor_dims(dx: Sequence[int], dy: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+_COMPOSITIONS: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
+
+
 def _compositions(tops: Sequence[int], degree: int) -> list[tuple[int, ...]]:
     """Summand degree tuples (c_1, ..., c_l) of ``degree`` in left-fold order.
 
     0 <= c_p <= tops[p].  The left fold ((X_1 (x) X_2) (x) ...) (x) X_l
     lists its summands by ascending prefix sums, the longest prefix
     (c_1 + ... + c_{l-1}) first, then recursively inside that prefix.
+    Each answer is kept per ``(tuple(tops), degree)``; callers get a copy.
     """
     if not tops:
         return [()] if degree == 0 else []
-    *head, last = tops
-    return [
-        prefix + (degree - s,)
-        for s in range(max(0, degree - last), min(sum(head), degree) + 1)
-        for prefix in _compositions(head, s)
-    ]
-
-
-def _kron_between_identities(m: BinMatrix, left: int, right: int) -> list[int]:
-    """Rows of kron(I_left, kron(m, I_right)) without building the identities."""
-    shifted = []
-    for row in m.data:
-        bits = 0
-        for j in gf2._support_of(row):
-            bits |= 1 << (j * right)
-        shifted.append(bits)
-    step = m.cols * right
-    return [
-        srow << (a * step + b) for a in range(left) for srow in shifted for b in range(right)
-    ]
+    key = (tuple(tops), degree)
+    found = _COMPOSITIONS.get(key)
+    if found is None:
+        head = key[0][:-1]
+        found = _COMPOSITIONS[key] = tuple(
+            prefix + (degree - s,)
+            for s in range(max(0, degree - tops[-1]), min(sum(head), degree) + 1)
+            for prefix in _compositions(head, s)
+        )
+    return list(found)
 
 
 def tensor(*factors: ChainComplex, lo: int = 0, hi: int | None = None) -> ChainComplex:
@@ -159,10 +153,12 @@ def tensor(*factors: ChainComplex, lo: int = 0, hi: int | None = None) -> ChainC
     and then cutting the window; only the window is ever assembled.  The
     boundary on a summand is the sum over factors p of
     ``kron(I, d_p, I)`` into the summand with c_p lowered by one; no signs
-    in characteristic 2.  With one factor the window is a truncation, and
-    the empty product is the unit complex 0 -> F -> 0.
+    in characteristic 2.  For ``kron(I_left, d, I_right)`` each row of ``d``
+    is spread to stride ``right`` once and XOR-ed into its target rows at
+    shifts ``a * d.cols * right + b``.  With one factor the window is a
+    truncation, and the empty product is the unit complex 0 -> F -> 0.
     """
-    tops = [f.top_degree() for f in factors]
+    tops = tuple(f.top_degree() for f in factors)
     top = sum(tops)
     if hi is None:
         hi = top
@@ -192,11 +188,23 @@ def tensor(*factors: ChainComplex, lo: int = 0, hi: int | None = None) -> ChainC
                 for p, f in enumerate(factors):
                     v = c[p]
                     if v:
+                        m = f.boundaries[v - 1]
                         right = width // (left * f.dims[v])
-                        ro = tgt_offset[c[:p] + (v - 1,) + c[p + 1 :]]
-                        block = _kron_between_identities(f.boundary(v), left, right)
-                        for s, brow in enumerate(block, ro):
-                            rows[s] ^= brow << col_off
+                        spread = []
+                        for row in m.data:
+                            bits = 0
+                            while row:
+                                t = row.bit_length() - 1
+                                bits |= 1 << (t * right)
+                                row ^= 1 << t
+                            spread.append(bits)
+                        s = tgt_offset[c[:p] + (v - 1,) + c[p + 1 :]]
+                        for a in range(left):
+                            shift = a * m.cols * right + col_off
+                            for srow in spread:
+                                for b in range(shift, shift + right):
+                                    rows[s] ^= srow << b
+                                    s += 1
                     left *= f.dims[v]
             col_off += width
         boundaries.append(BinMatrix(dims[k - 1], dims[k], tuple(rows)))

@@ -92,10 +92,9 @@ class BinMatrix:
             raise ValueError("negative dimension")
         if len(self.data) != self.rows:
             raise ValueError("row count does not match data")
-        cols = self.cols
-        for r in self.data:
-            if r < 0 or r.bit_length() > cols:
-                raise ValueError("row has bits beyond declared width")
+        data = self.data
+        if data and (min(data) < 0 or max(data).bit_length() > self.cols):
+            raise ValueError("row has bits beyond declared width")
 
     # -- constructors ---------------------------------------------------
 
@@ -153,7 +152,7 @@ class BinMatrix:
         return [_support_of(r) for r in self.data]
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.data)
+        return not any(self.data)
 
 
 def _support_of(bits: int) -> list[int]:
@@ -317,10 +316,17 @@ def _kernel_bitrows(bitrows: Sequence[int], columns: int) -> tuple[list[int], in
 
 
 def rowspace_contains(m: BinMatrix, v: BinVector) -> bool:
-    """Whether ``v`` is an F2-combination of the rows of ``m``."""
+    """Whether ``v`` is an F2-combination of the rows of ``m``.
+
+    ``_echelon`` rows have no bit below their pivot, so ``v`` lies in the
+    row space exactly when its lowest bit keys a row at every step.
+    """
     if v.n != m.cols:
         raise DimensionMismatch(f"vector length {v.n} != cols {m.cols}")
-    return _reduce_by_rref(v.bits, *_pivot_index(m.data)) == 0
+    echelon, vec = _echelon(m.data), v.bits
+    while vec and (row := echelon.get((vec & -vec).bit_length() - 1)) is not None:
+        vec ^= row
+    return vec == 0
 
 
 def matmul(a: BinMatrix, b: BinMatrix) -> BinMatrix:

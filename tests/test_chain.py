@@ -12,7 +12,7 @@ import pytest
 from csstensor import chain, gf2, tensorops, verify
 from csstensor.chain import BoundarySquareNonzero, ChainComplex, ShapeMismatch
 from csstensor.families import hamming_parity_check
-from csstensor.rand import random_complex3
+from csstensor.rand import random_complex, random_complex3, random_matrix
 
 
 def steane_complex() -> ChainComplex:
@@ -71,6 +71,48 @@ def convolve(a, b):
     return tuple(out)
 
 
+def left_fold_compositions(tops, degree):
+    """Brute force: every degree tuple, sorted by prefix sums, longest first."""
+    brute = [c for c in itertools.product(*(range(t + 1) for t in tops)) if sum(c) == degree]
+    return sorted(brute, key=lambda c: tuple(reversed(list(itertools.accumulate(c[:-1])))))
+
+
+def kron_product(x: ChainComplex, y: ChainComplex) -> ChainComplex:
+    """X (x) Y from gf2.kron with explicit identity matrices.
+
+    Degree k lists the summands X_i (x) Y_{k-i} by ascending i; the block
+    from (i, j) is kron(d_i, I) into (i - 1, j) and kron(I, d_j) into
+    (i, j - 1), placed at the summands' row and column offsets.
+    """
+
+    def layout(k):
+        offsets, off = {}, 0
+        for i, a in enumerate(x.dims):
+            if 0 <= k - i < len(y.dims):
+                offsets[i, k - i] = off
+                off += a * y.dims[k - i]
+        return offsets, off
+
+    layouts = [layout(k) for k in range(len(x.dims) + len(y.dims) - 1)]
+    boundaries = []
+    for k in range(1, len(layouts)):
+        (sources, cols), (targets, height) = layouts[k], layouts[k - 1]
+        rows = [0] * height
+        for (i, j), col_off in sources.items():
+            blocks = []
+            if i:
+                ident = gf2.BinMatrix.identity(y.dims[j])
+                blocks.append(((i - 1, j), gf2.kron(x.boundaries[i - 1], ident)))
+            if j:
+                ident = gf2.BinMatrix.identity(x.dims[i])
+                blocks.append(((i, j - 1), gf2.kron(ident, y.boundaries[j - 1])))
+            for target, block in blocks:
+                for r, row in enumerate(block.data, targets[target]):
+                    rows[r] ^= row << col_off
+        boundaries.append(gf2.BinMatrix(height, cols, tuple(rows)))
+    return ChainComplex(tuple(off for _, off in layouts), tuple(boundaries))
+
+
 class TestValidate:
     def test_single_space_ok(self):
         chain.validate(ChainComplex.single(1))
@@ -101,6 +143,23 @@ class TestHomology:
     def test_exact_two_term(self):
         x = ChainComplex((3, 3), (gf2.BinMatrix.identity(3),))
         assert chain.homology_dims(x) == (0, 0)
+
+    def test_end_ranks_match_enumeration(self):
+        # the maps at either end are zero; homology_dims ranks only the rest
+        rng = random.Random(31)
+        cases = [ChainComplex.single(0), ChainComplex.single(4)]
+        cases += [
+            ChainComplex((rows, cols), (random_matrix(rng, rows, cols),))
+            for rows, cols in [(0, 3), (3, 0), (0, 0), (2, 5), (5, 2), (4, 4)]
+        ]
+        empty_ends = [(0, 3, 2), (2, 3, 0), (0, 0, 0), (0, 4, 0)]
+        cases += [random_complex(rng, dims) for dims in empty_ends]
+        for x in cases:
+            ranks = [
+                verify._rank_by_enumeration(x.boundary(i)) for i in range(len(x.dims) + 1)
+            ]
+            expected = tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(x.dims))
+            assert chain.homology_dims(x) == expected, x.dims
 
     def test_euler_characteristic_alternating_sum(self):
         rng = random.Random(3)
@@ -145,6 +204,21 @@ class TestTensor:
                 chain.euler_characteristic(x) * chain.euler_characteristic(y)
             )
 
+    def test_matches_explicit_kron_oracle(self):
+        rng = random.Random(32)
+        pairs = [(random_complex3(rng, 4), random_complex3(rng, 4)) for _ in range(40)]
+        zero_dims = [(0, 2, 3), (3, 2, 0), (0, 0, 0), (0, 3, 0), (2, 0, 2)]
+        pairs += [(random_complex(rng, d), random_complex3(rng, 3)) for d in zero_dims]
+        pairs += [(random_complex3(rng, 3), random_complex(rng, d)) for d in zero_dims]
+        pairs += [
+            (ChainComplex.single(2), random_complex3(rng, 3)),
+            (random_complex3(rng, 3), ChainComplex.single(3)),
+            (ChainComplex((2, 3), (random_matrix(rng, 2, 3),)), random_complex3(rng, 3)),
+        ]
+        assert len(pairs) >= 50
+        for x, y in pairs:
+            assert chain.tensor(x, y) == kron_product(x, y), (x.dims, y.dims)
+
     def test_associativity_up_to_permutation(self):
         rng = random.Random(6)
         for _ in range(40):
@@ -176,6 +250,28 @@ class TestWindow:
                     if sum(c) == degree
                 ]
                 assert chain._compositions(tops, degree) == sorted(brute, key=fold_key)
+
+    def test_compositions_match_brute_force(self):
+        for length in range(6):
+            for tops in itertools.product(range(3), repeat=length):
+                for degree in range(-1, sum(tops) + 2):
+                    expected = left_fold_compositions(tops, degree)
+                    assert chain._compositions(tops, degree) == expected
+                    assert chain._compositions(list(tops), degree) == expected
+
+    def test_compositions_survive_caller_mutation(self):
+        for tops, degree in [((2, 2), 2), ((2, 2, 2), 3), ((1,), 1), ((), 0)]:
+            first = chain._compositions(tops, degree)
+            expected = list(first)
+            first.append((9,) * len(tops))
+            first.reverse()
+            again = chain._compositions(tops, degree)
+            assert again == expected and again is not first
+            again.clear()
+            assert chain._compositions(tops, degree) == expected
+        # a mutated prefix list does not leak into longer tuples either
+        chain._compositions((2, 2), 1).clear()
+        assert chain._compositions((2, 2, 1), 2) == left_fold_compositions((2, 2, 1), 2)
 
     def test_multi_factor_is_left_fold(self):
         rng = random.Random(13)

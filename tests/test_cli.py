@@ -375,6 +375,9 @@ PINNED_STDOUT = [
     # Capped below d = 9: an inexact bracket on both sides.
     (("analyze", "sq.json", "--exact-up-to", "4", "--trials", "5"),
      "ae8714b7c473efb0e254109f5ef9ed99f3ececafbf704e50c877692663d4a19e"),
+    # The timed unit of the verify-small benchmark.
+    (("verify", "full", "--seed", "101"),
+     "74a05a85032cb6925f2dcff52c57d32676e0b72ace659fde8c6254b6dfbe983f"),
 ]
 
 # Environment settings of single pinned commands.

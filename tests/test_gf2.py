@@ -449,6 +449,20 @@ class TestValidation:
             with pytest.raises(ValueError):
                 BinMatrix(1, 8, (row,))
 
+    def test_row_width_checked_on_every_row(self):
+        # a bad row anywhere among valid ones raises the one message
+        valid = [0b101, 0b011, 0b110, 0b111]
+        for bad in (0b1000, 1 << 70, -1):
+            for pos in (0, 2, len(valid) - 1):
+                data = list(valid)
+                data[pos] = bad
+                with pytest.raises(ValueError, match="^row has bits beyond declared width$"):
+                    BinMatrix(len(data), 3, tuple(data))
+        with pytest.raises(ValueError, match="^row has bits beyond declared width$"):
+            BinMatrix(5, 3, (0b111, -4, 0b001, 0, 0b100))
+        assert BinMatrix(0, 5, ()).data == ()
+        assert BinMatrix(4, 3, tuple(valid)).data == tuple(valid)
+
     def test_vector_weight(self):
         v = BinVector.from_support(5, [0, 3])
         assert v.weight() == 2 and v.support() == [0, 3]
