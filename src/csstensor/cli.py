@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import chain, css, families, tensorops, verify
-from .css import CssCode, KIsZero, OrthogonalityViolation
-from .families import FamilyParseError, NotADivisor
+from .css import CssCode
+from .families import FamilyParseError
 from .tensorops import DEFAULT_SEED, PowerSpec, ResourceCeiling
 
 RESOURCE_CEILING_ENV = "CSSTENSOR_MAX_N"
@@ -250,10 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCeiling as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (OrthogonalityViolation, NotADivisor, KIsZero) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
 

@@ -239,6 +239,10 @@ class _Rows:
             self.pairs = _classes([(i, sigs[i] ^ sigs[j], rows[i] ^ rows[j]) for i, j in pairs], k)
 
 
+# The Z of a form with no span to add; it never batches, so it builds no tables.
+_NO_ROWS = _Rows([], None, False)
+
+
 class _Search:
     """Enumeration of a row space from two disjoint information sets.
 
@@ -247,24 +251,28 @@ class _Search:
     ``checks`` is None.  Signatures are linear, so a sum of rows has the
     XOR of their signatures.
 
-    Pass 1 walks combinations of the reduced rows.  Their pivot set P is an
-    information set: a word of the span is the sum of exactly the rows
-    whose pivots it has, so level r covers every word with r ones on P.
+    The search walks forms (G, Z).  Level j of a form covers every sum of a
+    j-subset of G with an element of span(Z), except the zero word; level
+    0, the nonzero part of span(Z), is walked as levels 1..|Z| of (Z, ()).
+    The first form is (rows, ()).  The pivot set P of the reduced rows is
+    an information set: a word of the span is the sum of exactly the rows
+    whose pivots it has, so level j covers every word with j ones on P.
+    The second form re-eliminates the rows with the complement N of P first
+    in the column priority (``gf2._rref_by_priority``): G holds the rows
+    with pivots in N and Z the rows that are zero on all of N.  A sum over
+    a j-subset of G has a one at the pivot of each row of the subset, and
+    any word with at most j ones on N is such a sum for some subset of at
+    most j rows, so levels 0..j cover it.
 
-    Pass 2 re-eliminates the rows with the complement N of P first in the
-    column priority (``gf2._rref_by_priority``), so pivots land in N first.  G holds the rows with pivots in N and
-    Z the rows that are zero on all of N.  Level j sums every j-subset of G
-    with every element of span(Z); such a word has a one at the pivot of
-    each row of the subset, and any word with at most j ones on N is such a
-    sum for some subset of at most j rows, so levels 0..j cover it.
-
-    After pass-1 level p1 and pass-2 level p2, every word not yet seen has
-    at least p1 + 1 ones on P and at least p2 + 1 ones on N, so no target
-    lighter than ``lower`` = p1 + p2 + 2 (p1 + 1 before pass 2 runs) was
-    missed.  Each step raises ``lower`` by one with the cheaper next level:
-    C(K, p1 + 1) words for pass 1 or C(|G|, p2 + 1) * 2^|Z| for pass 2,
-    ties to pass 1.  The pass-2 form costs about one elimination of the K
-    rows, so it is built only once pass 1's next level exceeds K^2 words.
+    Each form keeps its last completed level, 0 for the first (its level 0
+    is empty) and -1 for the second.  A word not yet seen has more ones
+    than that on each form's information set, and the sets are disjoint,
+    so no target lighter than ``lower`` = sum(level + 1) was missed.  The
+    search is exhausted once a form completes level |G|.  Each step raises
+    ``lower`` by one with the cheapest next level, C(|G|, j) * 2^|Z| words,
+    ties to the first form.  The second form costs about one elimination
+    of the K rows, so it is built only once the first form's next level
+    exceeds K^2 words.
 
     A leaf covers acc plus each row, or each pair of rows, of a tail.  With
     K >= _BATCH_MIN and k <= _BATCH_CHECKS_MAX the search batches: a leaf
@@ -287,8 +295,7 @@ class _Search:
         self.best_w: int | None = None
         self.best_word: int | None = None
         self.nodes = 0
-        self.first = _Rows(self.rows, checks, self.batch)
-        self.second: tuple[_Rows, _Rows] | None = None
+        self.forms = [(_Rows(self.rows, checks, self.batch), _NO_ROWS)]
 
     def _walk(self, t: _Rows, start: int, left: int, acc: int, sig: int) -> None:
         """Cover acc + every left-subset sum of t.rows[start:]; sig is acc's.
@@ -353,9 +360,7 @@ class _Search:
         """(G, Z): the rows re-eliminated with the non-pivot columns first."""
         pivot_set = set(self.pivots)
         order = [c for c in range(self.n) if c not in pivot_set] + self.pivots
-        rows, pivots, _ = gf2._rref_by_priority(
-            [gf2._support_of(row) for row in self.rows], order, gf2._descending_powers(self.n)
-        )
+        rows, pivots, _ = gf2._rref_by_priority([gf2._support_of(row) for row in self.rows], order)
         # Bit b holds column order[n - 1 - b]: move the rows back.
         rows = gf2._permute_bits(rows, order[::-1])
         free = self.n - len(self.pivots)
@@ -363,13 +368,11 @@ class _Search:
         z = [row for row, p in zip(rows, pivots) if p >= free]
         return _Rows(g, self.checks, self.batch), _Rows(z, self.checks, self.batch)
 
-    def _pass2(self, j: int) -> None:
-        g, z = self.second
+    def _level(self, g: _Rows, z: _Rows, j: int) -> None:
+        """Cover level j of the form (g, z)."""
         if j == 0:
-            # The nonzero elements of span(Z); the zero word is no target.
             for r in range(1, len(z) + 1):
-                z.prepare(r, 1)
-                self._walk(z, 0, r, 0, 0)
+                self._level(z, _NO_ROWS, r)
             return
         g.prepare(j, 1 << len(z))
         acc = sig = 0
@@ -393,33 +396,26 @@ class _Search:
             self.best_w = seed_upper
         k = len(self.rows)
         if weight_cap is not None and weight_cap >= k:
-            weight_cap = None  # pass 1 alone exhausts the basis within the cap
-        p1, p2 = 0, -1
+            weight_cap = None  # the first form alone exhausts the basis within the cap
+        levels = [0] + [-1] * (len(self.forms) - 1)
         while True:
-            lower = p1 + 1 if p2 < 0 else p1 + p2 + 2
-            exhausted = p1 == k or (self.second is not None and p2 == len(self.second[0]))
+            lower = sum(levels) + len(levels)
+            exhausted = any(level == len(g) for level, (g, _) in zip(levels, self.forms))
             if exhausted or (self.best_w is not None and self.best_w <= lower):
                 break
             if weight_cap is not None and lower > weight_cap:
                 break
-            cost1 = math.comb(k, p1 + 1)
-            if self.second is None and cost1 > k * k:
-                self.second = self._second_form()
-            use2 = self.second is not None and (
-                math.comb(len(self.second[0]), p2 + 1) << len(self.second[1])
-            ) < cost1
+            if len(self.forms) == 1 and math.comb(k, levels[0] + 1) > k * k:
+                self.forms.append(self._second_form())
+                levels.append(-1)
+            costs = [math.comb(len(g), level + 1) << len(z)
+                     for level, (g, z) in zip(levels, self.forms)]
+            i = costs.index(min(costs))
             try:
-                if use2:
-                    self._pass2(p2 + 1)
-                else:
-                    self.first.prepare(p1 + 1, 1)
-                    self._walk(self.first, 0, p1 + 1, 0, 0)
+                self._level(*self.forms[i], levels[i] + 1)
             except _Timeout:
                 break
-            if use2:
-                p2 += 1
-            else:
-                p1 += 1
+            levels[i] += 1
 
         found = self.best_w if self.best_word is not None else None
         witness = _vec(self.best_word, self.n)
@@ -560,11 +556,10 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
     best: int | None = None
     supports = [gf2._support_of(row) for row in s.kernel]
     check_supports = [gf2._support_of(c) for c in s.checks]
-    powers = gf2._descending_powers(code.n)
     for _ in range(max(1, trials)):
         order = list(range(code.n))
         rng.shuffle(order)
-        rows, _, bit = gf2._rref_by_priority(supports, order, powers)
+        rows, _, bit = gf2._rref_by_priority(supports, order)
         moved_checks = [sum(map(bit.__getitem__, c)) for c in check_supports]
         if len(rows) <= 80:
             rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]

@@ -10,12 +10,14 @@ All elimination is pivot-keyed: two echelon loops, one back-substitution.
 In natural order (columns scanned lowest first) ``_echelon`` keys each row
 by its lowest set bit; an incoming row XORs in the row keyed by its current
 lowest bit until it is zero or claims a new key.  Any other priority goes
-through ``_rref_by_priority``, which builds each row once from its support
-with the highest-priority column at the top bit and pivots on the top set
-bit.  ``_back_substitute`` then clears the other pivot columns of both.
-The reduced row echelon form of a row space under a column priority is
-unique, so the result is independent of row order and method: it is the
-form a column-scan Gauss-Jordan gives.
+through ``_rref_by_priority``, which reads each column's bit off the order,
+builds each row once from its support with the highest-priority column at
+the top bit and pivots on the top set bit.  ``_back_substitute`` then
+clears the other pivot columns of both, and kernels read the reduced rows
+and their pivots straight from ``_rref_bitrows``.  The reduced row echelon
+form of a row space under a column priority is unique, so the result is
+independent of row order and method: it is the form a column-scan
+Gauss-Jordan gives.
 
 Loops over the set bits of a row whose visiting order cannot change the
 result (supports, products, transposes, permutations, back-substitution,
@@ -142,11 +144,7 @@ class BinMatrix:
         return [r.bit_count() for r in self.data]
 
     def col_weights(self) -> list[int]:
-        w = [0] * self.cols
-        for r in self.data:
-            for j in _support_of(r):
-                w[j] += 1
-        return w
+        return [len(c) for c in _column_supports(self)]
 
     def support(self) -> list[list[int]]:
         return [_support_of(r) for r in self.data]
@@ -207,29 +205,25 @@ def _back_substitute(rows: dict[int, int] | list[int], pivots: Iterable[int]) ->
         done |= 1 << p
 
 
-def _descending_powers(n: int) -> list[int]:
-    """``[1 << (n - 1), ..., 2, 1]``: entry i is the bit of column priority i."""
-    return [1 << b for b in range(n - 1, -1, -1)]
-
-
 def _rref_by_priority(
-    supports: Sequence[Sequence[int]], order: Sequence[int], powers: Sequence[int]
+    supports: Sequence[Sequence[int]], order: Sequence[int]
 ) -> tuple[list[int], list[int], list[int]]:
     """RREF of the rows with these supports when columns are scanned in ``order``.
 
-    ``powers`` is ``_descending_powers(len(order))``.  Column ``order[i]``
-    moves to bit n - 1 - i, so the highest priority is the top bit, and
-    each row is built once from its support by summing its columns' bits.
-    Elimination pivots on a row's top set bit, which every XOR clears, and
-    takes the rows lightest first; back-substitution then runs in ascending
-    pivot order.  Returns the rows in scan order, in these moved
-    coordinates, their pivots as priority indices, and the bit of each
-    column, with which a caller moves further words alike.  The RREF under
-    a priority is unique: bit b read as column ``order[n - 1 - b]``, these
-    are the rows of a column scan in ``order``.
+    Column ``order[i]`` moves to bit n - 1 - i, so the highest priority is
+    the top bit, and each row is built once from its support by summing
+    its columns' bits.  Elimination pivots on a row's top set bit, which
+    every XOR clears, and takes the rows lightest first; back-substitution
+    then runs in ascending pivot order.  Returns the rows in scan order, in
+    these moved coordinates, their pivots as priority indices, and the bit
+    of each column, with which a caller moves further words alike.  The
+    RREF under a priority is unique: bit b read as column
+    ``order[n - 1 - b]``, these are the rows of a column scan in ``order``.
     """
     n = len(order)
-    bit = list(map(powers.__getitem__, sorted(range(n), key=order.__getitem__)))
+    bit = [0] * n
+    for i, c in enumerate(order):
+        bit[c] = 1 << (n - 1 - i)
     by_top = [0] * n
     tops = []
     for support in sorted(supports, key=len):
@@ -248,18 +242,12 @@ def _rref_by_priority(
     return [by_top[p] for p in tops], [n - 1 - p for p in tops], bit
 
 
-def _pivot_index(bitrows: Sequence[int]) -> tuple[dict[int, int], int]:
-    """The reduced rows keyed by pivot column, and the mask of pivot bits."""
-    rows, pivots = _rref_bitrows(bitrows)
-    return dict(zip(pivots, rows)), sum(1 << p for p in pivots)
-
-
 def _reduce_by_rref(vec: int, by_pivot: dict[int, int] | list[int], pivot_mask: int) -> int:
     """Residue of ``vec`` modulo the reduced rows ``by_pivot[p]``, p in ``pivot_mask``.
 
     Reduced rows are zero on the other pivots, so one XOR per pivot bit
-    set in ``vec`` suffices.  With all the rows of ``_pivot_index`` the
-    residue is zero exactly when ``vec`` lies in the row space.
+    set in ``vec`` suffices.  With every row and pivot of ``_rref_bitrows``
+    the residue is zero exactly when ``vec`` lies in the row space.
     """
     hit = vec & pivot_mask
     while hit:
@@ -297,15 +285,15 @@ def _kernel_bitrows(bitrows: Sequence[int], columns: int) -> tuple[list[int], in
     pivot bits, so a kernel vector is fixed by its bits on the free
     columns: they form an information set of the kernel.
     """
-    by_pivot, mask = _pivot_index(bitrows)
-    free = columns & ~mask
+    rows, pivots = _rref_bitrows(bitrows)
+    free = columns & ~sum(1 << p for p in pivots)
     basis = {}
     rest = free
     while rest:
         low = rest & -rest
         basis[low.bit_length() - 1] = low
         rest ^= low
-    for p, row in by_pivot.items():
+    for p, row in zip(pivots, rows):
         bit = 1 << p
         rest = row ^ bit
         while rest:

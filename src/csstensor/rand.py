@@ -55,24 +55,17 @@ def random_complex3(rng: random.Random, max_dim: int = 6) -> ChainComplex:
     return random_complex(rng, (c0, c1, c2))
 
 
-def random_css_code(
-    rng: random.Random,
-    n: int,
-    r_x: int,
-    r_z: int,
-    min_k: int = 1,
-    attempts: int = 200,
-) -> CssCode:
+def random_css_code(rng: random.Random, n: int, r_x: int, r_z: int, min_k: int = 1) -> CssCode:
     """A random CSS code with the requested shape and k >= min_k.
 
     h_z rows are random combinations of the kernel of h_x, so the CSS
     condition holds by construction.
     """
-    for _ in range(attempts):
+    for _ in range(200):
         h_x = random_matrix(rng, r_x, n)
         rows = _random_combinations(rng, gf2.kernel_basis(h_x).data, r_z)
         h_z = BinMatrix(r_z, n, tuple(rows))
         code = css.from_matrices(h_x, h_z)
         if css.dimension_k(code) >= min_k:
             return code
-    raise RuntimeError(f"no code with k >= {min_k} found in {attempts} attempts")
+    raise RuntimeError(f"no code with k >= {min_k} found in 200 attempts")

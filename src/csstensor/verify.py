@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from . import chain, css, gf2, rand, tensorops
 from .gf2 import BinMatrix, BinVector
 
+# The largest power and the longest factor code that the suites build, and
+# for each scale of run_suite the instances per suite, in run order.
+_ELL_MAX = 4
+_MAX_N = 9
+_COUNTS = {"fast": (200, 40, 40, 10, 10), "full": (1000, 200, 200, 50, 50)}
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -73,14 +79,14 @@ def gf2_properties(seed: int, instances: int) -> list[PropertyResult]:
     ]
 
 
-def kunneth_suite(seed: int, pairs: int, max_dim: int = 6) -> list[PropertyResult]:
+def kunneth_suite(seed: int, pairs: int) -> list[PropertyResult]:
     """Homology of explicit products equals the convolution of profiles."""
     rng = random.Random(seed)
     failures = 0
     valid_failures = 0
     for _ in range(pairs):
-        x = rand.random_complex3(rng, max_dim)
-        y = rand.random_complex3(rng, max_dim)
+        x = rand.random_complex3(rng)
+        y = rand.random_complex3(rng)
         product = chain.tensor(x, y)
         if not chain.is_valid(product):
             valid_failures += 1
@@ -102,17 +108,17 @@ def _rank_by_enumeration(m: BinMatrix) -> int:
     return len(sums).bit_length() - 1
 
 
-def reduce_suite(seed: int, instances: int, max_dim: int = 6) -> list[PropertyResult]:
+def reduce_suite(seed: int, instances: int) -> list[PropertyResult]:
     """reduce gives zero maps on the homology, shrinks dims, and is idempotent.
 
     The homology it must reach is counted without elimination: each rank
-    is read off the distinct row sums of a boundary (at most 2^max_dim),
+    is read off the distinct row sums of a boundary (at most 2^6),
     so a fault in ``homology_dims`` or ``gf2.rank`` shows here.
     """
     rng = random.Random(seed)
     failures = {"homology": 0, "dims": 0, "idempotent": 0}
     for _ in range(instances):
-        x = rand.random_complex3(rng, max_dim)
+        x = rand.random_complex3(rng)
         r = chain.reduce(x)
         ranks = [_rank_by_enumeration(x.boundary(i)) for i in range(len(x.dims) + 1)]
         homology = tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(x.dims))
@@ -129,7 +135,7 @@ def reduce_suite(seed: int, instances: int, max_dim: int = 6) -> list[PropertyRe
     ]
 
 
-def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[PropertyResult]:
+def length_formula_suite(seed: int, triples: int) -> list[PropertyResult]:
     """Closed-form power length equals the assembled block dimension.
 
     The assembly path enumerates summand compositions.  Small instances
@@ -146,7 +152,7 @@ def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[Prop
         dims = (rng.randrange(0, 9), rng.randrange(1, 9), rng.randrange(0, 9))
         x = rand.random_complex(rng, dims)
         homology = chain.homology_dims(x)
-        for ell in range(1, ell_max + 1):
+        for ell in range(1, _ELL_MAX + 1):
             predicted = tensorops.power_length(dims, ell)
             comps = tensorops._power_compositions(2, ell, ell)
             assembled = 0
@@ -170,12 +176,12 @@ def length_formula_suite(seed: int, triples: int, ell_max: int = 4) -> list[Prop
                 if window.dim(ell - lo) != predicted or window_homology[ell - lo] != k:
                     materialised_failures += 1
     return [
-        PropertyResult("tensorops/power_length_assembly", triples * ell_max, failures),
+        PropertyResult("tensorops/power_length_assembly", triples * _ELL_MAX, failures),
         PropertyResult("tensorops/power_length_matrices", materialised, materialised_failures),
     ]
 
 
-def bound_soundness_suite(seed: int, pairs: int, max_n: int = 9) -> list[PropertyResult]:
+def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
     """Exact product distances lie between the emitted bounds.
 
     Codes are generated with full-rank checks, so the middle sector is the
@@ -187,8 +193,8 @@ def bound_soundness_suite(seed: int, pairs: int, max_n: int = 9) -> list[Propert
     failures = {"generic": 0, "witness": 0, "comparison": 0, "kunneth_k": 0}
     done = 0
     while done < pairs:
-        n1 = rng.randrange(4, max_n + 1)
-        n2 = rng.randrange(4, max_n + 1)
+        n1 = rng.randrange(4, _MAX_N + 1)
+        n2 = rng.randrange(4, _MAX_N + 1)
         try:
             c = rand.random_css_code(rng, n1, rng.randrange(1, 3), rng.randrange(1, 3))
             d = rand.random_css_code(rng, n2, rng.randrange(1, 3), rng.randrange(1, 3))
@@ -231,28 +237,15 @@ def run_suite(scale: str, seed: int) -> list[PropertyResult]:
     broken) is reported as a single failed property, carrying the
     exception's type and message, instead of aborting the whole report.
     """
-    if scale == "fast":
-        plan = [
-            (gf2_properties, (seed, 200)),
-            (kunneth_suite, (seed + 1, 40)),
-            (reduce_suite, (seed + 2, 40)),
-            (length_formula_suite, (seed + 3, 10)),
-            (bound_soundness_suite, (seed + 4, 10)),
-        ]
-    elif scale == "full":
-        plan = [
-            (gf2_properties, (seed, 1000)),
-            (kunneth_suite, (seed + 1, 200)),
-            (reduce_suite, (seed + 2, 200)),
-            (length_formula_suite, (seed + 3, 50)),
-            (bound_soundness_suite, (seed + 4, 50)),
-        ]
-    else:
+    if scale not in _COUNTS:
         raise ValueError(f"unknown suite {scale!r}")
+    # Read at call time, so that wrappers installed in this module are called.
+    suites = (gf2_properties, kunneth_suite, reduce_suite, length_formula_suite,
+              bound_soundness_suite)
     results: list[PropertyResult] = []
-    for fn, args in plan:
+    for i, (fn, count) in enumerate(zip(suites, _COUNTS[scale])):
         try:
-            results += fn(*args)
+            results += fn(seed + i, count)
         except Exception as exc:
             detail = " ".join(f"{type(exc).__name__}: {exc}".split())
             results.append(PropertyResult(f"{fn.__name__}/crashed", 1, 1, detail))

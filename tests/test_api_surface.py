@@ -2,7 +2,8 @@
 
 Every public module-level function in ``src/csstensor`` must be referenced
 somewhere in ``src/`` outside its own definition, or be listed below with
-the reason it stays.  A function that only tests call belongs in the tests.
+the reason it stays; every private one must be referenced there with no
+exception.  A function that only tests call belongs in the tests.
 Every dataclass field declared in ``src/`` must be read as an attribute
 somewhere in ``src/``: a field nothing reads is computed for nobody.  So
 must every public method, property and classmethod of a class in ``src/``,
@@ -76,16 +77,31 @@ def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def _used(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    return set().union(*(_references(module, tree) for module, tree in trees.items()))
+
+
 def test_public_functions_are_used_in_src():
     trees = _trees()
-    used = set()
-    for module, tree in trees.items():
-        used |= _references(module, tree)
+    used = _used(trees)
     unused = [
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in _public_functions(tree)
         if (module, name) not in used and name not in ALLOWED
+    ]
+    assert unused == []
+
+
+def test_private_functions_are_used_in_src():
+    trees = _trees()
+    used = _used(trees)
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and (module, node.name) not in used
     ]
     assert unused == []
 

@@ -420,6 +420,19 @@ class TestErrorPaths:
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["family", "cyclic:n=7,g1=111,g2=1011"], None),
+        (["analyze", "cut.json"], '{"h_x": {"rows": 1'),
+    ], ids=["non-divisor", "truncated-json"])
+    def test_construction_errors_exit_3(self, capsys, tmp_path, monkeypatch, argv, text):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "cut.json").write_text(text)
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["power", "input.json"])  # missing required --ell

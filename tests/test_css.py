@@ -447,13 +447,14 @@ class TestLogicalChecks:
 class TestTwoSetSearch:
     def test_matches_reference_and_brute_force(self, monkeypatch):
         second_levels = []
-        second_pass = css._Search._pass2
+        level = css._Search._level
 
-        def counting_pass2(search, j):
-            second_levels.append(j)
-            second_pass(search, j)
+        def counting_level(search, g, z, j):
+            if z is not css._NO_ROWS:  # a level of the second form
+                second_levels.append(j)
+            level(search, g, z, j)
 
-        monkeypatch.setattr(css._Search, "_pass2", counting_pass2)
+        monkeypatch.setattr(css._Search, "_level", counting_level)
         rng = random.Random(31)
         modes = set()
         for rows, n, checks, target in _oracle_searches(30, 40):
@@ -476,16 +477,17 @@ class TestTwoSetSearch:
                     for prebuilt in (False, True):
                         search = css._Search(rows, n, checks, None)
                         if prebuilt:
-                            search.second = search._second_form()
+                            search.forms.append(search._second_form())
                         res = search.run(cap, **seeds)
-                        modes.add((search.batch, checks is None, search.first.pairs is not None))
+                        pairs = search.forms[0][0].pairs
+                        modes.add((search.batch, checks is None, pairs is not None))
                         # Batching changes neither the result, the witness
                         # included, nor the words counted.
                         with monkeypatch.context() as m:
                             m.setattr(css, "_BATCH_MIN", math.inf)
                             plain = css._Search(rows, n, checks, None)
                             if prebuilt:
-                                plain.second = plain._second_form()
+                                plain.forms.append(plain._second_form())
                             assert plain.run(cap, **seeds) == res
                             assert plain.nodes == search.nodes
                         if cap is None:
@@ -520,8 +522,8 @@ class TestTwoSetSearch:
             for cap, seed_upper in ((5, None), (7, 9), (None, 9), (None, 10), (None, None)):
                 search = css._Search(rows, square.n, checks, None)
                 res = search.run(cap, seed_upper=seed_upper)
-                g, _ = search.second
-                assert search.first.pairs is not None
+                g, _ = search.forms[1]
+                assert search.forms[0][0].pairs is not None
                 assert (g.pairs is not None) == (cap is None)
                 with monkeypatch.context() as m:
                     m.setattr(css, "_BATCH_MIN", math.inf)
@@ -562,7 +564,7 @@ class TestTwoSetSearch:
                     seen.clear()
                     search = css._Search(rows, n, [], None)
                     if prebuilt:
-                        search.second = search._second_form()
+                        search.forms.append(search._second_form())
                     res = search.run(cap)
                     assert res.upper is None and not res.exact
                     light = {w for w in span if w.bit_count() < res.lower}
@@ -602,7 +604,7 @@ class TestTwoSetSearch:
             search = css._Search(rows, k + 5, [], None)
             res = search.run(3)
             assert (res.lower, res.upper) == (4, None)
-            assert (search.first.pairs is not None) == built
+            assert (search.forms[0][0].pairs is not None) == built
             assert search.nodes == sum(math.comb(k, r) for r in (1, 2, 3))
 
     def test_steane_square_exact_nine_uncapped(self):
@@ -618,16 +620,16 @@ class TestTwoSetSearch:
         square = css_power(steane(), 2)
         kernel = gf2.kernel_basis(square.h_x)
         search = css._Search(list(kernel.data), square.n, css._side(square, "Z").checks, None)
-        second_pass = search._pass2
+        level = search._level
 
-        def expire_at_level_one(j):
-            if j == 1:
+        def expire_at_level_one(g, z, j):
+            if j == 1 and z is not css._NO_ROWS:  # a level of the second form
                 search.deadline = time.monotonic() - 1.0
-            second_pass(j)
+            level(g, z, j)
 
-        search._pass2 = expire_at_level_one
+        search._level = expire_at_level_one
         res = search.run(None)
-        g, z = search.second
+        g, z = search.forms[1]
         assert (len(search.rows), len(g), len(z)) == (34, 24, 10)
         # Completed P1(1), P1(2), P2(0), P1(3): nothing under 3 + 0 + 2 was missed.
         assert res.lower == 5 and not res.exact
