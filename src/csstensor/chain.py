@@ -18,11 +18,10 @@ writes each Kronecker block straight into the product's rows in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import gf2
-from .gf2 import BinMatrix
+from .gf2 import BinMatrix, _set
 
 HomologyProfile = tuple[int, ...]
 
@@ -43,20 +42,18 @@ class BoundarySquareNonzero(ValueError):
         self.degree = degree
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(gf2._Value):
     """Immutable chain complex; ``boundaries[i - 1]`` is the map out of degree i."""
 
-    dims: tuple[int, ...]
-    boundaries: tuple[BinMatrix, ...]
+    __slots__ = _fields = ("dims", "boundaries")
 
-    def __post_init__(self) -> None:
-        if not self.dims:
+    def __init__(self, dims: tuple[int, ...], boundaries: tuple[BinMatrix, ...]) -> None:
+        if not dims:
             raise ValueError("a complex needs at least one space")
-        if len(self.boundaries) != len(self.dims) - 1:
-            raise ValueError(
-                f"expected {len(self.dims) - 1} boundary maps, got {len(self.boundaries)}"
-            )
+        if len(boundaries) != len(dims) - 1:
+            raise ValueError(f"expected {len(dims) - 1} boundary maps, got {len(boundaries)}")
+        _set(self, "dims", dims)
+        _set(self, "boundaries", boundaries)
 
     @classmethod
     def single(cls, n: int) -> ChainComplex:
@@ -105,10 +102,6 @@ def homology_dims(x: ChainComplex) -> HomologyProfile:
     validate(x)
     ranks = [0, *map(gf2.rank, x.boundaries), 0]
     return tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(x.dims))
-
-
-def euler_characteristic(x: ChainComplex) -> int:
-    return sum((-1) ** i * d for i, d in enumerate(x.dims))
 
 
 def tensor_dims(dx: Sequence[int], dy: Sequence[int]) -> tuple[int, ...]:
@@ -224,47 +217,3 @@ def reduce(x: ChainComplex) -> ChainComplex:
     h = homology_dims(x)
     return ChainComplex(h, tuple(BinMatrix.zeros(h[i - 1], h[i]) for i in range(1, len(h))))
 
-
-def associativity_permutation(
-    dx: Sequence[int], dy: Sequence[int], dz: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Basis permutations carrying (X (x) Y) (x) Z onto X (x) (Y (x) Z).
-
-    Entry ``perm[n][p]`` is the position in the right-associated basis of
-    the left-associated basis vector ``p`` at degree ``n``.  Both orderings
-    list the same (i, j, k) blocks, sorted by (i + j, i) on the left and by
-    (i, j) on the right, with identical row-major indices inside a block.
-    """
-    tops = (len(dx) - 1, len(dy) - 1, len(dz) - 1)
-    yz_layout = {}
-    for mp in range(tops[1] + tops[2] + 1):
-        table = {}
-        off = 0
-        for (j, k) in _compositions(tops[1:], mp):
-            table[(j, k)] = off
-            off += dy[j] * dz[k]
-        yz_layout[mp] = (table, off)
-
-    perms: list[tuple[int, ...]] = []
-    for n in range(sum(tops) + 1):
-        # Right association: X_i (x) (Y (x) Z)_{n-i} blocks by ascending i,
-        # where a triple's vectors stride by the full (Y (x) Z) dimension.
-        right_block_off = {}
-        off = 0
-        for i in range(len(dx)):
-            mp = n - i
-            if mp in yz_layout:
-                right_block_off[i] = off
-                off += dx[i] * yz_layout[mp][1]
-        # Left association: the blocks in left-fold order, with (x, y, z)
-        # row-major inside; every triple occupies a contiguous run.
-        perm: list[int] = []
-        for (i, j, k) in _compositions(tops, n):
-            inner_off_table, inner_total = yz_layout[n - i]
-            base = right_block_off[i] + inner_off_table[(j, k)]
-            for x in range(dx[i]):
-                for y in range(dy[j]):
-                    row = base + x * inner_total + y * dz[k]
-                    perm.extend(range(row, row + dz[k]))
-        perms.append(tuple(perm))
-    return perms

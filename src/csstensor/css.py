@@ -34,18 +34,19 @@ best so far.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import islice
-from typing import Sequence, TextIO
 
 from . import chain, gf2
 from .chain import ChainComplex
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix, BinVector, _set
 
 
 class OrthogonalityViolation(ValueError):
@@ -66,20 +67,25 @@ class EmptyStabilizerGroup(ValueError):
     """The selected stabilizer matrix has no nonzero row."""
 
 
-@dataclass(frozen=True)
-class CssCode:
-    """Checks shapes; from_matrices and from_complex check orthogonality."""
+class CssCode(gf2._Value):
+    """Checks shapes; from_matrices and from_complex check orthogonality.
 
-    n: int
-    h_x: BinMatrix
-    h_z: BinMatrix
-    _sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ``_sides`` keeps each side's ``_Side`` once built (see ``_side``);
+    equality, hash and repr leave it out.
+    """
 
-    def __post_init__(self) -> None:
-        if self.h_x.cols != self.n or self.h_z.cols != self.n:
+    __slots__ = ("n", "h_x", "h_z", "_sides")
+    _fields = ("n", "h_x", "h_z")
+
+    def __init__(self, n: int, h_x: BinMatrix, h_z: BinMatrix) -> None:
+        if h_x.cols != n or h_z.cols != n:
             raise gf2.DimensionMismatch(
-                f"check matrices have {self.h_x.cols}/{self.h_z.cols} columns, expected n={self.n}"
+                f"check matrices have {h_x.cols}/{h_z.cols} columns, expected n={n}"
             )
+        _set(self, "n", n)
+        _set(self, "h_x", h_x)
+        _set(self, "h_z", h_z)
+        _set(self, "_sides", {})
 
 
 def from_matrices(h_x: BinMatrix, h_z: BinMatrix) -> CssCode:
@@ -127,8 +133,7 @@ def dimension_k(code: CssCode) -> int:
 # -- low-weight search engine ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(namedtuple("DistanceResult", "lower upper exact witness", defaults=(None,))):
     """Outcome of a weight-stratified search.
 
     ``lower`` is always a certified lower bound on the true minimum: the
@@ -137,13 +142,11 @@ class DistanceResult:
     once its certified bound exceeds the cap, so it reports lower = cap + 1
     and whatever upper the enumeration happened to find.  A cap of at least
     the basis size K is no cap: the search then ends exact, as walking all
-    combinations of up to K rows would.
+    combinations of up to K rows would.  ``upper`` is an int or None, and
+    ``witness`` a ``BinVector`` of weight ``upper`` or None.
     """
 
-    lower: int
-    upper: int | None
-    exact: bool
-    witness: BinVector | None = None
+    __slots__ = ()
 
     @property
     def value(self) -> int:
@@ -430,7 +433,6 @@ def _vec(bits: int | None, n: int) -> BinVector | None:
     return None if bits is None else BinVector(n, bits)
 
 
-@dataclass(frozen=True)
 class _Side:
     """One side of a code: its matrices, kernel basis, checks and exact minima.
 
@@ -451,10 +453,14 @@ class _Side:
     so its value and its witness are the same on every run.
     """
 
-    kernel_of: BinMatrix
-    stab: BinMatrix
-    kernel: tuple[int, ...]
-    checks: tuple[int, ...]
+    def __init__(
+        self, kernel_of: BinMatrix, stab: BinMatrix, kernel: tuple[int, ...],
+        checks: tuple[int, ...],
+    ) -> None:
+        self.kernel_of = kernel_of
+        self.stab = stab
+        self.kernel = kernel
+        self.checks = checks
 
     @property
     def k(self) -> int:
@@ -616,14 +622,11 @@ def _decide_degenerate(k: int, stabs: Sequence, dists: Sequence) -> bool | None:
     return None
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    max_row_weight_x: int
-    max_row_weight_z: int
-    max_col_weight_x: int
-    max_col_weight_z: int
-    mean_row_weight_x: float
-    mean_row_weight_z: float
+class WeightProfile(namedtuple("WeightProfile", (
+    "max_row_weight_x", "max_row_weight_z", "max_col_weight_x", "max_col_weight_z",
+    "mean_row_weight_x", "mean_row_weight_z",
+))):
+    __slots__ = ()
 
 
 def weight_profile(code: CssCode) -> WeightProfile:
@@ -644,17 +647,16 @@ def weight_profile(code: CssCode) -> WeightProfile:
 # -- reports ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CodeReport:
-    """Computed parameters with explicit provenance for every number."""
+class CodeReport(namedtuple("CodeReport", (
+    "n", "k", "d_x", "d_z", "profile", "min_stabilizer_weight_x", "min_stabilizer_weight_z",
+))):
+    """Computed parameters with explicit provenance for every number.
 
-    n: int
-    k: int
-    d_x: DistanceResult | None
-    d_z: DistanceResult | None
-    profile: WeightProfile
-    min_stabilizer_weight_x: DistanceResult | None
-    min_stabilizer_weight_z: DistanceResult | None
+    The distances and stabilizer minima are ``DistanceResult``s, None where
+    undefined (k = 0, or no nonzero stabilizer on that side).
+    """
+
+    __slots__ = ()
 
     @property
     def degenerate(self) -> bool | None:
@@ -771,7 +773,7 @@ def _row_text(row: int) -> str:
     return "[\n        " + ",\n        ".join(map(str, gf2._support_of(row))) + "\n      ]"
 
 
-def _dump_matrix(m: BinMatrix, fh: TextIO) -> None:
+def _dump_matrix(m: BinMatrix, fh: io.TextIOBase) -> None:
     fh.write(f'{{\n    "cols": {m.cols},\n    "rows": {m.rows},\n    "support": ')
     if not m.rows:
         fh.write("[]\n  }")
@@ -784,7 +786,7 @@ def _dump_matrix(m: BinMatrix, fh: TextIO) -> None:
     fh.write("\n    ]\n  }")
 
 
-def dump_code(code: CssCode, fh: TextIO, name: str = "") -> None:
+def dump_code(code: CssCode, fh: io.TextIOBase, name: str = "") -> None:
     """Write the code file to ``fh`` a chunk of rows at a time, byte for byte
     ``json.dumps(code_to_json(code, name), indent=2, sort_keys=True) + "\\n"``."""
     fh.write('{\n  "h_x": ')

@@ -8,7 +8,6 @@ row pair instead of producing a non-code.
 from __future__ import annotations
 
 import itertools
-import math
 
 from . import chain, css, gf2
 from .chain import ChainComplex
@@ -118,12 +117,6 @@ def quantum_reed_muller(m: int, r1: int, r2: int) -> CssCode:
     - sum_{i<=r2} C(m, i).
     """
     return css.from_matrices(reed_muller_generator(r1, m), reed_muller_generator(r2, m))
-
-
-def quantum_reed_muller_k(m: int, r1: int, r2: int) -> int:
-    return (1 << m) - sum(math.comb(m, i) for i in range(r1 + 1)) - sum(
-        math.comb(m, i) for i in range(r2 + 1)
-    )
 
 
 # -- cyclic codes ------------------------------------------------------------

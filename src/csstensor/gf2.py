@@ -4,7 +4,10 @@ Matrices store one Python int per row; bit ``j`` of a row is the entry in
 column ``j``.  Arbitrary-precision ints give word-parallel XOR row
 operations at any width, so rank/kernel/product all reduce to integer
 bit twiddling.  All values are immutable and safe to share between
-threads.
+threads.  The value types are plain ``__slots__`` classes on ``_Value``:
+``__init__`` checks its arguments and sets each field once through
+``object.__setattr__``, any later assignment raises ``AttributeError``,
+and equality, hash and repr read the fields named in ``_fields``.
 
 All elimination is pivot-keyed: two echelon loops, one back-substitution.
 In natural order (columns scanned lowest first) ``_echelon`` keys each row
@@ -36,8 +39,7 @@ construction in this package relies on this single convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -48,18 +50,54 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
-@dataclass(frozen=True)
-class BinVector:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value types: equality, hash and repr over ``_fields``."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles rebuild through __init__: the default restores
+        # slots through the __setattr__ above, which refuses.
+        return type(self), self._key()
+
+
+class BinVector(_Value):
     """A length-``n`` bit vector packed into a single int (bit j = coord j)."""
 
-    n: int
-    bits: int
+    __slots__ = _fields = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, bits: int) -> None:
+        if n < 0:
             raise ValueError("negative length")
-        if self.bits < 0 or self.bits >> self.n:
+        if bits < 0 or bits >> n:
             raise ValueError("bits outside declared length")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> BinVector:
@@ -77,26 +115,25 @@ class BinVector:
         return _support_of(self.bits)
 
 
-@dataclass(frozen=True)
-class BinMatrix:
+class BinMatrix(_Value):
     """A ``rows x cols`` matrix over GF(2) with bit-packed rows.
 
     ``data[i]`` is row ``i``; bits beyond ``cols`` are always zero.
     0 x n and m x 0 matrices are valid and act as empty maps.
     """
 
-    rows: int
-    cols: int
-    data: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "data")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, data: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        if len(self.data) != self.rows:
+        if len(data) != rows:
             raise ValueError("row count does not match data")
-        data = self.data
-        if data and (min(data) < 0 or max(data).bit_length() > self.cols):
+        if data and (min(data) < 0 or max(data).bit_length() > cols):
             raise ValueError("row has bits beyond declared width")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
 
     # -- constructors ---------------------------------------------------
 

@@ -42,13 +42,12 @@ C in place of its cycle minimum for every partner D.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import chain, css
 from .chain import ChainComplex
 from .css import CssCode, DistanceResult, KIsZero
-from .gf2 import BinVector
 
 DEFAULT_SEED = 101
 
@@ -62,15 +61,13 @@ class ResourceCeiling(RuntimeError):
         self.ceiling = ceiling
 
 
-@dataclass(frozen=True)
-class PowerSpec:
-    base: CssCode
-    ell: int
-    reduced: bool = False
+class PowerSpec(namedtuple("PowerSpec", "base ell reduced", defaults=(False,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ell < 1:
+    def __new__(cls, base: CssCode, ell: int, reduced: bool = False) -> PowerSpec:
+        if ell < 1:
             raise ValueError("ell must be >= 1")
+        return super().__new__(cls, base, ell, reduced)
 
 
 # -- products and powers ------------------------------------------------
@@ -161,26 +158,20 @@ def reduced_power_length(base: CssCode | ChainComplex, ell: int) -> int:
 # -- distance criterion and lower bounds ---------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(namedtuple("CriterionReport", (
+    "holds", "holds_x", "holds_z", "d_x", "d_z", "stab_min_x", "stab_min_z",
+    "logical_witness_x", "logical_witness_z", "stabilizer_witness_x", "stabilizer_witness_z",
+))):
     """Per-side non-degeneracy of a code, with the witnesses that decide it.
 
     ``holds_z`` means no nonzero Z stabilizer is strictly lighter than
     d_Z (equivalently the minimum nonzero weight in ker h_x equals d_Z);
-    ``holds_x`` symmetrically.  ``holds`` requires both sides.
+    ``holds_x`` symmetrically.  ``holds`` requires both sides.  The
+    witnesses are ``BinVector``s; a stabilizer minimum and its witness are
+    None when that side has no nonzero stabilizer.
     """
 
-    holds: bool
-    holds_x: bool
-    holds_z: bool
-    d_x: int
-    d_z: int
-    stab_min_x: int | None
-    stab_min_z: int | None
-    logical_witness_x: BinVector
-    logical_witness_z: BinVector
-    stabilizer_witness_x: BinVector | None
-    stabilizer_witness_z: BinVector | None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,22 +220,16 @@ def check_distance_criterion(code: CssCode) -> CriterionReport:
     )
 
 
-@dataclass(frozen=True)
-class FactorParams:
+class FactorParams(namedtuple("FactorParams", "k d_lo cycle_lo check_w h_top h_bot top_min_lo")):
     """Certified per-side invariants of one factor feeding the bound machine.
 
     All entries are lower bounds except ``check_w`` (exact max check row
     weight; 0 means no checks, so no capture is possible) and the two
-    homology dimensions, which are exact.
+    homology dimensions, which are exact.  ``top_min_lo`` is None when the
+    checks have no nonzero relation.
     """
 
-    k: int
-    d_lo: int
-    cycle_lo: int
-    check_w: int
-    h_top: int
-    h_bot: int
-    top_min_lo: int | None
+    __slots__ = ()
 
 
 def factor_params(code: CssCode, side: str) -> FactorParams:
@@ -354,21 +339,17 @@ def tensor_distance_lower_bound(
 # -- sweeps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One sweep stage; a ceiling row carries only ell, the predicted n and the error."""
+class SweepRecord(namedtuple(
+    "SweepRecord",
+    "ell n k d_x d_z wmax_x wmax_z stab_min_x stab_min_z seconds error",
+    defaults=(0, None, None, 0, 0, None, None, 0.0, None),
+)):
+    """One sweep stage; a ceiling row carries only ell, the predicted n and the error.
 
-    ell: int
-    n: int
-    k: int = 0
-    d_x: DistanceResult | None = None
-    d_z: DistanceResult | None = None
-    wmax_x: int = 0
-    wmax_z: int = 0
-    stab_min_x: DistanceResult | None = None
-    stab_min_z: DistanceResult | None = None
-    seconds: float = 0.0
-    error: str | None = None
+    The distances and stabilizer minima are ``DistanceResult``s or None.
+    """
+
+    __slots__ = ()
 
     @property
     def stab_min(self) -> int | None:

@@ -9,7 +9,7 @@ fixed seed reproduces the report byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import chain, css, gf2, rand, tensorops
 from .gf2 import BinMatrix, BinVector
@@ -21,12 +21,8 @@ _MAX_N = 9
 _COUNTS = {"fast": (200, 40, 40, 10, 10), "full": (1000, 200, 200, 50, 50)}
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    checks: int
-    failures: int
-    detail: str = ""
+class PropertyResult(namedtuple("PropertyResult", "name checks failures detail", defaults=("",))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -469,3 +473,19 @@ class TestErrorPaths:
         args = parser.parse_args(["sweep", "steane", "--ell-max", "1", "--time-budget",
                                   "0.5", "--weight-cap", "0"])
         assert args.time_budget == 0.5 and args.weight_cap == 0
+
+
+def test_import_adds_no_heavy_modules():
+    """``import csstensor.cli`` in a fresh interpreter loads no ``dataclasses``,
+    ``inspect`` or ``typing``: every CLI run pays for its imports."""
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = (
+        "import sys; before = set(sys.modules); import csstensor.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "csstensor.cli" in out
+    assert {"dataclasses", "inspect", "typing"} & set(out) == set()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from csstensor import chain, css, families, gf2
@@ -17,12 +19,18 @@ from csstensor.families import (
     hamming_parity_check,
     parse_family_spec,
     quantum_reed_muller,
-    quantum_reed_muller_k,
     reed_muller_generator,
     steane,
     tillich_zemor,
 )
 from csstensor.gf2 import BinMatrix
+
+
+def quantum_reed_muller_k(m: int, r1: int, r2: int) -> int:
+    """k of ``quantum_reed_muller(m, r1, r2)``: 2^m minus both RM dimensions."""
+    return (1 << m) - sum(math.comb(m, i) for i in range(r1 + 1)) - sum(
+        math.comb(m, i) for i in range(r2 + 1)
+    )
 
 
 class TestHamming:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple, fields, replace
 
 import pytest
 
@@ -323,7 +322,7 @@ class TestBounds:
         # with redundant checks (h_top > 0) and every pair with k >= 1.
         codes = {spec: families.parse_family_spec(spec)[1] for spec in PINNED_PARAMS}
         for spec, (x, z) in PINNED_PARAMS.items():
-            got = tuple(astuple(tensorops.factor_params(codes[spec], side)) for side in "XZ")
+            got = tuple(tuple(tensorops.factor_params(codes[spec], side)) for side in "XZ")
             assert got == (x, z), spec
         for (a, b), (generic, known, strong) in PINNED_BOUNDS.items():
             c, d = codes[a], codes[b]
@@ -352,7 +351,7 @@ class TestBounds:
                 cp, dp = tensorops.factor_params(c, side), tensorops.factor_params(d, side)
                 bound = tensorops.bound_from_params(cp, dp)
                 if crit.holds:
-                    full = replace(cp, d_lo=dist, cycle_lo=dist)
+                    full = cp._replace(d_lo=dist, cycle_lo=dist)
                     bound = max(bound, tensorops.bound_from_params(full, dp))
                 strong.append(bound)
             generic = generic_lower_bound(c, d)
@@ -518,15 +517,15 @@ class TestSweep:
         assert len(calls) <= 10
 
     def test_degeneracy_is_derived_from_bounds(self):
-        assert "degenerate" not in {f.name for f in fields(tensorops.SweepRecord)}
-        assert "degenerate" not in {f.name for f in fields(css.CodeReport)}
+        assert "degenerate" not in tensorops.SweepRecord._fields
+        assert "degenerate" not in css.CodeReport._fields
         undecided = css.DistanceResult(4, 9, False)
         record = tensorops.SweepRecord(2, 67, 1, undecided, undecided,
                                        stab_min_x=css.DistanceResult(5, 5, True))
         assert record.degenerate is None
         raised = css._bracket(undecided, lower=6)
         assert raised == css.DistanceResult(6, 9, False)
-        assert replace(record, d_x=raised, d_z=raised).degenerate is True
+        assert record._replace(d_x=raised, d_z=raised).degenerate is True
         assert css._bracket(undecided, lower=9) == css.DistanceResult(9, 9, True)
         assert css._bracket(css.DistanceResult(5, None, False), upper=7).upper == 7
         assert tensorops.SweepRecord(3, 721, error="ceiling").degenerate is None

@@ -1,0 +1,101 @@
+"""Value semantics of the package's value and record types.
+
+The four validated value types (``BinVector``, ``BinMatrix``,
+``ChainComplex``, ``CssCode``) and the plain records are immutable, equal
+and hash alike when their fields are equal, and keep their checks.
+"""
+
+from __future__ import annotations
+
+import pickle
+import weakref
+
+import pytest
+
+from csstensor import chain, css, families, tensorops, verify
+from csstensor.gf2 import BinMatrix, BinVector
+
+
+def _pairs() -> list[tuple[object, object, str]]:
+    """(value, an equal value built separately, a field name) for each type."""
+    steane = families.steane
+    dist = css.DistanceResult(3, 3, True, BinVector(7, 0b111))
+    profile = css.weight_profile(steane())
+    report = css.CodeReport(7, 1, dist, dist, profile, None, None)
+    fp = tensorops.factor_params(steane(), "X")
+    crit = tensorops.check_distance_criterion(steane())
+    return [
+        (BinVector(5, 0b10110), BinVector(5, 0b10110), "bits"),
+        (BinMatrix(2, 3, (1, 6)), BinMatrix(2, 3, (1, 6)), "data"),
+        (css.to_complex(steane()), css.to_complex(steane()), "dims"),
+        (steane(), steane(), "h_x"),
+        (dist, css.DistanceResult(3, 3, True, BinVector(7, 0b111)), "lower"),
+        (profile, css.weight_profile(steane()), "max_row_weight_x"),
+        (report, css.CodeReport(7, 1, dist, dist, profile, None, None), "k"),
+        (tensorops.PowerSpec(steane(), 2), tensorops.PowerSpec(steane(), 2), "ell"),
+        (crit, tensorops.check_distance_criterion(steane()), "holds"),
+        (fp, tensorops.factor_params(steane(), "X"), "d_lo"),
+        (tensorops.SweepRecord(1, 7, 1, dist), tensorops.SweepRecord(1, 7, 1, dist), "n"),
+        (verify.PropertyResult("p", 3, 0), verify.PropertyResult("p", 3, 0), "checks"),
+    ]
+
+
+PAIRS = _pairs()
+
+
+@pytest.mark.parametrize("value, twin, field", PAIRS, ids=[type(p[0]).__name__ for p in PAIRS])
+def test_immutable_equal_and_hashed_by_fields(value, twin, field):
+    assert value is not twin
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert pickle.loads(pickle.dumps(value)) == value
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == before
+
+
+def test_unequal_fields_differ():
+    assert BinMatrix(2, 3, (1, 6)) != BinMatrix(2, 3, (1, 4))
+    assert BinVector(5, 1) != BinVector(6, 1)
+    assert css.DistanceResult(3, 4, False) != css.DistanceResult(3, 5, False)
+
+
+def test_code_side_cache_is_not_part_of_the_value():
+    code, twin = families.steane(), families.steane()
+    key = hash(code)
+    css._side(code, "X")
+    assert code._sides and not twin._sides
+    assert code == twin and hash(code) == key == hash(twin)
+    assert "_sides" not in repr(code)
+
+
+def test_weak_references_to_matrices_and_complexes():
+    m = BinMatrix(1, 2, (3,))
+    x = chain.ChainComplex((2, 1), (BinMatrix(2, 1, (1, 0)),))
+    refs = [weakref.ref(m), weakref.ref(x)]
+    assert [r() for r in refs] == [m, x]
+    del m, x
+    assert [r() for r in refs] == [None, None]
+
+
+def test_checks_kept():
+    with pytest.raises(ValueError):
+        tensorops.PowerSpec(families.steane(), 0)
+    with pytest.raises(ValueError):
+        BinMatrix(1, 1, (2,))
+    with pytest.raises(ValueError):
+        BinVector(2, 4)
+    with pytest.raises(ValueError):
+        chain.ChainComplex((), ())
+    with pytest.raises(ValueError):
+        css.CssCode(7, BinMatrix.zeros(0, 7), BinMatrix.zeros(0, 6))
+
+
+def test_repr_names_the_fields():
+    assert repr(BinMatrix(1, 2, (3,))) == "BinMatrix(rows=1, cols=2, data=(3,))"
+    assert repr(css.DistanceResult(2, None, False)) == (
+        "DistanceResult(lower=2, upper=None, exact=False, witness=None)"
+    )
