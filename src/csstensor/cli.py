@@ -138,11 +138,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_n=_ceiling(),
     )
     if args.format == "json":
-        payload = [r.to_json_dict() for r in records]
+        rows = [r.to_json_dict() for r in records]
         if args.out:
-            _dump_json(payload, args.out)
-        for r in records:
-            row = r.to_json_dict()
+            _dump_json(rows, args.out)
+        for row in rows:
             row.pop("seconds")
             sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
     else:

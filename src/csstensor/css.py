@@ -600,28 +600,6 @@ def stabilizer_min_weight(
     return res
 
 
-def _decide_degenerate(k: int, stabs: Sequence, dists: Sequence) -> bool | None:
-    """Whether a stabilizer is lighter than the distance, decided by the bounds.
-
-    None when k = 0 or the bounds overlap; sides with no nonzero stabilizer
-    (None) are skipped.
-    """
-    if not k:
-        return None
-    stabs = [s for s in stabs if s is not None]
-    if not stabs:
-        return False
-    stab_lo = min(s.lower for s in stabs)
-    stab_hi = min((s.upper for s in stabs if s.upper is not None), default=None)
-    dist_lo = min(d.lower for d in dists)
-    dist_hi = min((d.upper for d in dists if d.upper is not None), default=None)
-    if stab_hi is not None and stab_hi < dist_lo:
-        return True
-    if dist_hi is not None and stab_lo >= dist_hi:
-        return False
-    return None
-
-
 class WeightProfile(namedtuple("WeightProfile", (
     "max_row_weight_x", "max_row_weight_z", "max_col_weight_x", "max_col_weight_z",
     "mean_row_weight_x", "mean_row_weight_z",
@@ -650,18 +628,39 @@ def weight_profile(code: CssCode) -> WeightProfile:
 class CodeReport(namedtuple("CodeReport", (
     "n", "k", "d_x", "d_z", "profile", "min_stabilizer_weight_x", "min_stabilizer_weight_z",
 ))):
-    """Computed parameters with explicit provenance for every number.
+    """Computed parameters of a code: n, k, certified bounds and the LDPC profile.
 
     The distances and stabilizer minima are ``DistanceResult``s, None where
-    undefined (k = 0, or no nonzero stabilizer on that side).
+    undefined (k = 0, or no nonzero stabilizer on that side).  The bounds
+    do not name the mechanism that produced them.  ``analyze`` builds
+    a report, and each ``tensorops.sweep`` row carries its stage's.
     """
 
     __slots__ = ()
 
     @property
     def degenerate(self) -> bool | None:
+        """Whether a stabilizer is lighter than the distance, decided by the bounds.
+
+        None when k = 0 or the bounds overlap; sides with no nonzero stabilizer
+        (None) are skipped.
+        """
+        if not self.k:
+            return None
         stabs = (self.min_stabilizer_weight_x, self.min_stabilizer_weight_z)
-        return _decide_degenerate(self.k, stabs, (self.d_x, self.d_z))
+        stabs = [s for s in stabs if s is not None]
+        if not stabs:
+            return False
+        dists = (self.d_x, self.d_z)
+        stab_lo = min(s.lower for s in stabs)
+        stab_hi = min((s.upper for s in stabs if s.upper is not None), default=None)
+        dist_lo = min(d.lower for d in dists)
+        dist_hi = min((d.upper for d in dists if d.upper is not None), default=None)
+        if stab_hi is not None and stab_hi < dist_lo:
+            return True
+        if dist_hi is not None and stab_lo >= dist_hi:
+            return False
+        return None
 
     def to_json_dict(self) -> dict:
         return {

@@ -30,7 +30,8 @@ either a logical or a nonzero stabilizer, so it is min(d, stabilizer
 minimum), the stabilizer minimum when k = 0, and d when no stabilizer is
 nonzero (1 when the kernel is zero).  Certified lower bounds on d and on
 the stabilizer minimum therefore bound it too, which lets ``sweep`` feed
-a built power's record back into the machine.
+a built power's ``CodeReport`` (each sweep row carries its stage's
+report) back into the machine.
 
 The criterion reported by ``check_distance_criterion`` is per-side
 non-degeneracy: no stabilizer is strictly lighter than the distance,
@@ -339,43 +340,38 @@ def tensor_distance_lower_bound(
 # -- sweeps ----------------------------------------------------------------
 
 
-class SweepRecord(namedtuple(
-    "SweepRecord",
-    "ell n k d_x d_z wmax_x wmax_z stab_min_x stab_min_z seconds error",
-    defaults=(0, None, None, 0, 0, None, None, 0.0, None),
-)):
-    """One sweep stage; a ceiling row carries only ell, the predicted n and the error.
+# The report fields a ceiling row stands in for: no code was built.
+_NO_REPORT = {
+    "k": 0, "d_x": None, "d_z": None, "max_row_weight_x": 0, "max_row_weight_z": 0,
+    "min_stabilizer_weight_x": None, "min_stabilizer_weight_z": None, "degenerate": None,
+}
 
-    The distances and stabilizer minima are ``DistanceResult``s or None.
+
+class SweepRecord(namedtuple("SweepRecord", "ell n report seconds error", defaults=(None,))):
+    """One sweep stage: the stage's ``css.CodeReport`` and its seconds.
+
+    The report's d_x and d_z carry the sector machine's lower bounds.  A
+    ceiling row has no report (None), the predicted n and the error.
     """
 
     __slots__ = ()
 
-    @property
-    def stab_min(self) -> int | None:
-        values = [
-            s.upper
-            for s in (self.stab_min_x, self.stab_min_z)
-            if s is not None and s.upper is not None
-        ]
-        return min(values) if values else None
-
-    @property
-    def degenerate(self) -> bool | None:
-        stabs = (self.stab_min_x, self.stab_min_z)
-        return css._decide_degenerate(self.k, stabs, (self.d_x, self.d_z))
-
     def to_json_dict(self) -> dict:
+        """The sweep row layout, read off the report's JSON; stab_min is the lighter upper."""
+        rep = _NO_REPORT if self.report is None else self.report.to_json_dict()
+        stabs = (rep["min_stabilizer_weight_x"], rep["min_stabilizer_weight_z"])
         return {
             "ell": self.ell,
             "n": self.n,
-            "k": self.k,
-            "d_x": css.distance_to_json(self.d_x),
-            "d_z": css.distance_to_json(self.d_z),
-            "wmax_x": self.wmax_x,
-            "wmax_z": self.wmax_z,
-            "stab_min": self.stab_min,
-            "degenerate": self.degenerate,
+            "k": rep["k"],
+            "d_x": rep["d_x"],
+            "d_z": rep["d_z"],
+            "wmax_x": rep["max_row_weight_x"],
+            "wmax_z": rep["max_row_weight_z"],
+            "stab_min": min(
+                (s["upper"] for s in stabs if s and s["upper"] is not None), default=None
+            ),
+            "degenerate": rep["degenerate"],
             "seconds": self.seconds,
             "error": self.error,
         }
@@ -409,10 +405,14 @@ def sweep_to_csv(records: Sequence[SweepRecord], with_seconds: bool = True) -> s
     return "\n".join(lines) + "\n"
 
 
-def _machine_bound(base: CssCode, prev: tuple[CssCode, SweepRecord], side: str) -> int:
-    """Sector bound on one side of base (x) the previous stage, from its record; 0 if none."""
+def _machine_bound(base: CssCode, prev: tuple[CssCode, css.CodeReport], side: str) -> int:
+    """Sector bound on one side of base (x) the previous stage, from its report; 0 if none."""
     code, last = prev
-    dist, stab = (last.d_x, last.stab_min_x) if side == "X" else (last.d_z, last.stab_min_z)
+    dist, stab = (
+        (last.d_x, last.min_stabilizer_weight_x)
+        if side == "X"
+        else (last.d_z, last.min_stabilizer_weight_z)
+    )
     try:
         return bound_from_params(
             factor_params(base, side), _factor_params(css._side(code, side), dist, stab)
@@ -435,37 +435,31 @@ def sweep(
     Each stage builds the (reduced or full) power, the base itself at
     ell = 1, and runs the budgeted analysis.  For full powers it then
     merges the sector bound of base (x) previous power into each
-    certified distance lower bound through ``css._bracket``, which also
-    settles the exactness flag; the degeneracy verdict is derived from
-    the record's bounds.  Capped searches record cap + 1, never a guess.
-    A stage rejected by the resource ceiling is recorded in-row (the
-    predicted n, the message in ``error``, nothing else) and the run
-    continues.
+    certified distance lower bound of the stage's report through
+    ``css._bracket``, which also settles the exactness flag; the report's
+    degeneracy verdict follows from the merged bounds.  Capped searches
+    record cap + 1, never a guess.  A stage rejected by the resource
+    ceiling is recorded in-row (the predicted n, the message in
+    ``error``, no report) and the run continues.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     records: list[SweepRecord] = []
-    prev: tuple[CssCode, SweepRecord] | None = None
+    prev: tuple[CssCode, css.CodeReport] | None = None
     for ell in range(1, ell_max + 1):
         t0 = time.monotonic()
         try:
             code = css_power(spec.base, ell, reduced=spec.reduced, max_n=max_n)
         except ResourceCeiling as exc:
-            records.append(
-                SweepRecord(ell, exc.predicted, seconds=time.monotonic() - t0, error=str(exc))
-            )
+            records.append(SweepRecord(ell, exc.predicted, None, time.monotonic() - t0, str(exc)))
             prev = None
             continue
         report = css.analyze(code, weight_cap, trials, seed + ell, time_budget)
-        d_x, d_z = report.d_x, report.d_z
         if not spec.reduced and prev is not None and report.k >= 1:
-            d_x = css._bracket(d_x, lower=_machine_bound(spec.base, prev, "X"))
-            d_z = css._bracket(d_z, lower=_machine_bound(spec.base, prev, "Z"))
-        profile = report.profile
-        record = SweepRecord(
-            ell, report.n, report.k, d_x, d_z, profile.max_row_weight_x, profile.max_row_weight_z,
-            report.min_stabilizer_weight_x, report.min_stabilizer_weight_z, time.monotonic() - t0,
-        )
-        records.append(record)
-        prev = (code, record)
+            report = report._replace(
+                d_x=css._bracket(report.d_x, lower=_machine_bound(spec.base, prev, "X")),
+                d_z=css._bracket(report.d_z, lower=_machine_bound(spec.base, prev, "Z")),
+            )
+        records.append(SweepRecord(ell, report.n, report, time.monotonic() - t0))
+        prev = (code, report)
     return records

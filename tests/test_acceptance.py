@@ -245,10 +245,11 @@ def steane_sweep_three(steane_code):
 def test_criterion_7_ldpc_witness(steane_sweep_three):
     records = steane_sweep_three
     ns = [r.n for r in records]
-    ks = [r.k for r in records]
+    ks = [r.report.k for r in records]
     expected = [tensorops.power_length((3, 7, 3), ell) for ell in (1, 2, 3)]
     weight_ok = all(
-        max(r.wmax_x, r.wmax_z) <= 4 * r.ell for r in records
+        max(r.report.profile.max_row_weight_x, r.report.profile.max_row_weight_z) <= 4 * r.ell
+        for r in records
     )
     ok = ns == expected == [7, 67, 721] and ks == [1, 1, 1] and weight_ok
     report(
@@ -260,18 +261,18 @@ def test_criterion_7_ldpc_witness(steane_sweep_three):
 
 def test_criterion_8_degeneracy_bookkeeping(steane_sweep_two, steane_code):
     records = steane_sweep_two
-    decided = all(r.degenerate is not None for r in records)
-    verdicts = [r.degenerate for r in records]
+    decided = all(r.report.degenerate is not None for r in records)
+    verdicts = [r.report.degenerate for r in records]
     rerun = tensorops.sweep(
         PowerSpec(steane_code, 1), 2, weight_cap=6, time_budget=30.0, trials=60, seed=23
     )
-    stable = verdicts == [r.degenerate for r in rerun]
-    stab_reported = all(r.stab_min is not None for r in records)
+    stable = verdicts == [r.report.degenerate for r in rerun]
+    stab_reported = all(r.to_json_dict()["stab_min"] is not None for r in records)
     ok = decided and stable and stab_reported and verdicts == [False, True]
     report(
         8,
         ok,
-        f"verdicts {verdicts} decided at ell<=2 (stab_min {records[1].stab_min} vs d >= {records[1].d_z.lower}), stable across runs",
+        f"verdicts {verdicts} decided at ell<=2 (stab_min {records[1].to_json_dict()['stab_min']} vs d >= {records[1].report.d_z.lower}), stable across runs",
     )
 
 

@@ -443,16 +443,17 @@ class TestSweep:
         records = tensorops.sweep(
             PowerSpec(steane(), 1), 2, weight_cap=6, time_budget=10.0, trials=40, seed=5
         )
+        first, second = (r.report for r in records)
         assert [r.n for r in records] == [7, 67]
-        assert [r.k for r in records] == [1, 1]
-        assert records[0].d_x.exact and records[0].d_x.value == 3
-        assert records[0].degenerate is False
+        assert [first.k, second.k] == [1, 1]
+        assert first.d_x.exact and first.d_x.value == 3
+        assert first.degenerate is False
         # stage 2: capped search certifies 7; upper 9 from sampling
-        assert records[1].d_z.lower == 7
-        assert records[1].d_z.upper == 9
-        assert records[1].wmax_x <= 8 and records[1].wmax_z <= 8
-        assert records[1].stab_min == 5
-        assert records[1].degenerate is True
+        assert second.d_z.lower == 7
+        assert second.d_z.upper == 9
+        assert second.profile.max_row_weight_x <= 8 and second.profile.max_row_weight_z <= 8
+        assert records[1].to_json_dict()["stab_min"] == 5
+        assert second.degenerate is True
 
     def test_reduced_sweep_below_full(self):
         full = tensorops.sweep(
@@ -520,15 +521,33 @@ class TestSweep:
         assert "degenerate" not in tensorops.SweepRecord._fields
         assert "degenerate" not in css.CodeReport._fields
         undecided = css.DistanceResult(4, 9, False)
-        record = tensorops.SweepRecord(2, 67, 1, undecided, undecided,
-                                       stab_min_x=css.DistanceResult(5, 5, True))
-        assert record.degenerate is None
+        profile = css.weight_profile(css_power(steane(), 2))
+        report = css.CodeReport(
+            67, 1, undecided, undecided, profile, css.DistanceResult(5, 5, True), None
+        )
+        assert report.degenerate is None
         raised = css._bracket(undecided, lower=6)
         assert raised == css.DistanceResult(6, 9, False)
-        assert record._replace(d_x=raised, d_z=raised).degenerate is True
+        assert report._replace(d_x=raised, d_z=raised).degenerate is True
         assert css._bracket(undecided, lower=9) == css.DistanceResult(9, 9, True)
         assert css._bracket(css.DistanceResult(5, None, False), upper=7).upper == 7
-        assert tensorops.SweepRecord(3, 721, error="ceiling").degenerate is None
+        ceiling = tensorops.SweepRecord(3, 721, None, 0.0, "ceiling")
+        assert ceiling.to_json_dict()["degenerate"] is None
+
+    def test_stage_report_is_the_analysis(self):
+        cap, trials, seed = 2, 20, 5
+        records = tensorops.sweep(
+            PowerSpec(steane(), 1), 2, weight_cap=cap, time_budget=None, trials=trials, seed=seed
+        )
+        assert records[0].report == css.analyze(steane(), cap, trials, seed + 1, None)
+        got = records[1].report
+        want = css.analyze(css_power(steane(), 2), cap, trials, seed + 2, None)
+        assert got._replace(d_x=None, d_z=None) == want._replace(d_x=None, d_z=None)
+        for mine, plain in ((got.d_x, want.d_x), (got.d_z, want.d_z)):
+            assert mine.lower >= plain.lower and mine.upper == plain.upper
+            assert mine.exact == (mine.lower == mine.upper)
+            # the capped search certifies cap + 1; the sector machine lifts it to 4
+            assert (plain.lower, mine.lower) == (cap + 1, 4)
 
     def test_ceiling_failures_recorded_in_row(self):
         records = tensorops.sweep(
@@ -544,6 +563,15 @@ class TestSweep:
         assert records[0].error is None and records[1].error is None
         assert records[2].error is not None and "ceiling" in records[2].error
         assert records[2].n == 721  # predicted length still reported
+        assert records[2].report is None
+        row = records[2].to_json_dict()
+        row.pop("seconds")
+        assert row == {
+            "ell": 3, "n": 721, "k": 0, "d_x": None, "d_z": None, "wmax_x": 0, "wmax_z": 0,
+            "stab_min": None, "degenerate": None, "error": "predicted n = 721 exceeds ceiling 70",
+        }
         # the CSV still renders, with empty analysis columns on the failed row
         text = tensorops.sweep_to_csv(records)
         assert text.strip().split("\n")[3].startswith("3,721,0,,,,,,,0,0,,unknown,")
+        masked = tensorops.sweep_to_csv(records, with_seconds=False)
+        assert masked.split("\n")[3] == "3,721,0,,,,,,,0,0,,unknown,"

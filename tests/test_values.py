@@ -35,7 +35,13 @@ def _pairs() -> list[tuple[object, object, str]]:
         (tensorops.PowerSpec(steane(), 2), tensorops.PowerSpec(steane(), 2), "ell"),
         (crit, tensorops.check_distance_criterion(steane()), "holds"),
         (fp, tensorops.factor_params(steane(), "X"), "d_lo"),
-        (tensorops.SweepRecord(1, 7, 1, dist), tensorops.SweepRecord(1, 7, 1, dist), "n"),
+        (
+            tensorops.SweepRecord(1, 7, report, 0.5),
+            tensorops.SweepRecord(
+                1, 7, css.CodeReport(7, 1, dist, dist, profile, None, None), 0.5
+            ),
+            "report",
+        ),
         (verify.PropertyResult("p", 3, 0), verify.PropertyResult("p", 3, 0), "checks"),
     ]
 
