@@ -11,9 +11,21 @@ Summand ordering inside a tensor product is fixed once and for all:
 ``(X (x) Y)_k`` lists ``X_i (x) Y_j`` by increasing left degree ``i``, and
 each summand uses left-factor-major Kronecker indexing.  A product of
 more factors is the left fold of pairwise products.  This makes every
-block matrix reproducible bit for bit.  ``tensor`` is the one assembler:
-products of codes, powers and truncations are all windows of it, and it
-writes each Kronecker block straight into the product's rows in one pass.
+block matrix reproducible bit for bit.  One loop, ``_place_kron``, writes
+each Kronecker block straight into the product's rows in one pass, and
+two builders share it.  ``tensor`` assembles a window of degrees lo..hi:
+truncations, reduced power stages and the windows ``verify`` checks.
+``tensor_checks`` gives the two maps at one degree, the second one
+transposed, which is what a product code or a power needs as (h_x, h_z):
+it writes the transposed map from the transposed factor maps, so no top
+boundary is built and nothing product-wide is transposed.
+
+A product of valid factors is valid without a product-wide check.  The
+product boundary is the sum over p of 1 (x) ... (x) d_p (x) ... (x) 1;
+terms on different factors act on different tensor slots and commute,
+so each cross term of its square appears twice and cancels in
+characteristic 2, leaving the sum of the 1 (x) ... (x) d_p^2 (x) ... (x) 1,
+which is zero.  ``validate`` on the factors thus certifies the product.
 """
 
 from __future__ import annotations
@@ -89,14 +101,6 @@ def validate(x: ChainComplex) -> None:
             raise BoundarySquareNonzero(i, f"boundary {i - 1} o boundary {i} != 0")
 
 
-def is_valid(x: ChainComplex) -> bool:
-    try:
-        validate(x)
-        return True
-    except (ShapeMismatch, BoundarySquareNonzero):
-        return False
-
-
 def homology_dims(x: ChainComplex) -> HomologyProfile:
     """dim H_i = dims[i] - rank(boundary i) - rank(boundary i+1); end maps have rank 0."""
     validate(x)
@@ -138,70 +142,128 @@ def _compositions(tops: Sequence[int], degree: int) -> list[tuple[int, ...]]:
     return list(found)
 
 
+def _summand_sizes(factors: Sequence[ChainComplex], degree: int) -> dict[tuple[int, ...], int]:
+    """Width of each summand of the product at ``degree``, in left-fold order."""
+    tops = tuple(f.top_degree() for f in factors)
+    sizes = {}
+    for c in _compositions(tops, degree):
+        width = 1
+        for f, v in zip(factors, c):
+            width *= f.dims[v]
+        sizes[c] = width
+    return sizes
+
+
+def _place_kron(rows: list[int], r0: int, c0: int, left: int, m: BinMatrix, right: int) -> None:
+    """XOR ``kron(I_left, m, I_right)`` into ``rows`` with its corner at (r0, c0).
+
+    Each row of ``m`` is spread to stride ``right`` once and XOR-ed into
+    its target rows at shifts ``c0 + a * m.cols * right + b``.
+    """
+    spread = []
+    for row in m.data:
+        bits = 0
+        while row:
+            t = row.bit_length() - 1
+            bits |= 1 << (t * right)
+            row ^= 1 << t
+        spread.append(bits)
+    s = r0
+    for a in range(left):
+        shift = a * m.cols * right + c0
+        for srow in spread:
+            for b in range(shift, shift + right):
+                rows[s] ^= srow << b
+                s += 1
+
+
+def _boundary_rows(
+    factors: Sequence[ChainComplex],
+    src: dict[tuple[int, ...], int],
+    tgt: dict[tuple[int, ...], int],
+    transposed: bool = False,
+) -> list[int]:
+    """Rows of the product boundary from the ``src`` summands to the ``tgt`` ones.
+
+    On a summand c the boundary is the sum over factors p of
+    ``kron(I, d_p, I)`` into the summand with c_p lowered by one; no signs
+    in characteristic 2.  ``transposed`` writes the transposed map instead,
+    block by block from the transposed factor maps, since
+    ``kron(I, d, I)^T = kron(I, d^T, I)``: nothing product-wide is transposed.
+    """
+    tgt_offset = {}
+    off = 0
+    for c, width in tgt.items():
+        tgt_offset[c] = off
+        off += width
+    if transposed:
+        maps = [tuple(map(gf2.transpose, f.boundaries)) for f in factors]
+        rows = [0] * sum(src.values())
+    else:
+        maps = [f.boundaries for f in factors]
+        rows = [0] * off
+    src_off = 0
+    for c, width in src.items():
+        if width:
+            left = 1
+            for p, f in enumerate(factors):
+                v = c[p]
+                if v:
+                    right = width // (left * f.dims[v])
+                    t = tgt_offset[c[:p] + (v - 1,) + c[p + 1 :]]
+                    r0, c0 = (src_off, t) if transposed else (t, src_off)
+                    _place_kron(rows, r0, c0, left, maps[p][v - 1], right)
+                left *= f.dims[v]
+        src_off += width
+    return rows
+
+
+def _check_degree(factors: Sequence[ChainComplex], lo: int, hi: int) -> None:
+    top = sum(f.top_degree() for f in factors)
+    if not (0 <= lo <= hi <= top):
+        raise ValueError(f"window {lo}..{hi} outside degrees 0..{top}")
+
+
 def tensor(*factors: ChainComplex, lo: int = 0, hi: int | None = None) -> ChainComplex:
     """Degrees lo..hi of the left-fold tensor product of the factors.
 
     Summands follow ``_compositions`` and use left-factor-major Kronecker
     indexing, so the result is bit-identical to folding pairwise products
-    and then cutting the window; only the window is ever assembled.  The
-    boundary on a summand is the sum over factors p of
-    ``kron(I, d_p, I)`` into the summand with c_p lowered by one; no signs
-    in characteristic 2.  For ``kron(I_left, d, I_right)`` each row of ``d``
-    is spread to stride ``right`` once and XOR-ed into its target rows at
-    shifts ``a * d.cols * right + b``.  With one factor the window is a
+    and then cutting the window; only the window is ever assembled, block
+    by block through ``_place_kron``.  With one factor the window is a
     truncation, and the empty product is the unit complex 0 -> F -> 0.
     """
-    tops = tuple(f.top_degree() for f in factors)
-    top = sum(tops)
     if hi is None:
-        hi = top
-    if not (0 <= lo <= hi <= top):
-        raise ValueError(f"window {lo}..{hi} outside degrees 0..{top}")
-
-    def size(c: tuple[int, ...]) -> int:
-        out = 1
-        for f, v in zip(factors, c):
-            out *= f.dims[v]
-        return out
-
-    sizes = [{c: size(c) for c in _compositions(tops, k)} for k in range(lo, hi + 1)]
+        hi = sum(f.top_degree() for f in factors)
+    _check_degree(factors, lo, hi)
+    sizes = [_summand_sizes(factors, k) for k in range(lo, hi + 1)]
     dims = tuple(sum(s.values()) for s in sizes)
-    boundaries = []
-    for k in range(1, len(dims)):
-        tgt_offset = {}
-        off = 0
-        for c, width in sizes[k - 1].items():
-            tgt_offset[c] = off
-            off += width
-        rows = [0] * dims[k - 1]
-        col_off = 0
-        for c, width in sizes[k].items():
-            if width:
-                left = 1
-                for p, f in enumerate(factors):
-                    v = c[p]
-                    if v:
-                        m = f.boundaries[v - 1]
-                        right = width // (left * f.dims[v])
-                        spread = []
-                        for row in m.data:
-                            bits = 0
-                            while row:
-                                t = row.bit_length() - 1
-                                bits |= 1 << (t * right)
-                                row ^= 1 << t
-                            spread.append(bits)
-                        s = tgt_offset[c[:p] + (v - 1,) + c[p + 1 :]]
-                        for a in range(left):
-                            shift = a * m.cols * right + col_off
-                            for srow in spread:
-                                for b in range(shift, shift + right):
-                                    rows[s] ^= srow << b
-                                    s += 1
-                    left *= f.dims[v]
-            col_off += width
-        boundaries.append(BinMatrix(dims[k - 1], dims[k], tuple(rows)))
-    return ChainComplex(dims, tuple(boundaries))
+    boundaries = tuple(
+        BinMatrix(dims[k - 1], dims[k], tuple(_boundary_rows(factors, sizes[k], sizes[k - 1])))
+        for k in range(1, len(dims))
+    )
+    return ChainComplex(dims, boundaries)
+
+
+def tensor_checks(*factors: ChainComplex, degree: int) -> tuple[BinMatrix, BinMatrix]:
+    """(boundary ``degree``, transposed boundary ``degree + 1``) of the product.
+
+    These equal ``boundary(degree)`` and the transpose of
+    ``boundary(degree + 1)`` of ``tensor(*factors)``, zero maps out of
+    range, but only the summands at the three degrees are sized, and the
+    second map is written block by block from the transposed factor maps:
+    no window top boundary is built and nothing product-wide is transposed.  For three-term factors at the
+    middle degree this is the check pair (h_x, h_z) of the product code.
+    Nothing is validated here: the pair is orthogonal when every factor
+    passes ``validate`` (see the module docstring).
+    """
+    _check_degree(factors, degree, degree)
+    below, here, above = (_summand_sizes(factors, k) for k in (degree - 1, degree, degree + 1))
+    dim_below, dim, dim_above = (sum(s.values()) for s in (below, here, above))
+    return (
+        BinMatrix(dim_below, dim, tuple(_boundary_rows(factors, here, below))),
+        BinMatrix(dim_above, dim, tuple(_boundary_rows(factors, above, here, transposed=True))),
+    )
 
 
 def reduce(x: ChainComplex) -> ChainComplex:

@@ -75,9 +75,13 @@ def cmd_family(args: argparse.Namespace) -> int:
 def cmd_tensor(args: argparse.Namespace) -> int:
     left = _load_code(args.left)
     right = _load_code(args.right)
-    product = tensorops.css_tensor(left, right)
+    product = tensorops.css_tensor(left, right, max_n=_ceiling())
+    # Kunneth: the product's middle homology is the convolution of the factors'.
+    k = chain.tensor_dims(
+        chain.homology_dims(css.to_complex(left)), chain.homology_dims(css.to_complex(right))
+    )[2]
     _write_code(product, f"tensor({args.left},{args.right})", args.out)
-    print(f"n={product.n} k={css.dimension_k(product)}")
+    print(f"n={product.n} k={k}")
     return 0
 
 

@@ -68,7 +68,12 @@ class EmptyStabilizerGroup(ValueError):
 
 
 class CssCode(gf2._Value):
-    """Checks shapes; from_matrices and from_complex check orthogonality.
+    """Checks shapes only; orthogonality is the caller's to establish.
+
+    ``from_matrices`` and ``from_complex`` check it with a product of the
+    two checks.  The products and powers of ``tensorops`` and the
+    hypergraph products of ``families`` use this bare constructor: valid
+    factors make a product's checks orthogonal (see the ``chain`` module).
 
     ``_sides`` keeps each side's ``_Side`` once built (see ``_side``);
     equality, hash and repr leave it out.
@@ -112,6 +117,9 @@ def from_complex(x: ChainComplex) -> CssCode:
     """Inverse of to_complex for a valid complex with exactly 3 spaces.
 
     chain.validate's boundary product h_x . h_z^T checks orthogonality.
+    Reduced powers and loaded complexes come through here; products,
+    powers and hypergraph products are built from ``chain.tensor_checks``
+    and skip this product-wide check.
     """
     if len(x.dims) != 3:
         raise ValueError(f"expected a length-3 complex, got {len(x.dims)} spaces")

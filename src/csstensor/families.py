@@ -78,11 +78,14 @@ def tillich_zemor(h1: BinMatrix, h2: BinMatrix) -> CssCode:
     """Hypergraph product of two classical codes as a tensor of 2-term complexes.
 
     For full-rank r x n checks paired with themselves this gives
-    n^2 + r^2 qubits and (n - r)^2 logical qubits.
+    n^2 + r^2 qubits and (n - r)^2 logical qubits.  A 2-term complex has
+    no two maps to compose, so both factors are valid and the product's
+    checks are orthogonal without a check (see the ``chain`` module).
     """
     x = classical_as_complex(h1, "ker")
     y = classical_as_complex(h2, "im")
-    return css.from_complex(chain.tensor(x, y))
+    h_x, h_z = chain.tensor_checks(x, y, degree=1)
+    return CssCode(h_x.cols, h_x, h_z)
 
 
 # -- Reed-Muller ------------------------------------------------------------

@@ -83,12 +83,12 @@ def kunneth_suite(seed: int, pairs: int) -> list[PropertyResult]:
     for _ in range(pairs):
         x = rand.random_complex3(rng)
         y = rand.random_complex3(rng)
-        product = chain.tensor(x, y)
-        if not chain.is_valid(product):
+        try:  # homology_dims validates the product first
+            homology = chain.homology_dims(chain.tensor(x, y))
+        except (chain.ShapeMismatch, chain.BoundarySquareNonzero):
             valid_failures += 1
             continue
-        expected = chain.tensor_dims(chain.homology_dims(x), chain.homology_dims(y))
-        if chain.homology_dims(product) != expected:
+        if homology != chain.tensor_dims(chain.homology_dims(x), chain.homology_dims(y)):
             failures += 1
     return [
         PropertyResult("chain/tensor_valid", pairs, valid_failures),
@@ -177,6 +177,15 @@ def length_formula_suite(seed: int, triples: int) -> list[PropertyResult]:
     ]
 
 
+def _is_window_code(product: css.CssCode, x: chain.ChainComplex, y: chain.ChainComplex) -> bool:
+    """Whether ``product`` passes ``css.from_matrices`` and equals the window code of x (x) y."""
+    try:
+        css.from_matrices(product.h_x, product.h_z)
+    except css.OrthogonalityViolation:
+        return False
+    return product == css.from_complex(chain.tensor(x, y, lo=1, hi=3))
+
+
 def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
     """Exact product distances lie between the emitted bounds.
 
@@ -184,6 +193,12 @@ def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
     only active one, the comparison bound is the plain max and k = k_C * k_D.
     Above: by Kunneth, x (x) y of two lightest logicals is a nontrivial
     logical of the product, so d <= d_C * d_D on each side.
+
+    ``tensorops/kunneth_k`` also checks the product itself against paths
+    that skip neither the product-wide transpose nor the product-wide
+    check: ``css.from_matrices`` must find its checks orthogonal, and it
+    must equal the code that ``css.from_complex`` reads off the window
+    1..3 of ``chain.tensor``.
     """
     rng = random.Random(seed)
     failures = {"generic": 0, "witness": 0, "comparison": 0, "kunneth_k": 0}
@@ -203,10 +218,9 @@ def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
         if k < 1:
             continue
         done += 1
-        expected_k = chain.tensor_dims(
-            chain.homology_dims(css.to_complex(c)), chain.homology_dims(css.to_complex(d))
-        )[2]
-        if k != expected_k:
+        x, y = css.to_complex(c), css.to_complex(d)
+        expected_k = chain.tensor_dims(chain.homology_dims(x), chain.homology_dims(y))[2]
+        if k != expected_k or not _is_window_code(product, x, y):
             failures["kunneth_k"] += 1
         exact = [css.min_distance_exact(product, s).value for s in "XZ"]
         generic = tensorops.generic_lower_bound(c, d)

@@ -12,6 +12,7 @@ import pytest
 from csstensor import chain, gf2, tensorops, verify
 from csstensor.chain import BoundarySquareNonzero, ChainComplex, ShapeMismatch
 from csstensor.families import hamming_parity_check
+from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex, random_complex3, random_matrix
 
 
@@ -350,6 +351,51 @@ class TestWindow:
         assert hashlib.sha256(payload.encode()).hexdigest() == (
             "90a56a45d7f1ad3874d7ba7a3b488a8ba9f18b7ec3b50733b1b656262357d334"
         )
+
+
+class TestTensorChecks:
+    """The map at one degree and the transposed map above it, without the window."""
+
+    @staticmethod
+    def random_factor(rng):
+        """A valid complex of one to five terms, zero dims included."""
+        kind = rng.randrange(4)
+        if kind == 0:
+            return ChainComplex.single(rng.randrange(0, 4))
+        if kind == 1:
+            dims = (rng.randrange(0, 4), rng.randrange(0, 4))
+            return ChainComplex(dims, (random_matrix(rng, *dims),))
+        if kind == 2:
+            return random_complex(rng, tuple(rng.randrange(0, 5) for _ in range(3)))
+        return chain.tensor(random_complex3(rng, 2), random_complex3(rng, 2))
+
+    def test_pair_is_the_window_maps(self):
+        rng = random.Random(41)
+        for count in range(1, 5):
+            for _ in range(25 if count < 4 else 8):
+                xs = [self.random_factor(rng) for _ in range(count)]
+                top = sum(x.top_degree() for x in xs)
+                for degree in range(top + 1):
+                    w = chain.tensor(*xs, lo=max(0, degree - 1), hi=min(top, degree + 1))
+                    lower = degree - max(0, degree - 1)
+                    expected = (w.boundary(lower), gf2.transpose(w.boundary(lower + 1)))
+                    assert chain.tensor_checks(*xs, degree=degree) == expected, (
+                        [x.dims for x in xs], degree,
+                    )
+
+    def test_steane_square_and_unit(self):
+        x = steane_complex()
+        h_x, h_z = chain.tensor_checks(x, x, degree=2)
+        w = chain.tensor(x, x, lo=1, hi=3)
+        assert (h_x, h_z) == (w.boundary(1), gf2.transpose(w.boundary(2)))
+        assert (h_x.rows, h_x.cols, h_z.rows) == (42, 67, 42)
+        assert chain.tensor_checks(degree=0) == (BinMatrix.zeros(0, 1), BinMatrix.zeros(0, 1))
+
+    def test_degree_range_error(self):
+        with pytest.raises(ValueError):
+            chain.tensor_checks(steane_complex(), degree=3)
+        with pytest.raises(ValueError):
+            chain.tensor_checks(steane_complex(), steane_complex(), degree=-1)
 
 
 class TestTruncate:

@@ -168,6 +168,15 @@ class TestPower:
         code, _, err = run(capsys, "power", str(base), "--ell", "3")
         assert code == 4 and "ceiling" in err
 
+    def test_tensor_resource_ceiling_exit_4(self, capsys, tmp_path, monkeypatch):
+        base = tmp_path / "steane.json"
+        out = tmp_path / "sq.json"
+        run(capsys, "family", "steane", "--out", str(base))
+        monkeypatch.setenv(cli.RESOURCE_CEILING_ENV, "10")
+        code, _, err = run(capsys, "tensor", str(base), str(base), "--out", str(out))
+        assert code == 4 and "predicted n = 67" in err
+        assert not out.exists()
+
     def test_malformed_ceiling_exit_2(self, capsys, tmp_path, monkeypatch):
         base = tmp_path / "steane.json"
         run(capsys, "family", "steane", "--out", str(base))
@@ -330,6 +339,24 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", "fast")
         assert code == 1
         assert "FAIL tensorops/power_length_matrices" in stdout
+
+    def test_misplaced_transposed_blocks_fail(self, capsys, monkeypatch):
+        """Transposed blocks one row off: h_z keeps its rows, only out of order.
+
+        The product stays orthogonal with the right k, so only the
+        comparison with the window code in the soundness suite sees it."""
+        true_rows = chain._boundary_rows
+
+        def shifted(factors, src, tgt, transposed=False):
+            rows = true_rows(factors, src, tgt, transposed)
+            return rows[1:] + rows[:1] if transposed else rows
+
+        monkeypatch.setattr(chain, "_boundary_rows", shifted)
+        code, stdout, _ = run(capsys, "verify", "fast")
+        assert code == 1
+        failed = [line.split(":")[0] for line in stdout.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL tensorops/kunneth_k", "FAIL total"]
+        assert stdout.splitlines()[-1] == "FAIL total: 15 properties"
 
     def test_crashed_suite_names_its_exception(self, capsys, monkeypatch):
         def broken_rank(m):

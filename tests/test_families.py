@@ -112,6 +112,21 @@ class TestTillichZemor:
             assert code.n == n * n + r * r
             assert css.dimension_k(code) == (n - r) ** 2
 
+    def test_checks_equal_the_product_complex_and_are_orthogonal(self):
+        import random
+
+        from csstensor.rand import random_matrix
+
+        rng = random.Random(8)
+        for _ in range(60):
+            h1 = random_matrix(rng, rng.randrange(0, 4), rng.randrange(0, 6))
+            h2 = random_matrix(rng, rng.randrange(0, 4), rng.randrange(0, 6))
+            x = classical_as_complex(h1, "ker")
+            y = classical_as_complex(h2, "im")
+            code = tillich_zemor(h1, h2)
+            assert code == css.from_complex(chain.tensor(x, y))
+            assert css.from_matrices(code.h_x, code.h_z) == code
+
     def test_rank_deficient_kunneth(self):
         h = BinMatrix.from_rows([[1, 1, 0], [1, 1, 0]])  # rank 1
         code = tillich_zemor(h, h)

@@ -83,6 +83,53 @@ class TestCssTensor:
             assert css.dimension_k(product) == expected
 
 
+def non_orthogonal_code() -> CssCode:
+    """Shapes fit, but h_x . h_z^T != 0: only the bare constructor accepts it."""
+    return CssCode(3, BinMatrix.from_rows([[1, 1, 0]]), BinMatrix.from_rows([[0, 1, 1]]))
+
+
+class TestProductValidity:
+    def test_non_orthogonal_factor_raises(self):
+        bad = non_orthogonal_code()
+        for build in (
+            lambda: css_tensor(bad, steane()),
+            lambda: css_tensor(steane(), bad),
+            lambda: css_power(bad, 2),
+            lambda: css_power(bad, 3),
+            lambda: css_power(bad, 2, reduced=True),
+        ):
+            with pytest.raises(chain.BoundarySquareNonzero):
+                build()
+
+    def test_tensor_equals_window_code_on_random_pairs(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            c = random_css_code(rng, rng.randrange(0, 6), rng.randrange(0, 3),
+                                rng.randrange(0, 3), min_k=0)
+            d = random_css_code(rng, rng.randrange(0, 6), rng.randrange(0, 3),
+                                rng.randrange(0, 3), min_k=0)
+            window = chain.tensor(css.to_complex(c), css.to_complex(d), lo=1, hi=3)
+            product = css_tensor(c, d)
+            assert product == css.from_complex(window)
+            assert css.from_matrices(product.h_x, product.h_z) == product
+
+    def test_power_four_stays_factor_sized(self, monkeypatch):
+        # No product-wide multiplication, transpose or column pass: only
+        # factor-sized matrices reach these three.
+        largest = []
+        for name in ("matmul", "transpose", "_column_supports"):
+            real = getattr(gf2, name)
+
+            def counting(*mats, real=real):
+                largest.append(max(max(m.rows, m.cols) for m in mats))
+                return real(*mats)
+
+            monkeypatch.setattr(gf2, name, counting)
+        code = css_power(steane(), 4)
+        assert code.n == 8179 and code.h_x.rows == code.h_z.rows == 6384
+        assert largest and max(largest) < 1000
+
+
 class TestCssPower:
     def test_ell_one_identity(self):
         code = steane()
@@ -120,6 +167,17 @@ class TestCssPower:
     def test_resource_guard(self):
         with pytest.raises(ResourceCeiling):
             css_power(steane(), 4, max_n=1000)
+
+    def test_tensor_resource_guard_before_assembly(self, monkeypatch):
+        def never(*factors, degree):
+            raise AssertionError("assembled past the ceiling")
+
+        monkeypatch.setattr(chain, "tensor_checks", never)
+        with pytest.raises(ResourceCeiling) as caught:
+            css_tensor(steane(), steane(), max_n=66)
+        assert caught.value.predicted == 67
+        monkeypatch.undo()
+        assert css_tensor(steane(), steane(), max_n=67).n == 67
 
     def test_window_parameter(self):
         # off-middle window: degree 1 of the square
