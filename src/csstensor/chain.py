@@ -16,9 +16,11 @@ each Kronecker block straight into the product's rows in one pass, and
 two builders share it.  ``tensor`` assembles a window of degrees lo..hi:
 truncations, reduced power stages and the windows ``verify`` checks.
 ``tensor_checks`` gives the two maps at one degree, the second one
-transposed, which is what a product code or a power needs as (h_x, h_z):
-it writes the transposed map from the transposed factor maps, so no top
-boundary is built and nothing product-wide is transposed.
+transposed, which is what a code needs as (h_x, h_z): it writes the
+transposed map from the transposed factor maps, so no top boundary is
+built and nothing product-wide is transposed.  ``css.from_complex`` reads
+every code through it: a lone length-3 complex, a product code, a power
+and a hypergraph product alike.
 
 A product of valid factors is valid without a product-wide check.  The
 product boundary is the sum over p of 1 (x) ... (x) d_p (x) ... (x) 1;
@@ -252,10 +254,11 @@ def tensor_checks(*factors: ChainComplex, degree: int) -> tuple[BinMatrix, BinMa
     ``boundary(degree + 1)`` of ``tensor(*factors)``, zero maps out of
     range, but only the summands at the three degrees are sized, and the
     second map is written block by block from the transposed factor maps:
-    no window top boundary is built and nothing product-wide is transposed.  For three-term factors at the
-    middle degree this is the check pair (h_x, h_z) of the product code.
-    Nothing is validated here: the pair is orthogonal when every factor
-    passes ``validate`` (see the module docstring).
+    no window top boundary is built and nothing product-wide is
+    transposed.  At the middle degree this is the check pair (h_x, h_z)
+    that ``css.from_complex``, the one reader of codes, returns.  Nothing
+    is validated here: the pair is orthogonal when every factor passes
+    ``validate`` (see the module docstring).
     """
     _check_degree(factors, degree, degree)
     below, here, above = (_summand_sizes(factors, k) for k in (degree - 1, degree, degree + 1))

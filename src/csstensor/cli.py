@@ -105,7 +105,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         name = f"power(ell={args.ell},reduced={args.reduced})"
     _write_code(code, name, args.out)
     print(f"predicted_n={predicted} actual_n={code.n} k={k}")
-    if code.n == 0:
+    if args.reduced and code.n == 0:
         print("warning: reduced power is empty (exact input)", file=sys.stderr)
     return 0
 

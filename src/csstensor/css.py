@@ -70,10 +70,10 @@ class EmptyStabilizerGroup(ValueError):
 class CssCode(gf2._Value):
     """Checks shapes only; orthogonality is the caller's to establish.
 
-    ``from_matrices`` and ``from_complex`` check it with a product of the
-    two checks.  The products and powers of ``tensorops`` and the
-    hypergraph products of ``families`` use this bare constructor: valid
-    factors make a product's checks orthogonal (see the ``chain`` module).
+    Only this module calls the bare constructor.  ``from_matrices`` checks
+    orthogonality with a product of the two checks; ``from_complex``, the
+    one reader of every product, power and hypergraph product, with
+    ``chain.validate`` on its factors (see the ``chain`` module).
 
     ``_sides`` keeps each side's ``_Side`` once built (see ``_side``);
     equality, hash and repr leave it out.
@@ -113,24 +113,25 @@ def to_complex(code: CssCode) -> ChainComplex:
     )
 
 
-def from_complex(x: ChainComplex) -> CssCode:
-    """Inverse of to_complex for a valid complex with exactly 3 spaces.
+def from_complex(*factors: ChainComplex) -> CssCode:
+    """The code at the middle degree of the tensor product of the factors.
 
-    chain.validate's boundary product h_x . h_z^T checks orthogonality.
-    Reduced powers and loaded complexes come through here; products,
-    powers and hypergraph products are built from ``chain.tensor_checks``
-    and skip this product-wide check.
+    The one reader from complexes to codes.  A length-3 complex gives the
+    inverse of ``to_complex`` (a loaded complex, a reduced power); two of
+    them give the product code C (x) D, l copies the l-th power, and two
+    2-term complexes a hypergraph product.  The product's top degree must
+    be even and at least 2, so a lone 5-space complex is read at degree 2.
+    Each factor passes ``chain.validate``, which makes the product's
+    h_x . h_z^T vanish (see the ``chain`` module): nothing product-wide is
+    checked, and ``chain.tensor_checks`` builds both checks.
     """
-    if len(x.dims) != 3:
-        raise ValueError(f"expected a length-3 complex, got {len(x.dims)} spaces")
-    chain.validate(x)
-    n, h_x, top = x.dims[1], x.boundary(1), x.boundary(2)
-    # Drop the complex and then its top boundary before h_z is built, so a
-    # caller passing a temporary never holds three n-wide matrices at once.
-    del x
-    columns, width = gf2._column_supports(top), top.rows
-    del top
-    return CssCode(n, h_x, BinMatrix.from_support(len(columns), width, columns))
+    top = sum(x.top_degree() for x in factors)
+    if top < 2 or top % 2:
+        raise ValueError(f"a code is read at the middle of an even top degree >= 2, got {top}")
+    for x in factors:
+        chain.validate(x)
+    h_x, h_z = chain.tensor_checks(*factors, degree=top // 2)
+    return CssCode(h_x.cols, h_x, h_z)
 
 
 def dimension_k(code: CssCode) -> int:

@@ -1,15 +1,16 @@
 """Generators for the code families handled by this package.
 
-Every constructor funnels through the validated CSS constructor, so any
-pairing that violates ``h_x . h_z^T = 0`` fails loudly with a witness
-row pair instead of producing a non-code.
+Every constructor funnels through a validated CSS constructor:
+``css.from_matrices``, so any pairing that violates ``h_x . h_z^T = 0``
+fails loudly with a witness row pair instead of producing a non-code,
+or, for hypergraph products, ``css.from_complex``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import chain, css, gf2
+from . import css, gf2
 from .chain import ChainComplex
 from .css import CssCode
 from .gf2 import BinMatrix
@@ -82,10 +83,7 @@ def tillich_zemor(h1: BinMatrix, h2: BinMatrix) -> CssCode:
     no two maps to compose, so both factors are valid and the product's
     checks are orthogonal without a check (see the ``chain`` module).
     """
-    x = classical_as_complex(h1, "ker")
-    y = classical_as_complex(h2, "im")
-    h_x, h_z = chain.tensor_checks(x, y, degree=1)
-    return CssCode(h_x.cols, h_x, h_z)
+    return css.from_complex(classical_as_complex(h1, "ker"), classical_as_complex(h2, "im"))
 
 
 # -- Reed-Muller ------------------------------------------------------------

@@ -375,9 +375,7 @@ def transpose(m: BinMatrix) -> BinMatrix:
 
     Two phases: collect every column's support, then build each column int
     once.  ``out[j] |= 1 << i`` per set bit would regrow thousands of ints
-    at once and fragment the heap.  The gain is memory, not time, and
-    ``css.from_complex`` runs the phases itself to drop the input between
-    them.
+    at once and fragment the heap.  The gain is memory, not time.
     """
     return BinMatrix.from_support(m.cols, m.rows, _column_supports(m))
 

@@ -4,12 +4,11 @@ The product of two CSS codes is taken at the chain level: tensor the two
 length-3 complexes and read the middle degree back as a code.  Iterated
 powers read the middle degree l of the l-fold product; folding pairwise
 products with intermediate truncation agrees at l = 2 but discards
-middle-feeding spaces at higher l.  Both build the two checks straight
-from the factors with ``chain.tensor_checks`` (bit-identical to the
-window l-1..l+1 of ``chain.tensor`` read back by ``css.from_complex``),
-and both validate only the factors: ``d^2 = 0`` on every factor makes
-the product's h_x . h_z^T vanish (see the ``chain`` module), so no
-product-wide matrix product is ever taken.
+middle-feeding spaces at higher l.  Both are read back by
+``css.from_complex`` from the factor complexes, which builds the two
+checks straight from the factors and validates only the factors:
+``d^2 = 0`` on every factor makes the product's h_x . h_z^T vanish (see
+the ``chain`` module), so no product-wide matrix product is ever taken.
 
 Distance lower bounds come from a Kuenneth decomposition of the middle
 homology of the product.  A nontrivial logical class has a nonzero
@@ -78,31 +77,18 @@ class PowerSpec(namedtuple("PowerSpec", "base ell reduced", defaults=(False,))):
 # -- products and powers ------------------------------------------------
 
 
-def _product_code(factors: Sequence[ChainComplex], degree: int) -> CssCode:
-    """The code at ``degree`` of the product of valid factors, from ``chain.tensor_checks``.
-
-    Each factor is validated at factor size; the Leibniz argument in the
-    ``chain`` module docstring then makes h_x . h_z^T = 0 without a
-    product-wide matrix product, so the bare constructor suffices.
-    """
-    for x in factors:
-        chain.validate(x)
-    h_x, h_z = chain.tensor_checks(*factors, degree=degree)
-    return CssCode(h_x.cols, h_x, h_z)
-
-
 def css_tensor(c: CssCode, d: CssCode, max_n: int | None = None) -> CssCode:
     """Tensor product code: the middle degree 2 of the product complex.
 
-    Bit-identical to reading the window 1..3 of ``chain.tensor`` back with
-    ``css.from_complex``.  The length, ``chain.tensor_dims`` at degree 2,
-    is checked against ``max_n`` before anything is assembled.
+    Read back by ``css.from_complex(x, y)`` from the two factor complexes.
+    The length, ``chain.tensor_dims`` at degree 2, is checked against
+    ``max_n`` before anything is assembled.
     """
     x, y = css.to_complex(c), css.to_complex(d)
     predicted = chain.tensor_dims(x.dims, y.dims)[2]
     if max_n is not None and predicted > max_n:
         raise ResourceCeiling(predicted, max_n)
-    return _product_code((x, y), 2)
+    return css.from_complex(x, y)
 
 
 def _power_compositions(top: int, ell: int, degree: int) -> list[tuple[int, ...]]:
@@ -138,11 +124,11 @@ def css_power(
 ) -> CssCode:
     """The ell-th iterated tensor power of a code.
 
-    Assembles only the two checks at the middle degree ell of the power
-    complex, with ``chain.tensor_checks``; they equal the code read off the
-    window ell-1..ell+1 of ``power_complex_window``.  The first power is
-    ``c`` itself.  With ``reduced`` the pipeline collapses every product
-    stage to the zero complex on its homology; see ``reduced_power_complex``.
+    The middle degree ell of the power complex, read back by
+    ``css.from_complex`` from ell copies of the factor complex.  The first
+    power is ``c`` itself.  With ``reduced`` the pipeline collapses every
+    product stage to the zero complex on its homology; see
+    ``reduced_power_complex``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -154,7 +140,7 @@ def css_power(
         raise ResourceCeiling(predicted, max_n)
     if ell == 1:
         return c
-    return _product_code([x] * ell, ell)
+    return css.from_complex(*[x] * ell)
 
 
 def reduced_power_complex(x: ChainComplex, ell: int) -> ChainComplex:

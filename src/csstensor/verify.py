@@ -178,12 +178,18 @@ def length_formula_suite(seed: int, triples: int) -> list[PropertyResult]:
 
 
 def _is_window_code(product: css.CssCode, x: chain.ChainComplex, y: chain.ChainComplex) -> bool:
-    """Whether ``product`` passes ``css.from_matrices`` and equals the window code of x (x) y."""
+    """Whether ``product``'s checks are the boundaries of the valid window 1..3 of x (x) y.
+
+    The window is validated once; checks equal to its boundaries are then
+    orthogonal.  Its top boundary is transposed by ``gf2.transpose``, not
+    by the block path that built ``product``.
+    """
+    w = chain.tensor(x, y, lo=1, hi=3)
     try:
-        css.from_matrices(product.h_x, product.h_z)
-    except css.OrthogonalityViolation:
+        chain.validate(w)
+    except chain.BoundarySquareNonzero:
         return False
-    return product == css.from_complex(chain.tensor(x, y, lo=1, hi=3))
+    return (product.h_x, product.h_z) == (w.boundary(1), gf2.transpose(w.boundary(2)))
 
 
 def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
@@ -196,9 +202,8 @@ def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
 
     ``tensorops/kunneth_k`` also checks the product itself against paths
     that skip neither the product-wide transpose nor the product-wide
-    check: ``css.from_matrices`` must find its checks orthogonal, and it
-    must equal the code that ``css.from_complex`` reads off the window
-    1..3 of ``chain.tensor``.
+    check: its checks must equal the boundaries of the window 1..3 of
+    ``chain.tensor``, validated, with the top one transposed.
     """
     rng = random.Random(seed)
     failures = {"generic": 0, "witness": 0, "comparison": 0, "kunneth_k": 0}

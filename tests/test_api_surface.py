@@ -217,3 +217,19 @@ def test_record_fields_are_read_in_src():
         f"{cls}.{name}" for cls, names in declared.items() for name in names if name not in read
     ]
     assert unread == []
+
+
+def test_only_css_builds_a_bare_code():
+    """Outside ``css.py`` a code comes from ``css.from_matrices`` or
+    ``css.from_complex``, which establish orthogonality; the bare
+    ``CssCode(...)`` constructor checks shapes only."""
+    trees = _trees()
+    calls = [
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "CssCode" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert "css" in calls
+    assert [module for module in calls if module != "css"] == []

@@ -145,6 +145,18 @@ class TestPower:
         assert "actual_n=0" in stdout
         assert "warning" in err
 
+    def test_empty_code_warns_only_when_reduced(self, capsys, tmp_path):
+        """An n = 0 input: its full power is empty too, but only the
+        reduced path is warned about."""
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(css.code_to_json(
+            css.from_matrices(BinMatrix.zeros(0, 0), BinMatrix.zeros(0, 0)), "z")))
+        code, stdout, err = run(capsys, "power", str(path), "--ell", "2")
+        assert (code, stdout, err) == (0, "predicted_n=0 actual_n=0 k=0\n", "")
+        code, stdout, err = run(capsys, "power", str(path), "--ell", "2", "--reduced")
+        assert (code, stdout) == (0, "predicted_n=0 actual_n=0 k=0\n")
+        assert err == "warning: reduced power is empty (exact input)\n"
+
     def test_reduced_power_built_once(self, capsys, tmp_path, monkeypatch):
         base = tmp_path / "steane.json"
         run(capsys, "family", "steane", "--out", str(base))

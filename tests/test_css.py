@@ -9,7 +9,6 @@ import math
 import random
 import time
 import tracemalloc
-import weakref
 
 import pytest
 
@@ -22,7 +21,7 @@ from csstensor.css import (
 )
 from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.gf2 import BinMatrix
-from csstensor.rand import random_css_code, random_matrix
+from csstensor.rand import random_complex, random_css_code, random_matrix
 from csstensor.tensorops import css_power, factor_params
 
 
@@ -78,43 +77,53 @@ class TestComplexCorrespondence:
         assert css.from_complex(x) == code
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            css.from_complex(chain.ChainComplex.single(3))
+        """A lone complex of 1, 2 or 4 spaces, or a 2-space (x) 3-space
+        product: the top degree is below 2 or odd."""
+        two = families.classical_as_complex(hamming_parity_check(3))
+        four = chain.ChainComplex((1, 2, 2, 1), (BinMatrix.zeros(1, 2), BinMatrix.zeros(2, 2),
+                                                 BinMatrix.zeros(2, 1)))
+        for factors in ((chain.ChainComplex.single(3),), (two,), (four,),
+                        (two, css.to_complex(steane()))):
+            with pytest.raises(ValueError):
+                css.from_complex(*factors)
 
     def test_non_orthogonal_complex_rejected(self):
         d1, d2 = BinMatrix.from_rows([[1, 0]]), BinMatrix.from_rows([[1], [0]])
         x = chain.ChainComplex((1, 2, 1), (d1, d2))
-        with pytest.raises(chain.BoundarySquareNonzero):
-            css.from_complex(x)
+        good = css.to_complex(steane())
+        for factors in ((x,), (x, good), (good, x)):
+            with pytest.raises(chain.BoundarySquareNonzero):
+                css.from_complex(*factors)
 
-    def test_window_released_before_h_z_is_built(self, monkeypatch):
-        """A complex passed as a temporary, and its top boundary, are freed
-        before h_z is built, and chain.validate still runs on it."""
-        square = css_power(steane(), 2)
-        x = css.to_complex(square)
-        dims, (d1, d2) = x.dims, x.boundaries
-        refs, seen, validated = [], [], []
-        real_from_support, real_validate = BinMatrix.from_support, chain.validate
+    def test_products_read_at_the_middle_degree(self):
+        """1-3 random 3-space and 2-space factors, zero dims included: the
+        code is the check pair at the middle degree, and the boundaries of
+        the window around it, the top one transposed."""
+        rng = random.Random(19)
+        done = 0
+        while done < 80:
+            factors = [
+                random_complex(rng, tuple(rng.randrange(0, 4) for _ in range(3)))
+                if rng.random() < 0.5
+                else families.classical_as_complex(
+                    random_matrix(rng, rng.randrange(0, 4), rng.randrange(0, 4)))
+                for _ in range(rng.randrange(1, 4))
+            ]
+            top = sum(x.top_degree() for x in factors)
+            if top < 2 or top % 2:
+                continue
+            done += 1
+            mid = top // 2
+            code = css.from_complex(*factors)
+            h_x, h_z = chain.tensor_checks(*factors, degree=mid)
+            assert (code.n, code.h_x, code.h_z) == (h_x.cols, h_x, h_z)
+            w = chain.tensor(*factors, lo=mid - 1, hi=mid + 1)
+            assert (code.h_x, code.h_z) == (w.boundary(1), gf2.transpose(w.boundary(2)))
+            assert css.from_matrices(code.h_x, code.h_z) == code
 
-        def window():
-            x = chain.ChainComplex(dims, (d1, BinMatrix(d2.rows, d2.cols, d2.data)))
-            refs.extend([weakref.ref(x), weakref.ref(x.boundary(2))])
-            return x
-
-        def spy(rows, cols, support):
-            seen.append([ref() is None for ref in refs])
-            return real_from_support(rows, cols, support)
-
-        def counting_validate(x):
-            validated.append(x.dims)
-            return real_validate(x)
-
-        monkeypatch.setattr(BinMatrix, "from_support", spy)
-        monkeypatch.setattr(chain, "validate", counting_validate)
-        code = css.from_complex(window())
-        assert seen == [[True, True]]
-        assert validated == [dims]
-        assert code == square
+    def test_lone_five_space_complex_read_at_degree_two(self):
+        x = css.to_complex(steane())
+        assert css.from_complex(chain.tensor(x, x)) == css.from_complex(x, x)
 
     def test_one_product_per_construction(self, monkeypatch):
         products = []
