@@ -10,7 +10,7 @@ supported code families.
 from .chain import ChainComplex
 from .css import CodeReport, CssCode, DistanceResult
 from .gf2 import BinMatrix, BinVector
-from .tensorops import CriterionReport, PowerSpec, SweepRecord
+from .tensorops import CriterionReport, SweepRecord
 
 __all__ = [
     "BinMatrix",
@@ -20,7 +20,6 @@ __all__ = [
     "CodeReport",
     "CriterionReport",
     "DistanceResult",
-    "PowerSpec",
     "SweepRecord",
 ]
 

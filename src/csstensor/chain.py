@@ -14,7 +14,7 @@ more factors is the left fold of pairwise products.  This makes every
 block matrix reproducible bit for bit.  One loop, ``_place_kron``, writes
 each Kronecker block straight into the product's rows in one pass, and
 two builders share it.  ``tensor`` assembles a window of degrees lo..hi:
-truncations, reduced power stages and the windows ``verify`` checks.
+truncations and the windows ``verify`` checks.
 ``tensor_checks`` gives the two maps at one degree, the second one
 transposed, which is what a code needs as (h_x, h_z): it writes the
 transposed map from the transposed factor maps, so no top boundary is
@@ -73,6 +73,11 @@ class ChainComplex(gf2._Value):
     def single(cls, n: int) -> ChainComplex:
         """The complex 0 -> F^n -> 0 concentrated at degree 0."""
         return cls((n,), ())
+
+    @classmethod
+    def zero(cls, dims: tuple[int, ...]) -> ChainComplex:
+        """The complex with zero maps on the given dims."""
+        return cls(dims, tuple(BinMatrix.zeros(dims[i - 1], dims[i]) for i in range(1, len(dims))))
 
     def top_degree(self) -> int:
         return len(self.dims) - 1
@@ -190,8 +195,8 @@ def _boundary_rows(
     On a summand c the boundary is the sum over factors p of
     ``kron(I, d_p, I)`` into the summand with c_p lowered by one; no signs
     in characteristic 2.  ``transposed`` writes the transposed map instead,
-    block by block from the transposed factor maps, since
-    ``kron(I, d, I)^T = kron(I, d^T, I)``: nothing product-wide is transposed.
+    block by block from the factor maps transposed once per distinct factor,
+    as ``kron(I, d, I)^T = kron(I, d^T, I)``: nothing product-wide is transposed.
     """
     tgt_offset = {}
     off = 0
@@ -199,7 +204,8 @@ def _boundary_rows(
         tgt_offset[c] = off
         off += width
     if transposed:
-        maps = [tuple(map(gf2.transpose, f.boundaries)) for f in factors]
+        flipped = {f: tuple(map(gf2.transpose, f.boundaries)) for f in dict.fromkeys(factors)}
+        maps = [flipped[f] for f in factors]
         rows = [0] * sum(src.values())
     else:
         maps = [f.boundaries for f in factors]
@@ -279,6 +285,5 @@ def reduce(x: ChainComplex) -> ChainComplex:
     complex with zero maps and dims ``homology_dims(x)``, which is built
     here directly from the ranks.
     """
-    h = homology_dims(x)
-    return ChainComplex(h, tuple(BinMatrix.zeros(h[i - 1], h[i]) for i in range(1, len(h))))
+    return ChainComplex.zero(homology_dims(x))
 

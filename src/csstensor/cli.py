@@ -16,7 +16,7 @@ import sys
 from . import chain, css, families, tensorops, verify
 from .css import CssCode
 from .families import FamilyParseError
-from .tensorops import DEFAULT_SEED, PowerSpec, ResourceCeiling
+from .tensorops import DEFAULT_SEED, ResourceCeiling
 
 RESOURCE_CEILING_ENV = "CSSTENSOR_MAX_N"
 DEFAULT_CEILING = 100_000
@@ -89,8 +89,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     base_name, base = _load_named_code(args.input)
     if args.reduced:
         code = tensorops.css_power(base, args.ell, reduced=True)
-        predicted = code.n  # no formula predicts a reduced power: print the built n
-        k = css.dimension_k(code)  # the maps are zero: no elimination
+        predicted = k = code.n  # the Kunneth recurrence built it, with zero checks
     else:
         x = css.to_complex(base)
         predicted = tensorops.power_length(x.dims, args.ell)
@@ -133,8 +132,9 @@ def cmd_criterion(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     _, base = families.parse_family_spec(args.spec)
     records = tensorops.sweep(
-        PowerSpec(base, 1, reduced=args.reduced),
+        base,
         args.ell_max,
+        reduced=args.reduced,
         weight_cap=args.weight_cap,
         time_budget=args.time_budget,
         trials=args.trials,

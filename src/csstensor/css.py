@@ -121,14 +121,14 @@ def from_complex(*factors: ChainComplex) -> CssCode:
     them give the product code C (x) D, l copies the l-th power, and two
     2-term complexes a hypergraph product.  The product's top degree must
     be even and at least 2, so a lone 5-space complex is read at degree 2.
-    Each factor passes ``chain.validate``, which makes the product's
-    h_x . h_z^T vanish (see the ``chain`` module): nothing product-wide is
-    checked, and ``chain.tensor_checks`` builds both checks.
+    Each distinct factor passes ``chain.validate`` once, which makes the
+    product's h_x . h_z^T vanish (see the ``chain`` module): nothing
+    product-wide is checked, and ``chain.tensor_checks`` builds both checks.
     """
     top = sum(x.top_degree() for x in factors)
     if top < 2 or top % 2:
         raise ValueError(f"a code is read at the middle of an even top degree >= 2, got {top}")
-    for x in factors:
+    for x in dict.fromkeys(factors):
         chain.validate(x)
     h_x, h_z = chain.tensor_checks(*factors, degree=top // 2)
     return CssCode(h_x.cols, h_x, h_z)

@@ -49,7 +49,7 @@ import time
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import chain, css
+from . import chain, css, gf2
 from .chain import ChainComplex
 from .css import CssCode, DistanceResult, KIsZero
 
@@ -63,15 +63,6 @@ class ResourceCeiling(RuntimeError):
         super().__init__(f"predicted n = {predicted} exceeds ceiling {ceiling}")
         self.predicted = predicted
         self.ceiling = ceiling
-
-
-class PowerSpec(namedtuple("PowerSpec", "base ell reduced", defaults=(False,))):
-    __slots__ = ()
-
-    def __new__(cls, base: CssCode, ell: int, reduced: bool = False) -> PowerSpec:
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        return super().__new__(cls, base, ell, reduced)
 
 
 # -- products and powers ------------------------------------------------
@@ -126,15 +117,20 @@ def css_power(
 
     The middle degree ell of the power complex, read back by
     ``css.from_complex`` from ell copies of the factor complex.  The first
-    power is ``c`` itself.  With ``reduced`` the pipeline collapses every
-    product stage to the zero complex on its homology; see
-    ``reduced_power_complex``.
+    power is ``c`` itself.  With ``reduced`` each product stage is cut to
+    degrees mid - 1..mid + 1 and replaced by the zero complex on its
+    homology, so ``_reduced_dims`` gets its dims from the factor's
+    homology h and ranks r alone (r[j] ranks the map out of degree j).
+    The zero complex on s tensored with x is a sum of copies of x, s_i of
+    them shifted up by i, with Kuenneth homology s * h.  The cut makes
+    every bottom chain a cycle and leaves the top image undivided, adding
+    the dropped maps' ranks (s * r)[mid - 1] and (s * r)[mid + 2].  An
+    exact input gives empty reduced powers; every reduced power has zero
+    checks, so k = n.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
     x = css.to_complex(c)
     if reduced:
-        return css.from_complex(reduced_power_complex(x, ell))
+        return css.from_complex(ChainComplex.zero(_reduced_dims(x, ell)))
     predicted = power_length(x.dims, ell)
     if max_n is not None and predicted > max_n:
         raise ResourceCeiling(predicted, max_n)
@@ -143,30 +139,26 @@ def css_power(
     return css.from_complex(*[x] * ell)
 
 
-def reduced_power_complex(x: ChainComplex, ell: int) -> ChainComplex:
-    """Iterated power reduced to its homology after every stage.
-
-    Stage 1 reduces the input; each later stage tensors with the original
-    factor, keeping only the middle three degrees, and reduces again.
-    ``chain.reduce`` replaces a stage by the zero complex on its homology
-    profile, so each stage costs the ranks of one small window.  An
-    exact input collapses immediately, so all its reduced powers are
-    empty.  Lengths of these minimal representatives are the homology
-    analogue of the unreduced length formula.
-    """
+def _reduced_dims(x: ChainComplex, ell: int) -> tuple[int, ...]:
+    """Dims of the ell-th reduced power of x (see ``css_power``); ranks only x's maps."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    s = chain.reduce(x)
+    chain.validate(x)
+    ranks = (0, *map(gf2.rank, x.boundaries))
+    h = s = tuple(d - out - into for d, out, into in zip(x.dims, ranks, ranks[1:] + (0,)))
     for _ in range(ell - 1):
-        mid = (s.top_degree() + x.top_degree()) // 2
-        s = chain.reduce(chain.tensor(s, x, lo=mid - 1, hi=mid + 1))
+        kun, cut = chain.tensor_dims(s, h), chain.tensor_dims(s, ranks) + (0,)
+        mid = (len(kun) - 1) // 2
+        if mid < 1:
+            raise ValueError(f"window {mid - 1}..{mid + 1} outside degrees 0..{len(kun) - 1}")
+        s = (kun[mid - 1] + cut[mid - 1], kun[mid], kun[mid + 1] + cut[mid + 2])
     return s
 
 
 def reduced_power_length(base: CssCode | ChainComplex, ell: int) -> int:
     """Qubit count (middle dimension) of the reduced power of a code or length-3 complex."""
     x = css.to_complex(base) if isinstance(base, CssCode) else base
-    return reduced_power_complex(x, ell).dims[1]
+    return _reduced_dims(x, ell)[1]
 
 
 # -- distance criterion and lower bounds ---------------------------------
@@ -435,8 +427,9 @@ def _machine_bound(base: CssCode, prev: tuple[CssCode, css.CodeReport], side: st
 
 
 def sweep(
-    spec: PowerSpec,
+    base: CssCode,
     ell_max: int,
+    reduced: bool = False,
     weight_cap: int = css.DEFAULT_WEIGHT_CAP,
     time_budget: float | None = 60.0,
     trials: int = css.DEFAULT_TRIALS,
@@ -462,16 +455,16 @@ def sweep(
     for ell in range(1, ell_max + 1):
         t0 = time.monotonic()
         try:
-            code = css_power(spec.base, ell, reduced=spec.reduced, max_n=max_n)
+            code = css_power(base, ell, reduced=reduced, max_n=max_n)
         except ResourceCeiling as exc:
             records.append(SweepRecord(ell, exc.predicted, None, time.monotonic() - t0, str(exc)))
             prev = None
             continue
         report = css.analyze(code, weight_cap, trials, seed + ell, time_budget)
-        if not spec.reduced and prev is not None and report.k >= 1:
+        if not reduced and prev is not None and report.k >= 1:
             report = report._replace(
-                d_x=css._bracket(report.d_x, lower=_machine_bound(spec.base, prev, "X")),
-                d_z=css._bracket(report.d_z, lower=_machine_bound(spec.base, prev, "Z")),
+                d_x=css._bracket(report.d_x, lower=_machine_bound(base, prev, "X")),
+                d_z=css._bracket(report.d_z, lower=_machine_bound(base, prev, "Z")),
             )
         records.append(SweepRecord(ell, report.n, report, time.monotonic() - t0))
         prev = (code, report)

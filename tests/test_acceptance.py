@@ -18,7 +18,6 @@ import pytest
 from csstensor import chain, css, gf2, tensorops, verify
 from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.rand import random_complex3, random_css_code
-from csstensor.tensorops import PowerSpec
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -48,7 +47,7 @@ def steane_square_exact(steane_code):
 @pytest.fixture(scope="module")
 def steane_sweep_two(steane_code):
     return tensorops.sweep(
-        PowerSpec(steane_code, 1), 2, weight_cap=6, time_budget=30.0, trials=60, seed=23
+        steane_code, 2, weight_cap=6, time_budget=30.0, trials=60, seed=23
     )
 
 
@@ -239,7 +238,7 @@ def _full_rank_code(rng):
 @pytest.fixture(scope="module")
 def steane_sweep_three(steane_code):
     return tensorops.sweep(
-        PowerSpec(steane_code, 1), 3, weight_cap=4, time_budget=5.0, trials=10, seed=29
+        steane_code, 3, weight_cap=4, time_budget=5.0, trials=10, seed=29
     )
 
 
@@ -265,7 +264,7 @@ def test_criterion_8_degeneracy_bookkeeping(steane_sweep_two, steane_code):
     decided = all(r.report.degenerate is not None for r in records)
     verdicts = [r.report.degenerate for r in records]
     rerun = tensorops.sweep(
-        PowerSpec(steane_code, 1), 2, weight_cap=6, time_budget=30.0, trials=60, seed=23
+        steane_code, 2, weight_cap=6, time_budget=30.0, trials=60, seed=23
     )
     stable = verdicts == [r.report.degenerate for r in rerun]
     stab_reported = all(r.to_json_dict()["stab_min"] is not None for r in records)

@@ -14,6 +14,7 @@ from csstensor.chain import BoundarySquareNonzero, ChainComplex, ShapeMismatch
 from csstensor.families import hamming_parity_check
 from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex, random_complex3, random_matrix
+from test_tensorops import reduced_power_complex
 
 
 def steane_complex() -> ChainComplex:
@@ -495,7 +496,7 @@ class TestReduce:
             return reduce(x)
 
         monkeypatch.setattr(chain, "reduce", recording)
-        tensorops.reduced_power_complex(steane_complex(), 3)
+        reduced_power_complex(steane_complex(), 3)
         assert len(seen) == 3
         for x in seen:
             assert reduce(x) == pivot_cancellation(x)

@@ -161,17 +161,54 @@ class TestPower:
         base = tmp_path / "steane.json"
         run(capsys, "family", "steane", "--out", str(base))
         builds = []
-        real = tensorops.reduced_power_complex
+        real = tensorops._reduced_dims
 
         def counting(x, ell):
             builds.append(ell)
             return real(x, ell)
 
-        monkeypatch.setattr(tensorops, "reduced_power_complex", counting)
+        monkeypatch.setattr(tensorops, "_reduced_dims", counting)
         code, stdout, _ = run(capsys, "power", str(base), "--ell", "2", "--reduced")
         assert code == 0
         assert stdout == "predicted_n=1 actual_n=1 k=1\n"
         assert builds == [2]
+
+    # Reduced powers of fg:pg,q=2 (k = 0, end homology on both sides):
+    # unlike Steane's [[1, 1, 1]], their end terms reach n.
+    REDUCED_FG = {
+        2: ("predicted_n=24 actual_n=24 k=24\n",
+            "ccc5289d96ec1ac37ac20a7859bf459c3a0fc2691b1fceb7f455f7586959dd64"),
+        3: ("predicted_n=84 actual_n=84 k=84\n",
+            "dde5db36f82b37e71ef5512db067050d2315316027736fe7a9469f317c1b7a6b"),
+        4: ("predicted_n=876 actual_n=876 k=876\n",
+            "77808ababbaa83229336e49e7041b03cac3be3f710f91c46d7af5f2511f2b0e1"),
+    }
+
+    def reduced_fg_files(self, capsys, tmp_path, ells):
+        base, out = tmp_path / "fg.json", tmp_path / "r.json"
+        run(capsys, "family", "fg:pg,q=2", "--out", str(base))
+        for ell in ells:
+            code, stdout, _ = run(capsys, "power", str(base), "--ell", str(ell), "--reduced",
+                                  "--out", str(out))
+            assert code == 0
+            assert (stdout, hashlib.sha256(out.read_bytes()).hexdigest()) == self.REDUCED_FG[ell]
+
+    def test_reduced_file_digests(self, capsys, tmp_path):
+        self.reduced_fg_files(capsys, tmp_path, (2, 3, 4))
+
+    def test_reduced_power_builds_no_window(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a window was assembled")
+
+        monkeypatch.setattr(chain, "tensor", never)
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "family", "steane", "--out", "steane.json")
+        code, stdout, _ = run(capsys, "power", "steane.json", "--ell", "3", "--reduced")
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "a24f100f27e40e87591d076ddf54c16ddb46ab55352aa345c60237029d747add"
+        )
+        self.reduced_fg_files(capsys, tmp_path, (4,))
 
     def test_resource_ceiling_exit_4(self, capsys, tmp_path, monkeypatch):
         base = tmp_path / "steane.json"
@@ -415,6 +452,9 @@ PINNED_STDOUT = [
      "7660e795b1a5eb6b7cc0ffdc14b56fd61f8210c002ee3ad668bea96dfa21e79f"),
     (("power", "steane.json", "--ell", "3", "--reduced"),
      "a24f100f27e40e87591d076ddf54c16ddb46ab55352aa345c60237029d747add"),
+    # Reduced powers with end homology: n = 1, 33, 193.
+    (("sweep", "cyclic:n=7,g1=1011,g2=1011", "--ell-max", "3", "--reduced", "--trials", "10"),
+     "ca97da56a2b69db8721e29dcbd1c39841b184e3c4a1f74ff3daf00dd0134b1ce"),
     # Capped below d = 9: an inexact bracket on both sides.
     (("analyze", "sq.json", "--exact-up-to", "4", "--trials", "5"),
      "ae8714b7c473efb0e254109f5ef9ed99f3ececafbf704e50c877692663d4a19e"),

@@ -8,12 +8,12 @@ import random
 import pytest
 
 from csstensor import chain, css, families, gf2, tensorops, verify
+from csstensor.chain import ChainComplex
 from csstensor.css import CssCode, KIsZero
 from csstensor.families import steane
 from csstensor.gf2 import BinMatrix
-from csstensor.rand import random_complex3, random_css_code
+from csstensor.rand import random_complex3, random_css_code, random_matrix
 from csstensor.tensorops import (
-    PowerSpec,
     ResourceCeiling,
     check_distance_criterion,
     css_power,
@@ -58,6 +58,33 @@ def trinomial_sum(dims, ell, degree):
             * c2**twos
         )
     return total
+
+
+def reduced_power_complex(x: ChainComplex, ell: int) -> ChainComplex:
+    """The reduced power assembled stage by stage, the oracle of ``css_power(..., reduced=True)``.
+
+    Stage 1 reduces the input; each later stage tensors with the original
+    factor, keeping only the middle three degrees, and reduces again with
+    ``chain.reduce`` to the zero complex on the stage's homology.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    s = chain.reduce(x)
+    for _ in range(ell - 1):
+        mid = (s.top_degree() + x.top_degree()) // 2
+        s = chain.reduce(chain.tensor(s, x, lo=mid - 1, hi=mid + 1))
+    return s
+
+
+def redundant_check_code(rng: random.Random, n: int) -> CssCode:
+    """A random code of length n whose checks may include a redundant row on either side."""
+    code = random_css_code(rng, n, rng.randrange(0, 3), rng.randrange(0, 3), min_k=0)
+    h_x, h_z = code.h_x, code.h_z
+    if h_x.rows and rng.random() < 0.6:
+        h_x = BinMatrix(h_x.rows + 1, n, h_x.data + (h_x.data[0] ^ h_x.data[-1],))
+    if h_z.rows and rng.random() < 0.6:
+        h_z = BinMatrix(h_z.rows + 1, n, h_z.data + (h_z.data[0],))
+    return css.from_matrices(h_x, h_z)
 
 
 class TestCssTensor:
@@ -131,6 +158,24 @@ class TestProductValidity:
 
 
 class TestCssPower:
+    def test_each_factor_validated_and_transposed_once(self, monkeypatch):
+        code = steane()
+        calls = []
+        for module, name in ((chain, "validate"), (gf2, "transpose")):
+            real = getattr(module, name)
+
+            def counting(m, name=name, real=real):
+                calls.append(name)
+                return real(m)
+
+            monkeypatch.setattr(module, name, counting)
+        css_power(code, 4)
+        # h_z once in css.to_complex, then the factor's two maps once each
+        assert sorted(calls) == ["transpose"] * 3 + ["validate"]
+        calls.clear()
+        css_tensor(code, code)  # two equal factor complexes
+        assert calls.count("validate") == 1
+
     def test_ell_one_identity(self):
         code = steane()
         assert css_power(code, 1) == code
@@ -259,6 +304,58 @@ class TestReducedPowers:
         reduced = css_power(steane(), 2, reduced=True)
         assert reduced.n == 1
         assert css.dimension_k(reduced) == 1
+
+    def test_recurrence_matches_assembled_stages(self):
+        """The Kuenneth recurrence gives the dims, or the error, of the
+        reduced power built window by window, at l = 1..4."""
+        rng = random.Random(21)
+        cases = [random_complex3(rng, 4) for _ in range(1200)]
+        cases += [css.to_complex(redundant_check_code(rng, rng.randrange(1, 7)))
+                  for _ in range(200)]
+        for _ in range(200):
+            a, b = rng.randrange(0, 5), rng.randrange(0, 5)
+            cases.append(ChainComplex((a, b), (random_matrix(rng, a, b),)))
+        cases += [chain.tensor(random_complex3(rng, 2), random_complex3(rng, 2))
+                  for _ in range(200)]
+        cases += [ChainComplex.single(3), css.to_complex(non_orthogonal_code())]
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        errors = 0
+        for x in cases:
+            for ell in (1, 2, 3, 4):
+                want = outcome(lambda: reduced_power_complex(x, ell).dims)
+                assert outcome(lambda: tensorops._reduced_dims(x, ell)) == want, (x, ell)
+                errors += isinstance(want[0], type)
+        # single(3) from l = 2 on, the non-orthogonal complex at every l
+        assert errors == 7
+
+    def test_reduced_power_ranks_only_the_factor(self, monkeypatch):
+        """No window is assembled or reduced: the factor's two boundaries
+        are the only matrices ranked."""
+        base = families.parse_family_spec("fg:pg,q=2")[1]
+        x = css.to_complex(base)
+        want = css.from_complex(reduced_power_complex(x, 4))
+        ranked = []
+        real_rank = gf2.rank
+
+        def recording(m):
+            ranked.append(m)
+            return real_rank(m)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a window was assembled or reduced")
+
+        monkeypatch.setattr(gf2, "rank", recording)
+        for name in ("tensor", "reduce", "homology_dims"):
+            monkeypatch.setattr(chain, name, never)
+        code = css_power(base, 4, reduced=True)
+        assert ranked == list(x.boundaries)
+        assert code == want and code.n == 876
 
 
 class TestCriterion:
@@ -499,7 +596,7 @@ class TestWindowBoundSoundness:
 class TestSweep:
     def test_steane_two_stages(self):
         records = tensorops.sweep(
-            PowerSpec(steane(), 1), 2, weight_cap=6, time_budget=10.0, trials=40, seed=5
+            steane(), 2, weight_cap=6, time_budget=10.0, trials=40, seed=5
         )
         first, second = (r.report for r in records)
         assert [r.n for r in records] == [7, 67]
@@ -515,11 +612,12 @@ class TestSweep:
 
     def test_reduced_sweep_below_full(self):
         full = tensorops.sweep(
-            PowerSpec(steane(), 1), 2, weight_cap=3, time_budget=5.0, trials=20, seed=5
+            steane(), 2, weight_cap=3, time_budget=5.0, trials=20, seed=5
         )
         reduced = tensorops.sweep(
-            PowerSpec(steane(), 1, reduced=True),
+            steane(),
             2,
+            reduced=True,
             weight_cap=3,
             time_budget=5.0,
             trials=20,
@@ -530,7 +628,7 @@ class TestSweep:
 
     def test_csv_shape(self):
         records = tensorops.sweep(
-            PowerSpec(steane(), 1), 1, weight_cap=3, time_budget=5.0, trials=20, seed=5
+            steane(), 1, weight_cap=3, time_budget=5.0, trials=20, seed=5
         )
         text = tensorops.sweep_to_csv(records)
         lines = text.strip().split("\n")
@@ -542,15 +640,15 @@ class TestSweep:
 
     def test_masked_seconds_deterministic(self):
         kwargs = dict(weight_cap=3, time_budget=5.0, trials=20, seed=5)
-        a = tensorops.sweep(PowerSpec(steane(), 1), 1, **kwargs)
-        b = tensorops.sweep(PowerSpec(steane(), 1), 1, **kwargs)
+        a = tensorops.sweep(steane(), 1, **kwargs)
+        b = tensorops.sweep(steane(), 1, **kwargs)
         assert tensorops.sweep_to_csv(a, with_seconds=False) == tensorops.sweep_to_csv(
             b, with_seconds=False
         )
 
     def test_record_json(self):
         records = tensorops.sweep(
-            PowerSpec(steane(), 1), 1, weight_cap=3, time_budget=5.0, trials=20, seed=5
+            steane(), 1, weight_cap=3, time_budget=5.0, trials=20, seed=5
         )
         row = records[0].to_json_dict()
         assert row["n"] == 7 and row["d_x"]["exact"] is True
@@ -570,7 +668,7 @@ class TestSweep:
 
         monkeypatch.setattr(gf2, "_kernel_bitrows", counting)
         records = tensorops.sweep(
-            PowerSpec(base, 1), 2, weight_cap=3, time_budget=60.0, trials=10
+            base, 2, weight_cap=3, time_budget=60.0, trials=10
         )
         assert [r.n for r in records] == [7, 147]
         assert len(calls) <= 10
@@ -595,7 +693,7 @@ class TestSweep:
     def test_stage_report_is_the_analysis(self):
         cap, trials, seed = 2, 20, 5
         records = tensorops.sweep(
-            PowerSpec(steane(), 1), 2, weight_cap=cap, time_budget=None, trials=trials, seed=seed
+            steane(), 2, weight_cap=cap, time_budget=None, trials=trials, seed=seed
         )
         assert records[0].report == css.analyze(steane(), cap, trials, seed + 1, None)
         got = records[1].report
@@ -609,7 +707,7 @@ class TestSweep:
 
     def test_ceiling_failures_recorded_in_row(self):
         records = tensorops.sweep(
-            PowerSpec(steane(), 1),
+            steane(),
             3,
             weight_cap=3,
             time_budget=5.0,

@@ -32,7 +32,6 @@ def _pairs() -> list[tuple[object, object, str]]:
         (dist, css.DistanceResult(3, 3, True, BinVector(7, 0b111)), "lower"),
         (profile, css.weight_profile(steane()), "max_row_weight_x"),
         (report, css.CodeReport(7, 1, dist, dist, profile, None, None), "k"),
-        (tensorops.PowerSpec(steane(), 2), tensorops.PowerSpec(steane(), 2), "ell"),
         (crit, tensorops.check_distance_criterion(steane()), "holds"),
         (fp, tensorops.factor_params(steane(), "X"), "d_lo"),
         (
@@ -88,8 +87,6 @@ def test_weak_references_to_matrices_and_complexes():
 
 
 def test_checks_kept():
-    with pytest.raises(ValueError):
-        tensorops.PowerSpec(families.steane(), 0)
     with pytest.raises(ValueError):
         BinMatrix(1, 1, (2,))
     with pytest.raises(ValueError):
