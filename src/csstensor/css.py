@@ -30,6 +30,19 @@ the word's signature, are linear, so the search sorts rows and sums of two
 rows into signature classes once, skips every class of trivial words, and
 walks a leaf word by word only when it holds a logical lighter than the
 best so far.
+
+A self-dual code is analysed on one side (``_mirror``).  A column
+permutation pi that moves the rows of h_x onto those of h_z and the rows
+of h_z onto those of h_x, each up to order, keeps weight and maps
+rowspace(h_x) onto rowspace(h_z); keeping inner products, it maps
+ker(h_z) = rowspace(h_z)^perp onto ker(h_x).  So it carries every X
+logical and X stabilizer onto a Z one of the same weight: d_Z = d_X, the
+stabilizer minima agree, and each X witness moved by pi is a Z witness.
+pi is the identity when h_x = h_z.  For a product of self-dual factors
+(palindromic dims, d_i = d_{t+1-i}^T; h_x = h_z for a length-3 factor,
+Steane and its powers) it sends each middle-degree summand block
+(c_1..c_l) to (t_1 - c_1..t_l - c_l), the dual's block, in the same order
+inside the block.  Either way pi is checked on the rows before use.
 """
 
 from __future__ import annotations
@@ -75,14 +88,22 @@ class CssCode(gf2._Value):
     one reader of every product, power and hypergraph product, with
     ``chain.validate`` on its factors (see the ``chain`` module).
 
-    ``_sides`` keeps each side's ``_Side`` once built (see ``_side``);
-    equality, hash and repr leave it out.
+    ``_factors`` is the tuple of factor complexes a code was read from by
+    ``from_complex``, None for ``from_matrices`` and so for loaded files.
+    It is an in-process record: code files never hold it, and copies and
+    pickles rebuild the code through ``__init__`` without it.  ``_sides``
+    keeps each side's ``_Side`` once built (see ``_side``) and ``_mirror``
+    the certified side mirror once computed (see ``_mirror``).  Equality,
+    hash and repr leave all three out.
     """
 
-    __slots__ = ("n", "h_x", "h_z", "_sides")
+    __slots__ = ("n", "h_x", "h_z", "_factors", "_sides", "_mirror")
     _fields = ("n", "h_x", "h_z")
 
-    def __init__(self, n: int, h_x: BinMatrix, h_z: BinMatrix) -> None:
+    def __init__(
+        self, n: int, h_x: BinMatrix, h_z: BinMatrix,
+        factors: tuple[ChainComplex, ...] | None = None,
+    ) -> None:
         if h_x.cols != n or h_z.cols != n:
             raise gf2.DimensionMismatch(
                 f"check matrices have {h_x.cols}/{h_z.cols} columns, expected n={n}"
@@ -90,7 +111,13 @@ class CssCode(gf2._Value):
         _set(self, "n", n)
         _set(self, "h_x", h_x)
         _set(self, "h_z", h_z)
+        _set(self, "_factors", factors)
         _set(self, "_sides", {})
+        _set(self, "_mirror", _UNSET)
+
+
+# The ``_mirror`` of a code not yet asked for one.
+_UNSET = object()
 
 
 def from_matrices(h_x: BinMatrix, h_z: BinMatrix) -> CssCode:
@@ -124,6 +151,7 @@ def from_complex(*factors: ChainComplex) -> CssCode:
     Each distinct factor passes ``chain.validate`` once, which makes the
     product's h_x . h_z^T vanish (see the ``chain`` module): nothing
     product-wide is checked, and ``chain.tensor_checks`` builds both checks.
+    The code keeps the factors as its ``_factors`` record (see ``_mirror``).
     """
     top = sum(x.top_degree() for x in factors)
     if top < 2 or top % 2:
@@ -131,7 +159,7 @@ def from_complex(*factors: ChainComplex) -> CssCode:
     for x in dict.fromkeys(factors):
         chain.validate(x)
     h_x, h_z = chain.tensor_checks(*factors, degree=top // 2)
-    return CssCode(h_x.cols, h_x, h_z)
+    return CssCode(h_x.cols, h_x, h_z, factors)
 
 
 def dimension_k(code: CssCode) -> int:
@@ -516,6 +544,74 @@ def _side(code: CssCode, side: str) -> _Side:
     return found
 
 
+def _self_dual(x: ChainComplex) -> bool:
+    """Whether x is its own dual: palindromic dims and d_i = d_{t+1-i}^T."""
+    t = x.top_degree()
+    return x.dims == x.dims[::-1] and all(
+        x.boundaries[i] == gf2.transpose(x.boundaries[t - 1 - i]) for i in range((t + 1) // 2)
+    )
+
+
+def _dual_permutation(factors: Sequence[ChainComplex]) -> list[int] | None:
+    """The column permutation of a product of self-dual factors onto its dual.
+
+    Summand block c of the middle degree goes to block (t_p - c_p)_p, in
+    the same order inside the block (palindromic dims give the two blocks
+    one width).  None when a factor is not self-dual.
+    """
+    if not all(map(_self_dual, dict.fromkeys(factors))):
+        return None
+    tops = [x.top_degree() for x in factors]
+    sizes = chain._summand_sizes(factors, sum(tops) // 2)
+    offsets, off = {}, 0
+    for c, width in sizes.items():
+        offsets[c] = off
+        off += width
+    perm = [0] * off
+    for c, width in sizes.items():
+        start, dual = offsets[c], offsets[tuple(t - v for t, v in zip(tops, c))]
+        perm[start:start + width] = range(dual, dual + width)
+    return perm
+
+
+def _rows_map(a: BinMatrix, perm: Sequence[int], b: BinMatrix) -> bool:
+    """Whether the rows of a, moved by perm, are the rows of b up to order."""
+    return sorted(gf2._permute_bits(a.data, perm)) == sorted(b.data)
+
+
+def _mirror(code: CssCode) -> list[int] | None:
+    """A certified X <-> Z side mirror of the code, or None; computed once and kept.
+
+    The identity when h_x = h_z; else, for a code read from self-dual
+    factors, ``_dual_permutation`` of its ``_factors`` record.  A candidate
+    pi stands only if the rows of pi(h_x) are those of h_z and the rows of
+    pi(h_z) those of h_x, up to order.  Then pi keeps weight, maps
+    rowspace(h_x) onto rowspace(h_z) and, keeping inner products,
+    ker(h_z) = rowspace(h_z)^perp onto ker(h_x): every X logical and X
+    stabilizer onto a Z one of the same weight (see ``_mirrored``).
+    """
+    perm = code._mirror
+    if perm is _UNSET:
+        if code.h_x == code.h_z:
+            perm = list(range(code.n))
+        else:
+            perm = None if code._factors is None else _dual_permutation(code._factors)
+            if perm is not None and not (
+                _rows_map(code.h_x, perm, code.h_z) and _rows_map(code.h_z, perm, code.h_x)
+            ):
+                perm = None
+        _set(code, "_mirror", perm)
+    return perm
+
+
+def _mirrored(res: DistanceResult | None, perm: Sequence[int]) -> DistanceResult | None:
+    """An X-side result as the Z side's under the mirror perm: same bounds, moved witness."""
+    if res is None or res.witness is None:
+        return res
+    (bits,) = gf2._permute_bits([res.witness.bits], perm)
+    return res._replace(witness=BinVector(res.witness.n, bits))
+
+
 def _min_weight(
     rows: Sequence[int], n: int, weight_cap: int | None = None, deadline: float | None = None
 ) -> DistanceResult | None:
@@ -721,27 +817,36 @@ def analyze(
     sets the exactness flag, and the degeneracy verdict follows from the
     reported bounds.  For a fixed seed the result is deterministic
     whenever the searches finish within budget; an expiring budget can
-    only weaken the certified lower bound, never the flags.
+    only weaken the certified lower bound, never the flags.  A code with a
+    certified side mirror (see ``_mirror``) is searched on side X alone:
+    Z gets X's results with their witnesses moved, and its ``_Side`` is
+    never built.
     """
     k = _side(code, "X").k
-    profile = weight_profile(code)
-    stab_x, stab_z = (
-        None
-        if _side(code, side).stab.is_zero()
-        else stabilizer_min_weight(code, side, exact_up_to, time_budget)
-        for side in ("X", "Z")
-    )
-    if k == 0:
-        return CodeReport(code.n, 0, None, None, profile, stab_x, stab_z)
+    perm = _mirror(code)
+    d_x, stab_x = _side_bounds(code, "X", k, exact_up_to, trials, seed, time_budget)
+    if perm is None:
+        d_z, stab_z = _side_bounds(code, "Z", k, exact_up_to, trials, seed, time_budget)
+    else:
+        d_z, stab_z = _mirrored(d_x, perm), _mirrored(stab_x, perm)
+    return CodeReport(code.n, k, d_x, d_z, weight_profile(code), stab_x, stab_z)
 
-    dists = []
-    for side in ("X", "Z"):
-        upper = min_distance_random_upper(code, side, trials, seed)
-        res = min_distance_exact(
-            code, side, weight_cap=exact_up_to, time_budget=time_budget, seed_upper=upper
-        )
-        dists.append(_bracket(res, upper=upper))
-    return CodeReport(code.n, k, *dists, profile, stab_x, stab_z)
+
+def _side_bounds(
+    code: CssCode, side: str, k: int, exact_up_to: int, trials: int, seed: int,
+    time_budget: float | None,
+) -> tuple[DistanceResult | None, DistanceResult | None]:
+    """``analyze``'s (distance, stabilizer minimum) of one side; None where undefined."""
+    stab = None
+    if not _side(code, side).stab.is_zero():
+        stab = stabilizer_min_weight(code, side, exact_up_to, time_budget)
+    if k == 0:
+        return None, stab
+    upper = min_distance_random_upper(code, side, trials, seed)
+    res = min_distance_exact(
+        code, side, weight_cap=exact_up_to, time_budget=time_budget, seed_upper=upper
+    )
+    return _bracket(res, upper=upper), stab
 
 
 # -- JSON file format --------------------------------------------------------

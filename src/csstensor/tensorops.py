@@ -411,8 +411,18 @@ def sweep_to_csv(records: Sequence[SweepRecord], with_seconds: bool = True) -> s
 
 
 def _machine_bound(base: CssCode, prev: tuple[CssCode, css.CodeReport], side: str) -> int:
-    """Sector bound on one side of base (x) the previous stage, from its report; 0 if none."""
+    """Sector bound on one side of base (x) the previous stage, from its report; 0 if none.
+
+    When the base and the previous stage both have a certified side mirror
+    (see ``css._mirror``), side Z gets side X's bound: the mirror carries
+    each side's checks, kernel, logicals and stabilizers onto the other's
+    with their weights, so the ``FactorParams`` of both sides agree, and
+    ``css.analyze`` gave the stage the same bounds on both.  No Z ``_Side``
+    of either is built.
+    """
     code, last = prev
+    if side == "Z" and css._mirror(base) is not None and css._mirror(code) is not None:
+        side = "X"
     dist, stab = (
         (last.d_x, last.min_stabilizer_weight_x)
         if side == "X"

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import itertools
 import json
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -22,7 +24,7 @@ from csstensor.css import (
 from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex, random_css_code, random_matrix
-from csstensor.tensorops import css_power, factor_params
+from csstensor.tensorops import css_power, css_tensor, factor_params
 
 
 def annihilated(m: BinMatrix, rows) -> bool:
@@ -426,7 +428,9 @@ class TestLogicalChecks:
     def test_each_side_eliminated_once(self, monkeypatch):
         # analyze and factor_params read one _Side per code and side: two
         # kernel eliminations per side, and no rank, dimension_k or
-        # kernel_basis call of their own.
+        # kernel_basis call of their own.  A code with no factor record (a
+        # loaded file) and h_x != h_z builds both sides; the in-process
+        # square has a certified mirror and builds side X alone.
         calls = []
 
         def counting(module, name):
@@ -439,12 +443,16 @@ class TestLogicalChecks:
             monkeypatch.setattr(module, name, wrapper)
 
         square = css_power(steane(), 2)
+        loaded = css.from_matrices(square.h_x, square.h_z)
         code = steane()
         for module, name in ((gf2, "_kernel_bitrows"), (gf2, "rank"),
                              (gf2, "kernel_basis"), (css, "dimension_k")):
             counting(module, name)
-        css.analyze(square)
+        css.analyze(loaded)
         assert calls == ["_kernel_bitrows"] * 4
+        calls.clear()
+        css.analyze(square)
+        assert calls == ["_kernel_bitrows"] * 2
         calls.clear()
         for side in ("X", "Z"):
             factor_params(code, side)
@@ -876,6 +884,124 @@ class TestAnalyze:
         blob = json.dumps(report.to_json_dict())
         parsed = json.loads(blob)
         assert parsed["n"] == 7 and parsed["d_x"]["exact"] is True
+
+
+def self_orthogonal_code(rng: random.Random, n: int) -> CssCode:
+    """A random code with h_x = h_z = h, h h^T = 0 and no zero column of h.
+
+    h has (n - 1) // 2 independent rows, so k = n - 2 rank(h) >= 1.  Each
+    row is a random word orthogonal to the rows so far and to the all-ones
+    word (so of even weight, orthogonal to itself).  n is 6, 7 or 8: at
+    n = 5 no two such rows cover every column.
+    """
+    while True:
+        rows: list[int] = []
+        for _ in range((n - 1) // 2):
+            constraints = BinMatrix(len(rows) + 1, n, (*rows, (1 << n) - 1))
+            word = 0
+            for b in gf2.kernel_basis(constraints).data:
+                if rng.random() < 0.5:
+                    word ^= b
+            rows.append(word)
+        h = BinMatrix(len(rows), n, tuple(rows))
+        if gf2.rank(h) == h.rows and all(h.col_weights()):
+            return css.from_matrices(h, h)
+
+
+def generic_copy(code: CssCode) -> CssCode:
+    """The code as a loaded file arrives: no factor record."""
+    return css.from_matrices(code.h_x, code.h_z)
+
+
+def bounds(report: css.CodeReport) -> list:
+    fields = (report.d_x, report.d_z, report.min_stabilizer_weight_x,
+              report.min_stabilizer_weight_z)
+    return [None if d is None else (d.lower, d.upper, d.exact) for d in fields]
+
+
+class TestSideMirror:
+    def test_uncapped_reports_match_the_generic_path(self):
+        rng = random.Random(2206)
+        codes = [steane()] + [self_orthogonal_code(rng, rng.choice((6, 7, 8))) for _ in range(30)]
+        assert all(css.dimension_k(c) >= 1 for c in codes)
+        for base in codes:
+            square = css_power(base, 2)
+            assert square._factors is not None and css._mirror(square) is not None
+            mirrored = css.analyze(square, exact_up_to=None, trials=5, seed=7)
+            assert "Z" not in square._sides
+            generic = css.analyze(generic_copy(square), exact_up_to=None, trials=5, seed=7)
+            assert bounds(mirrored) == bounds(generic)
+            assert all(d is None or d.exact for d in (mirrored.d_x, mirrored.d_z))
+
+    @pytest.mark.parametrize("base, ell", [(steane(), 3), (families.hamming_css(4), 2)],
+                             ids=["steane-cube", "hamming4-square"])
+    def test_capped_brackets_overlap_the_generic_ones(self, base, ell):
+        power = css_power(base, ell)
+        assert css._mirror(power) is not None
+        mirrored = css.analyze(power, exact_up_to=2, trials=10, seed=5)
+        generic = css.analyze(generic_copy(power), exact_up_to=2, trials=10, seed=5)
+        for a, b in ((mirrored.d_z, generic.d_z),
+                     (mirrored.min_stabilizer_weight_z, generic.min_stabilizer_weight_z)):
+            assert a.lower <= b.upper and b.lower <= a.upper
+
+    def test_mapped_witness_is_a_z_logical(self):
+        rng = random.Random(31)
+        bases = [steane()] + [self_orthogonal_code(rng, rng.choice((6, 7, 8))) for _ in range(10)]
+        for base in bases:
+            square = css_power(base, 2)
+            perm = css._mirror(square)
+            d_x = css.min_distance_exact(square, "X")
+            d_z = css._mirrored(d_x, perm)
+            w = d_z.witness
+            assert w.weight() == d_z.upper == d_x.value
+            assert annihilated(square.h_x, [w.bits])
+            assert not gf2.rowspace_contains(square.h_z, w)
+            stab = css._mirrored(css.stabilizer_min_weight(square, "X"), perm)
+            assert stab.witness.weight() == stab.value
+            assert gf2.rowspace_contains(square.h_z, stab.witness)
+            report = css.analyze(square, exact_up_to=None, trials=1, seed=1)
+            assert report.d_z == css._mirrored(report.d_x, perm)
+
+    def test_no_mirror_without_self_dual_factors(self):
+        tz = families.parse_family_spec("tz:rep3,rep3")[1]
+        assert tz._factors is not None and css._mirror(tz) is None
+        rng = random.Random(4)
+        other = random_css_code(rng, 6, 2, 1)
+        assert other.h_x != other.h_z
+        product = css_tensor(steane(), other)
+        assert css._mirror(product) is None
+        assert css._mirror(generic_copy(css_power(steane(), 2))) is None
+
+    def test_certificate_refuses_a_wrong_permutation(self, monkeypatch):
+        square = css_power(steane(), 2)
+        monkeypatch.setattr(css, "_dual_permutation", lambda factors: list(range(square.n)))
+        calls = []
+        real = gf2._kernel_bitrows
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(gf2, "_kernel_bitrows", counting)
+        report = css.analyze(square, exact_up_to=4, trials=5, seed=2)
+        assert css._mirror(square) is None and len(calls) == 4
+        monkeypatch.undo()
+        assert bounds(report) == bounds(css.analyze(generic_copy(square), 4, 5, 2))
+
+    def test_record_stays_out_of_serialized_forms(self):
+        square = css_power(steane(), 2)
+        plain = generic_copy(square)
+        assert square._factors == (css.to_complex(steane()),) * 2 and plain._factors is None
+        assert square == plain and hash(square) == hash(plain) and repr(square) == repr(plain)
+        texts = []
+        for code in (square, plain):
+            out = io.StringIO()
+            css.dump_code(code, out, "sq")
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+        for clone in (copy.copy(square), copy.deepcopy(square),
+                      pickle.loads(pickle.dumps(square))):
+            assert clone == square and clone._factors is None
 
 
 class TestCodeJson:

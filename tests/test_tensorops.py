@@ -673,6 +673,37 @@ class TestSweep:
         assert [r.n for r in records] == [7, 147]
         assert len(calls) <= 10
 
+    def test_self_dual_stages_build_no_z_side(self, monkeypatch):
+        # Every stage of a Steane sweep has a certified side mirror, so
+        # analyze and the sector machine build side X alone.
+        built = []
+        real = css._side
+
+        def counting(code, side):
+            if side not in code._sides:
+                built.append((code.n, side))
+            return real(code, side)
+
+        monkeypatch.setattr(css, "_side", counting)
+        records = tensorops.sweep(steane(), 3, weight_cap=2, trials=10, seed=101)
+        assert built == [(7, "X"), (67, "X"), (721, "X")]
+        for r in records:
+            assert r.report.d_z[:3] == r.report.d_x[:3]
+            assert r.report.min_stabilizer_weight_z[:3] == r.report.min_stabilizer_weight_x[:3]
+
+    def test_mirrored_machine_bound_is_the_z_bound(self):
+        base, square = steane(), css_power(steane(), 2)
+        report = css.analyze(square, None, 10, 3)
+        z_bound = tensorops.bound_from_params(
+            tensorops.factor_params(base, "Z"),
+            tensorops._factor_params(
+                css._side(css.from_matrices(square.h_x, square.h_z), "Z"),
+                report.d_z, report.min_stabilizer_weight_z,
+            ),
+        )
+        assert tensorops._machine_bound(steane(), (square, report), "Z") == z_bound == 11
+        assert "Z" not in square._sides
+
     def test_degeneracy_is_derived_from_bounds(self):
         assert "degenerate" not in tensorops.SweepRecord._fields
         assert "degenerate" not in css.CodeReport._fields
