@@ -12,15 +12,32 @@ Summand ordering inside a tensor product is fixed once and for all:
 each summand uses left-factor-major Kronecker indexing.  A product of
 more factors is the left fold of pairwise products.  This makes every
 block matrix reproducible bit for bit.  One loop, ``_place_kron``, writes
-each Kronecker block straight into the product's rows in one pass, and
-two builders share it.  ``tensor`` assembles a window of degrees lo..hi:
-truncations and the windows ``verify`` checks.
-``tensor_checks`` gives the two maps at one degree, the second one
-transposed, which is what a code needs as (h_x, h_z): it writes the
-transposed map from the transposed factor maps, so no top boundary is
-built and nothing product-wide is transposed.  ``css.from_complex`` reads
-every code through it: a lone length-3 complex, a product code, a power
-and a hypergraph product alike.
+each Kronecker block straight into the product's rows, and two functions
+share it.  ``tensor`` assembles a window of degrees lo..hi: truncations
+and the windows ``verify`` checks.  ``tensor_checks`` gives the two maps
+at one degree, the second one transposed, which is what a code needs as
+(h_x, h_z): it writes the transposed map from the transposed factor maps,
+so no top boundary is built and nothing product-wide is transposed.
+``css.from_complex`` reads every code through it: a lone length-3
+complex, a product code, a power and a hypergraph product alike.
+
+Product rows are built as supports, lists of column indices, and both
+functions return ``BinMatrix``es made from them (``BinMatrix._of_supports``),
+whose int rows wait until something reads them: a check row of the l-th
+Steane power has at most 3l + 1 ones among n columns (n = 8179 at l = 4).
+Each block appends its columns to each of its rows, and that is the sum
+of the blocks because no two blocks of one row share a column: the
+blocks of a row lie in distinct summands (the source summands of a
+target row, or the summands c - e_p, one per factor p, of a transposed
+row), and inside one block the columns of a row come from distinct
+columns of one factor row.  The rows come out ascending with no sort.
+Inside a block the columns ascend with the factor row's.  A target row
+meets its source summands in the order of their offsets; a transposed
+row meets the summands c - e_p by ascending p, and those offsets ascend
+with p too: lowering slot p lowers the prefix sums from p on, and
+``_compositions`` orders summands by prefix sums, the longest prefix
+first, so the summand that lowers the later slot keeps more of them and
+comes later.
 
 A product of valid factors is valid without a product-wide check.  The
 product boundary is the sum over p of 1 (x) ... (x) d_p (x) ... (x) 1;
@@ -161,27 +178,38 @@ def _summand_sizes(factors: Sequence[ChainComplex], degree: int) -> dict[tuple[i
     return sizes
 
 
-def _place_kron(rows: list[int], r0: int, c0: int, left: int, m: BinMatrix, right: int) -> None:
-    """XOR ``kron(I_left, m, I_right)`` into ``rows`` with its corner at (r0, c0).
+def _place_kron(
+    rows: list[list[int]], r0: int, c0: int, left: int,
+    sups: Sequence[Sequence[int]], cols: int, right: int,
+) -> None:
+    """Append the columns of ``kron(I_left, m, I_right)`` to ``rows``, corner at (r0, c0).
 
-    Each row of ``m`` is spread to stride ``right`` once and XOR-ed into
-    its target rows at shifts ``c0 + a * m.cols * right + b``.
+    ``m`` is given by its row supports ``sups`` and its width ``cols``.  Row
+    ``r0 + (a * len(sups) + i) * right + b`` gains the columns
+    ``c0 + (a * cols + t) * right + b`` for t in row i of m, ascending.
+    With ``right == 1`` each row takes one extend; otherwise the ``right``
+    rows of a factor row share each t and take it in one C-level pass.
     """
-    spread = []
-    for row in m.data:
-        bits = 0
-        while row:
-            t = row.bit_length() - 1
-            bits |= 1 << (t * right)
-            row ^= 1 << t
-        spread.append(bits)
     s = r0
-    for a in range(left):
-        shift = a * m.cols * right + c0
-        for srow in spread:
-            for b in range(shift, shift + right):
-                rows[s] ^= srow << b
+    width = cols * right
+    if right == 1:
+        for a in range(left):
+            shift = c0 + a * width
+            for sup in sups:
+                if sup:
+                    rows[s].extend([shift + t for t in sup])
                 s += 1
+        return
+    append = list.append
+    for a in range(left):
+        shift = c0 + a * width
+        for sup in sups:
+            if sup:
+                block = rows[s:s + right]
+                for t in sup:
+                    start = shift + t * right
+                    any(map(append, block, range(start, start + right)))  # append returns None
+            s += right
 
 
 def _boundary_rows(
@@ -189,27 +217,25 @@ def _boundary_rows(
     src: dict[tuple[int, ...], int],
     tgt: dict[tuple[int, ...], int],
     transposed: bool = False,
-) -> list[int]:
-    """Rows of the product boundary from the ``src`` summands to the ``tgt`` ones.
+) -> list[list[int]]:
+    """Row supports of the product boundary from the ``src`` summands to the ``tgt`` ones.
 
     On a summand c the boundary is the sum over factors p of
     ``kron(I, d_p, I)`` into the summand with c_p lowered by one; no signs
     in characteristic 2.  ``transposed`` writes the transposed map instead,
-    block by block from the factor maps transposed once per distinct factor,
-    as ``kron(I, d, I)^T = kron(I, d^T, I)``: nothing product-wide is transposed.
+    block by block from the column supports of the factor maps, as
+    ``kron(I, d, I)^T = kron(I, d^T, I)``: nothing product-wide is
+    transposed.  Each factor map is read once per call, however many
+    factors share it, and every row comes out ascending (see the module
+    docstring).
     """
     tgt_offset = {}
     off = 0
     for c, width in tgt.items():
         tgt_offset[c] = off
         off += width
-    if transposed:
-        flipped = {f: tuple(map(gf2.transpose, f.boundaries)) for f in dict.fromkeys(factors)}
-        maps = [flipped[f] for f in factors]
-        rows = [0] * sum(src.values())
-    else:
-        maps = [f.boundaries for f in factors]
-        rows = [0] * off
+    read = {}
+    rows = [[] for _ in range(sum(src.values()) if transposed else off)]
     src_off = 0
     for c, width in src.items():
         if width:
@@ -220,7 +246,14 @@ def _boundary_rows(
                     right = width // (left * f.dims[v])
                     t = tgt_offset[c[:p] + (v - 1,) + c[p + 1 :]]
                     r0, c0 = (src_off, t) if transposed else (t, src_off)
-                    _place_kron(rows, r0, c0, left, maps[p][v - 1], right)
+                    m = read.get((id(f), v))
+                    if m is None:
+                        d = f.boundaries[v - 1]
+                        m = read[id(f), v] = (
+                            (gf2._column_supports(d), d.rows) if transposed
+                            else (d.support(), d.cols)
+                        )
+                    _place_kron(rows, r0, c0, left, *m, right)
                 left *= f.dims[v]
         src_off += width
     return rows
@@ -238,8 +271,9 @@ def tensor(*factors: ChainComplex, lo: int = 0, hi: int | None = None) -> ChainC
     Summands follow ``_compositions`` and use left-factor-major Kronecker
     indexing, so the result is bit-identical to folding pairwise products
     and then cutting the window; only the window is ever assembled, block
-    by block through ``_place_kron``.  With one factor the window is a
-    truncation, and the empty product is the unit complex 0 -> F -> 0.
+    by block through ``_place_kron``, into matrices built from supports.
+    With one factor the window is a truncation, and the empty product is
+    the unit complex 0 -> F -> 0.
     """
     if hi is None:
         hi = sum(f.top_degree() for f in factors)
@@ -247,7 +281,9 @@ def tensor(*factors: ChainComplex, lo: int = 0, hi: int | None = None) -> ChainC
     sizes = [_summand_sizes(factors, k) for k in range(lo, hi + 1)]
     dims = tuple(sum(s.values()) for s in sizes)
     boundaries = tuple(
-        BinMatrix(dims[k - 1], dims[k], tuple(_boundary_rows(factors, sizes[k], sizes[k - 1])))
+        BinMatrix._of_supports(
+            dims[k - 1], dims[k], _boundary_rows(factors, sizes[k], sizes[k - 1])
+        )
         for k in range(1, len(dims))
     )
     return ChainComplex(dims, boundaries)
@@ -260,8 +296,9 @@ def tensor_checks(*factors: ChainComplex, degree: int) -> tuple[BinMatrix, BinMa
     ``boundary(degree + 1)`` of ``tensor(*factors)``, zero maps out of
     range, but only the summands at the three degrees are sized, and the
     second map is written block by block from the transposed factor maps:
-    no window top boundary is built and nothing product-wide is
-    transposed.  At the middle degree this is the check pair (h_x, h_z)
+    no window top boundary is built, nothing product-wide is transposed,
+    and both come as supports, with no int row built until one is read.
+    At the middle degree this is the check pair (h_x, h_z)
     that ``css.from_complex``, the one reader of codes, returns.  Nothing
     is validated here: the pair is orthogonal when every factor passes
     ``validate`` (see the module docstring).
@@ -270,8 +307,10 @@ def tensor_checks(*factors: ChainComplex, degree: int) -> tuple[BinMatrix, BinMa
     below, here, above = (_summand_sizes(factors, k) for k in (degree - 1, degree, degree + 1))
     dim_below, dim, dim_above = (sum(s.values()) for s in (below, here, above))
     return (
-        BinMatrix(dim_below, dim, tuple(_boundary_rows(factors, here, below))),
-        BinMatrix(dim_above, dim, tuple(_boundary_rows(factors, above, here, transposed=True))),
+        BinMatrix._of_supports(dim_below, dim, _boundary_rows(factors, here, below)),
+        BinMatrix._of_supports(
+            dim_above, dim, _boundary_rows(factors, above, here, transposed=True)
+        ),
     )
 
 

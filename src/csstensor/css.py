@@ -488,6 +488,7 @@ class _Side:
     searched on first use and kept.  They depend on the side alone: an unbudgeted
     search is a fixed walk over the kernel basis and the stabilizer rows,
     so its value and its witness are the same on every run.
+    ``top_min_within`` runs the ``top_min`` search under a time budget.
     """
 
     def __init__(
@@ -522,10 +523,21 @@ class _Side:
         None, with no elimination, when the rows are independent
         (rank(stab) = |kernel| - k equals their number).
         """
+        found = self.top_min_within(None)
+        return None if found is None else found.value
+
+    def top_min_within(self, time_budget: float | None) -> DistanceResult | None:
+        """The search behind ``top_min``, stopped after ``time_budget`` seconds.
+
+        Its ``lower`` is certified either way, and with no budget it is
+        exact.  None when the stabilizer rows are independent.  Not kept:
+        a stopped search depends on the clock.
+        """
         if self.stab.rows == len(self.kernel) - self.k:
             return None
+        deadline = None if time_budget is None else time.monotonic() + time_budget
         relations = gf2.kernel_basis(gf2.transpose(self.stab))
-        return _min_weight(relations.data, self.stab.rows).value
+        return _min_weight(relations.data, self.stab.rows, None, deadline)
 
 
 def _side(code: CssCode, side: str) -> _Side:
@@ -855,10 +867,12 @@ def _side_bounds(
 # plus a final newline: keys "h_x", "h_z", "n", "name", each matrix as
 # "cols", "rows", "support", one support entry per line.  ``dump_code`` is
 # the one writer of that layout.  It writes straight to the open file,
-# _DUMP_CHUNK_ROWS rows at a time, one join per support row, so neither the
-# support lists nor the text of a whole power ever exist at once (the
-# l = 4 Steane file is 1.86 MB); ``indent`` would also force the
-# pure-Python JSON encoder, which cost more than assembling the power.
+# _DUMP_CHUNK_ROWS rows at a time, so the text of a whole power never
+# exists at once (the l = 4 Steane file is 1.86 MB); ``indent`` would also
+# force the pure-Python JSON encoder, which cost more than assembling the
+# power.  The rows come from ``BinMatrix.support``, which for a product is
+# the supports it was built from, so no n-bit row is built or walked, and
+# each index is one lookup in a table of cell strings made once per dump.
 
 _DUMP_CHUNK_ROWS = 256
 
@@ -880,32 +894,34 @@ def code_to_json(code: CssCode, name: str = "") -> dict:
     }
 
 
-def _row_text(row: int) -> str:
-    if not row:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(str, gf2._support_of(row))) + "\n      ]"
-
-
-def _dump_matrix(m: BinMatrix, fh: io.TextIOBase) -> None:
+def _dump_matrix(m: BinMatrix, fh: io.TextIOBase, cells: list[str]) -> None:
     fh.write(f'{{\n    "cols": {m.cols},\n    "rows": {m.rows},\n    "support": ')
     if not m.rows:
         fh.write("[]\n  }")
         return
+    supports = m.support()
     sep = "[\n      "
     for start in range(0, m.rows, _DUMP_CHUNK_ROWS):
-        chunk = m.data[start:start + _DUMP_CHUNK_ROWS]
-        fh.write(sep + ",\n      ".join(map(_row_text, chunk)))
+        fh.write(sep + ",\n      ".join([
+            f"[{','.join(map(cells.__getitem__, row))}\n      ]" if row else "[]"
+            for row in supports[start:start + _DUMP_CHUNK_ROWS]
+        ]))
         sep = ",\n      "
     fh.write("\n    ]\n  }")
 
 
 def dump_code(code: CssCode, fh: io.TextIOBase, name: str = "") -> None:
     """Write the code file to ``fh`` a chunk of rows at a time, byte for byte
-    ``json.dumps(code_to_json(code, name), indent=2, sort_keys=True) + "\\n"``."""
+    ``json.dumps(code_to_json(code, name), indent=2, sort_keys=True) + "\\n"``.
+
+    Rows are read through ``support()``, and ``cells[j]`` is the text of
+    index j on its own line, so a row's text is one join of table cells.
+    """
+    cells = ["\n        " + str(j) for j in range(code.n)]
     fh.write('{\n  "h_x": ')
-    _dump_matrix(code.h_x, fh)
+    _dump_matrix(code.h_x, fh, cells)
     fh.write(',\n  "h_z": ')
-    _dump_matrix(code.h_z, fh)
+    _dump_matrix(code.h_z, fh, cells)
     # A name read back from a hand-written file may be any JSON value.
     name_text = json.dumps(name, indent=2, sort_keys=True).replace("\n", "\n  ")
     fh.write(f',\n  "n": {code.n},\n  "name": {name_text}\n}}\n')

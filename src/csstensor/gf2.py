@@ -3,11 +3,14 @@
 Matrices store one Python int per row; bit ``j`` of a row is the entry in
 column ``j``.  Arbitrary-precision ints give word-parallel XOR row
 operations at any width, so rank/kernel/product all reduce to integer
-bit twiddling.  All values are immutable and safe to share between
-threads.  The value types are plain ``__slots__`` classes on ``_Value``:
-``__init__`` checks its arguments and sets each field once through
-``object.__setattr__``, any later assignment raises ``AttributeError``,
-and equality, hash and repr read the fields named in ``_fields``.
+bit twiddling.  A matrix built from row supports (what ``chain``
+assembles products into, see ``BinMatrix``) keeps them and builds its
+ints on first read, so a sparse product can be written without any.
+All values are immutable and safe to share between threads.  The value
+types are plain ``__slots__`` classes on ``_Value``: ``__init__`` checks
+its arguments and sets each field once through ``object.__setattr__``,
+any later assignment raises ``AttributeError``, and equality, hash and
+repr read the fields named in ``_fields``.
 
 All elimination is pivot-keyed: two echelon loops, one back-substitution.
 In natural order (columns scanned lowest first) ``_echelon`` keys each row
@@ -120,9 +123,21 @@ class BinMatrix(_Value):
 
     ``data[i]`` is row ``i``; bits beyond ``cols`` are always zero.
     0 x n and m x 0 matrices are valid and act as empty maps.
+
+    The product assemblers (``chain.tensor`` and ``chain.tensor_checks``)
+    make their matrices from sorted row supports instead
+    (``_of_supports``).  Those keep the supports as tuples, which
+    ``support``, ``row_weights``, ``col_weights``, ``is_zero``,
+    ``transpose`` and the left operand of ``matmul`` read, so writing a
+    power builds no n-bit row.  The int rows are made on the first read of
+    ``data``, which is also what equality, hash, repr, copy and pickle
+    read: a matrix built from supports equals its twin built from ints.
+    A matrix built from ints keeps its supports once ``support`` has read
+    them.
     """
 
-    __slots__ = _fields = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_supports")
+    _fields = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: tuple[int, ...]) -> None:
         if rows < 0 or cols < 0:
@@ -134,6 +149,17 @@ class BinMatrix(_Value):
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "data", data)
+        _set(self, "_supports", None)
+
+    @staticmethod
+    def _of_supports(rows: int, cols: int, supports: Iterable[Iterable[int]]) -> BinMatrix:
+        """The matrix with these row supports, which must be ascending, in
+        range and free of repeats (not checked); ``data`` waits for a read."""
+        m = _SupportMatrix.__new__(_SupportMatrix)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "_supports", tuple(map(tuple, supports)))
+        return m
 
     # -- constructors ---------------------------------------------------
 
@@ -178,16 +204,71 @@ class BinMatrix(_Value):
     # -- accessors ------------------------------------------------------
 
     def row_weights(self) -> list[int]:
+        if self._supports is not None:
+            return list(map(len, self._supports))
         return [r.bit_count() for r in self.data]
 
     def col_weights(self) -> list[int]:
         return [len(c) for c in _column_supports(self)]
 
-    def support(self) -> list[list[int]]:
-        return [_support_of(r) for r in self.data]
+    def support(self) -> list[tuple[int, ...]]:
+        """Each row's column indices, ascending, one tuple per row.
+
+        A matrix built from ints reads them off its rows on the first call
+        and keeps them, as a product keeps those it was built from.
+        """
+        if self._supports is None:
+            _set(self, "_supports", tuple([tuple(_support_of(r)) for r in self.data]))
+        return list(self._supports)
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self.data if self._supports is None else self._supports)
+
+
+class _SupportMatrix(BinMatrix):
+    """A ``BinMatrix`` built from supports whose ``data`` slot is still unset.
+
+    Reading ``data`` builds the int rows, fills the slot and turns the
+    object into a plain ``BinMatrix``.  Keeping the lazy read off
+    ``BinMatrix`` itself keeps attribute reads of every other matrix on
+    the interpreter's fast slot path.  Equality, hash, repr and pickling
+    read ``data`` first, so they always see a plain ``BinMatrix``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def data(self) -> tuple[int, ...]:
+        rows = []
+        for support in self._supports:
+            bits = 0
+            for j in support:
+                bits |= 1 << j
+            rows.append(bits)
+        data = tuple(rows)
+        _DATA.__set__(self, data)
+        _set(self, "__class__", BinMatrix)
+        return data
+
+    def _plain(self) -> BinMatrix:
+        self.data
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        return self._plain() == other
+
+    def __hash__(self) -> int:
+        return hash(self._plain())
+
+    def __repr__(self) -> str:
+        return repr(self._plain())
+
+    def __reduce__(self) -> tuple:
+        return self._plain().__reduce__()
+
+
+# The ``data`` slot of ``BinMatrix``, which ``_SupportMatrix.data`` shadows.
+_DATA = BinMatrix.__dict__["data"]
 
 
 def _support_of(bits: int) -> list[int]:
@@ -360,6 +441,13 @@ def matmul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
         raise DimensionMismatch(f"inner dimensions {a.cols} != {b.rows}")
     out = []
     bdata = b.data
+    if a._supports is not None:
+        for support in a._supports:
+            acc = 0
+            for t in support:
+                acc ^= bdata[t]
+            out.append(acc)
+        return BinMatrix(a.rows, b.cols, tuple(out))
     for row in a.data:
         acc = 0
         while row:
@@ -383,6 +471,11 @@ def transpose(m: BinMatrix) -> BinMatrix:
 def _column_supports(m: BinMatrix) -> list[list[int]]:
     """The rows holding a one in each column, ascending, one list per column."""
     columns: list[list[int]] = [[] for _ in range(m.cols)]
+    if m._supports is not None:
+        for i, sup in enumerate(m._supports):
+            for j in sup:
+                columns[j].append(i)
+        return columns
     for i, row in enumerate(m.data):
         while row:
             t = row.bit_length() - 1

@@ -241,19 +241,22 @@ class FactorParams(namedtuple("FactorParams", "k d_lo cycle_lo check_w h_top h_b
 def factor_params(code: CssCode, side: str) -> FactorParams:
     """Exact invariants of a code for one side of the bound machine."""
     s = css._side(code, side)
-    return _factor_params(s, s.distance, s.stab_min)
+    return _factor_params(s, s.distance, s.stab_min, s.top_min)
 
 
 def _factor_params(
-    s: css._Side, dist: DistanceResult | None, stab: DistanceResult | None
+    s: css._Side, dist: DistanceResult | None, stab: DistanceResult | None,
+    top_min_lo: int | None,
 ) -> FactorParams:
-    """FactorParams of a side from certified distance and stabilizer results.
+    """FactorParams of a side from certified distance, stabilizer and
+    top-homology results.
 
-    ``dist`` is None when k = 0 and ``stab`` when no stabilizer is nonzero.
-    The cycle bound is the smaller of their lower bounds, 1 when both are
-    None (see the module docstring).  Ranks come from the side's sizes
-    (see ``css._Side``) and the top-homology minimum is the side's kept
-    ``top_min``, so no elimination runs here.
+    ``dist`` is None when k = 0, ``stab`` when no stabilizer is nonzero
+    and ``top_min_lo``, a certified lower bound on ``css._Side.top_min``,
+    when the checks have no nonzero relation.  The cycle bound is the
+    smaller of the first two lower bounds, 1 when both are None (see the
+    module docstring).  Ranks come from the side's sizes (see
+    ``css._Side``), so no elimination runs here.
     """
     return FactorParams(
         k=s.k,
@@ -262,7 +265,7 @@ def _factor_params(
         check_w=max(s.stab.row_weights(), default=0),
         h_top=s.stab.rows - (len(s.kernel) - s.k),
         h_bot=s.kernel_of.rows - (s.stab.cols - len(s.kernel)),
-        top_min_lo=s.top_min,
+        top_min_lo=top_min_lo,
     )
 
 
@@ -410,30 +413,39 @@ def sweep_to_csv(records: Sequence[SweepRecord], with_seconds: bool = True) -> s
     return "\n".join(lines) + "\n"
 
 
-def _machine_bound(base: CssCode, prev: tuple[CssCode, css.CodeReport], side: str) -> int:
-    """Sector bound on one side of base (x) the previous stage, from its report; 0 if none.
+def _machine_bounds(
+    base: CssCode, prev: tuple[CssCode, css.CodeReport], time_budget: float | None,
+) -> tuple[int, int]:
+    """Sector bounds (X, Z) on base (x) the previous stage, from its report; 0 where none.
 
-    When the base and the previous stage both have a certified side mirror
-    (see ``css._mirror``), side Z gets side X's bound: the mirror carries
-    each side's checks, kernel, logicals and stabilizers onto the other's
-    with their weights, so the ``FactorParams`` of both sides agree, and
-    ``css.analyze`` gave the stage the same bounds on both.  No Z ``_Side``
-    of either is built.
+    The previous stage's top-homology minimum is searched for at most
+    ``time_budget`` seconds per side, the stage's budget, and enters as
+    the search's certified lower bound.  When the base and the previous
+    stage both have a certified side mirror (see ``css._mirror``), side Z
+    gets side X's bound: the mirror carries each side's checks, kernel,
+    logicals and stabilizers onto the other's with their weights, so the
+    ``FactorParams`` of both sides agree, and ``css.analyze`` gave the
+    stage the same bounds on both.  No Z ``_Side`` of either is built.
     """
     code, last = prev
-    if side == "Z" and css._mirror(base) is not None and css._mirror(code) is not None:
-        side = "X"
-    dist, stab = (
-        (last.d_x, last.min_stabilizer_weight_x)
-        if side == "X"
-        else (last.d_z, last.min_stabilizer_weight_z)
-    )
-    try:
-        return bound_from_params(
-            factor_params(base, side), _factor_params(css._side(code, side), dist, stab)
-        )
-    except KIsZero:
-        return 0
+    reports = {
+        "X": (last.d_x, last.min_stabilizer_weight_x),
+        "Z": (last.d_z, last.min_stabilizer_weight_z),
+    }
+    bounds = {}
+    for side in ("X", "Z"):
+        if side == "Z" and css._mirror(base) is not None and css._mirror(code) is not None:
+            return bounds["X"], bounds["X"]
+        s = css._side(code, side)
+        top = s.top_min_within(time_budget)
+        try:
+            bounds[side] = bound_from_params(
+                factor_params(base, side),
+                _factor_params(s, *reports[side], None if top is None else top.lower),
+            )
+        except KIsZero:
+            bounds[side] = 0
+    return bounds["X"], bounds["Z"]
 
 
 def sweep(
@@ -450,7 +462,8 @@ def sweep(
 
     Each stage builds the (reduced or full) power, the base itself at
     ell = 1, and runs the budgeted analysis.  For full powers it then
-    merges the sector bound of base (x) previous power into each
+    merges the sector bound of base (x) previous power, whose
+    top-homology search also gets the stage's ``time_budget``, into each
     certified distance lower bound of the stage's report through
     ``css._bracket``, which also settles the exactness flag; the report's
     degeneracy verdict follows from the merged bounds.  Capped searches
@@ -472,9 +485,10 @@ def sweep(
             continue
         report = css.analyze(code, weight_cap, trials, seed + ell, time_budget)
         if not reduced and prev is not None and report.k >= 1:
+            bound_x, bound_z = _machine_bounds(base, prev, time_budget)
             report = report._replace(
-                d_x=css._bracket(report.d_x, lower=_machine_bound(base, prev, "X")),
-                d_z=css._bracket(report.d_z, lower=_machine_bound(base, prev, "Z")),
+                d_x=css._bracket(report.d_x, lower=bound_x),
+                d_z=css._bracket(report.d_z, lower=bound_z),
             )
         records.append(SweepRecord(ell, report.n, report, time.monotonic() - t0))
         prev = (code, report)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -397,6 +399,143 @@ class TestTensorChecks:
             chain.tensor_checks(steane_complex(), degree=3)
         with pytest.raises(ValueError):
             chain.tensor_checks(steane_complex(), steane_complex(), degree=-1)
+
+
+def int_place_kron(rows: list[int], r0: int, c0: int, left: int, m: BinMatrix, right: int) -> None:
+    """XOR ``kron(I_left, m, I_right)`` into int ``rows`` with its corner at (r0, c0).
+
+    The int block writer that product assembly used before it wrote
+    supports: each row of ``m`` is spread to stride ``right`` once and
+    XOR-ed into its target rows at shifts ``c0 + a * m.cols * right + b``.
+    """
+    spread = []
+    for row in m.data:
+        bits = 0
+        while row:
+            t = row.bit_length() - 1
+            bits |= 1 << (t * right)
+            row ^= 1 << t
+        spread.append(bits)
+    s = r0
+    for a in range(left):
+        shift = a * m.cols * right + c0
+        for srow in spread:
+            for b in range(shift, shift + right):
+                rows[s] ^= srow << b
+                s += 1
+
+
+def int_boundary_rows(factors, src, tgt, transposed=False) -> list[int]:
+    """The int oracle of ``chain._boundary_rows``: the same blocks, XOR-ed as
+    ints, the transposed map from factor maps transposed by ``gf2.transpose``."""
+    tgt_offset, off = {}, 0
+    for c, width in tgt.items():
+        tgt_offset[c] = off
+        off += width
+    if transposed:
+        maps = [tuple(map(gf2.transpose, f.boundaries)) for f in factors]
+        rows = [0] * sum(src.values())
+    else:
+        maps = [f.boundaries for f in factors]
+        rows = [0] * off
+    src_off = 0
+    for c, width in src.items():
+        if width:
+            left = 1
+            for p, f in enumerate(factors):
+                v = c[p]
+                if v:
+                    right = width // (left * f.dims[v])
+                    t = tgt_offset[c[:p] + (v - 1,) + c[p + 1:]]
+                    r0, c0 = (src_off, t) if transposed else (t, src_off)
+                    int_place_kron(rows, r0, c0, left, maps[p][v - 1], right)
+                left *= f.dims[v]
+        src_off += width
+    return rows
+
+
+class TestSupportAssembler:
+    """The support-writing block loop against the int one it replaced."""
+
+    @staticmethod
+    def products(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            xs = [TestTensorChecks.random_factor(rng) for _ in range(rng.randrange(1, 4))]
+            if len(xs) > 1 and rng.random() < 0.3:
+                xs = [xs[0]] * len(xs)  # a power: one factor object shared
+            yield xs
+
+    @staticmethod
+    def oracle(xs, degree):
+        """(boundary ``degree``, transposed boundary ``degree + 1``) as int rows."""
+        below, here, above = (chain._summand_sizes(xs, k) for k in range(degree - 1, degree + 2))
+        return (int_boundary_rows(xs, here, below),
+                int_boundary_rows(xs, above, here, transposed=True))
+
+    def test_checks_match_the_int_oracle_at_every_degree(self):
+        seen = 0
+        for xs in self.products(71, 120):
+            top = sum(x.top_degree() for x in xs)
+            for degree in range(top + 1):
+                checks = chain.tensor_checks(*xs, degree=degree)
+                for m, rows in zip(checks, self.oracle(xs, degree)):
+                    assert type(m) is gf2._SupportMatrix
+                    assert m.support() == [tuple(gf2._support_of(r)) for r in rows]
+                    assert m.data == tuple(rows) and type(m) is BinMatrix
+                    seen += m.rows
+        assert seen > 5000
+
+    def test_windows_match_the_int_oracle(self):
+        for xs in self.products(72, 80):
+            w = chain.tensor(*xs)
+            sizes = [chain._summand_sizes(xs, k) for k in range(len(w.dims))]
+            for k in range(1, len(w.dims)):
+                rows = int_boundary_rows(xs, sizes[k], sizes[k - 1])
+                b = w.boundary(k)
+                assert b.support() == [tuple(gf2._support_of(r)) for r in rows]
+                assert b.data == tuple(rows)
+
+    def test_value_semantics_match_the_int_twin(self):
+        for xs in self.products(73, 40):
+            degree = sum(x.top_degree() for x in xs) // 2
+            for side, rows in enumerate(self.oracle(xs, degree)):
+                lazy = [chain.tensor_checks(*xs, degree=degree)[side] for _ in range(7)]
+                twin = BinMatrix(lazy[0].rows, lazy[0].cols, tuple(rows))
+                assert lazy[0] == twin and twin == lazy[1] and not lazy[2] != twin
+                assert hash(lazy[3]) == hash(twin) and repr(lazy[4]) == repr(twin)
+                assert {lazy[5]: 1}[twin] == 1
+                for clone in (copy.copy(lazy[6]), copy.deepcopy(lazy[6]),
+                              pickle.loads(pickle.dumps(lazy[6]))):
+                    assert clone == twin and type(clone) is BinMatrix
+                assert all(type(m) is BinMatrix for m in lazy)
+
+    def test_accessors_build_no_int_row(self, monkeypatch):
+        cases = []
+        for xs in self.products(74, 60):
+            for degree in range(sum(x.top_degree() for x in xs) + 1):
+                ints = self.oracle(xs, degree)  # reads, so builds, every factor's ints
+                sups = [[tuple(gf2._support_of(r)) for r in rows] for rows in ints]
+                cases.append((xs, degree, sups))
+
+        def refuse(self):
+            raise AssertionError("int rows built")
+
+        monkeypatch.setattr(gf2._SupportMatrix, "data", property(refuse))
+        for xs, degree, supports in cases:
+            for m, sups in zip(chain.tensor_checks(*xs, degree=degree), supports):
+                assert m.support() == sups
+                assert m.row_weights() == list(map(len, sups))
+                columns = [0] * m.cols
+                for sup in sups:
+                    for j in sup:
+                        columns[j] += 1
+                assert m.col_weights() == columns
+                assert m.is_zero() == (not any(sups))
+                assert gf2.transpose(m).support() == [
+                    tuple(i for i, sup in enumerate(sups) if j in sup) for j in range(m.cols)
+                ]
+                assert type(m) is gf2._SupportMatrix
 
 
 class TestTruncate:

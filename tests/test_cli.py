@@ -107,6 +107,79 @@ class TestPower:
             "959b2cd7cd61ad29454b1e16be9b09a0e42f04b378e9fb8e1860fa963b50c276"
         )
 
+    def test_ell_four_builds_no_product_int_row(self, capsys, tmp_path, monkeypatch):
+        """The l = 4 power is built and written from supports: no int row of
+        the product is made, and no row wider than the factor is walked."""
+        base = tmp_path / "steane.json"
+        out = tmp_path / "p4.json"
+        run(capsys, "family", "steane", "--out", str(base))
+        built, walked = [], []
+        real_support_of = gf2._support_of
+
+        def counting(bits):
+            walked.append(bits.bit_length())
+            return real_support_of(bits)
+
+        def refuse(self):
+            built.append((self.rows, self.cols))
+            raise AssertionError("int rows built")
+
+        monkeypatch.setattr(gf2, "_support_of", counting)
+        monkeypatch.setattr(gf2._SupportMatrix, "data", property(refuse))
+        code, stdout, _ = run(capsys, "power", str(base), "--ell", "4", "--out", str(out))
+        assert code == 0 and stdout == "predicted_n=8179 actual_n=8179 k=1\n"
+        assert built == []
+        assert walked and max(walked) <= 7
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "959b2cd7cd61ad29454b1e16be9b09a0e42f04b378e9fb8e1860fa963b50c276"
+        )
+
+    def test_ell_five_file_in_bounded_memory(self, tmp_path):
+        """The l = 5 power (n = 95 557) is built and written by a child whose
+        peak RSS stays under 200 MB; its int rows would take about 1.9 GB.
+        The peak is the child's own VmHWM: the wait4 figure of a forked
+        child is floored at the parent's high-water mark."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop(cli.RESOURCE_CEILING_ENV, None)
+        base, out = tmp_path / "steane.json", tmp_path / "p5.json"
+        base.write_text(json.dumps(css.code_to_json(families.steane(), "steane")))
+        child = (
+            "import sys\n"
+            "from csstensor import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(l for l in fh if l.startswith('VmHWM')).split()[1], file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "power", str(base), "--ell", "5", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "predicted_n=95557 actual_n=95557 k=1\n"
+        assert int(proc.stderr.split()[-1]) < 200 * 1024
+        # Row weights from the file's layout, one index per line, without
+        # parsing 28.5 MB of JSON into lists.
+        digest, weights, count = hashlib.sha256(), {"h_x": [], "h_z": []}, None
+        with open(out, "rb") as fh:
+            for line in fh:
+                digest.update(line)
+                if line.startswith(b'  "h_'):
+                    rows = weights[line[3:6].decode()]
+                elif line.startswith(b"      ["):
+                    count = 0
+                elif line.startswith(b"        "):
+                    count += 1
+                elif line.startswith(b"      ]"):
+                    rows.append(count)
+        assert [len(weights["h_x"]), len(weights["h_z"])] == [78135, 78135]
+        assert {min(w) for w in weights.values()} == {8}
+        assert {max(w) for w in weights.values()} == {16}
+        assert out.stat().st_size == 28_507_749
+        assert digest.hexdigest() == (
+            "b7daeebfa5428689ce7fb20f9ef47b3152a9358b9882259f8f54716b0382e37d"
+        )
+
     def test_k_matches_the_built_code(self, capsys, tmp_path):
         """k printed from the Kunneth convolution equals the ranks of the code."""
         bases = [

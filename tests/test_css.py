@@ -1027,6 +1027,22 @@ class TestCodeJson:
                  CssCode(40, tall, BinMatrix.zeros(chunk, 40)),
                  CssCode(40, BinMatrix.zeros(0, 40), BinMatrix(chunk, 40, tall.data[:chunk])),
                  steane()]
+        # Codes built from supports: products, powers (the cube's 522 rows
+        # cross two chunk boundaries), hypergraph products and a reduced
+        # power with all-zero check rows.
+        products = [css_power(steane(), 2), css_power(steane(), 3),
+                    css_tensor(steane(), random_css_code(rng, 5, 2, 1)),
+                    css_power(random_css_code(rng, 4, 1, 1), 3),
+                    families.parse_family_spec("tz:rep3,rep3")[1],
+                    families.parse_family_spec("tz:rep2,rep5")[1],
+                    families.parse_family_spec("tz:hamming3,rep2")[1],
+                    tillich_zemor(random_matrix(rng, 13, 17, 0.2),
+                                  random_matrix(rng, 11, 16, 0.2)),
+                    css.from_complex(chain.ChainComplex.zero((3, 3, 3)))]
+        assert all(type(c.h_x) is gf2._SupportMatrix for c in products)
+        assert any(c.h_x.rows > 2 * chunk for c in products)
+        assert any(c.h_z.rows > chunk and c.h_z.rows % chunk for c in products)
+        codes += products
         while len(codes) < 240:
             n = rng.choice([1, 2, 3, 5, 8, 13, 40])
             code = random_css_code(rng, n, rng.randrange(0, 4), rng.randrange(0, 4), min_k=0)
@@ -1039,6 +1055,7 @@ class TestCodeJson:
             out = io.StringIO()
             css.dump_code(code, out, name)
             assert out.getvalue() == expected
+        assert all(type(c.h_x) is gf2._SupportMatrix for c in products)  # no int row read
 
     def test_writing_the_ell_four_power_stays_small(self, tmp_path):
         """The 1.86 MB file of the Steane l = 4 power is written with a

@@ -370,7 +370,7 @@ class TestKron:
         b = BinMatrix.from_rows([[1, 0]])
         k = gf2.kron(a, b)
         # entry ((0,0),(1,0)) at column 1*2+0 = 2
-        assert k.support() == [[2]]
+        assert k.support() == [(2,)]
 
     def test_associative(self):
         rng = random.Random(3)

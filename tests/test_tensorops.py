@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -170,8 +171,9 @@ class TestCssPower:
 
             monkeypatch.setattr(module, name, counting)
         css_power(code, 4)
-        # h_z once in css.to_complex, then the factor's two maps once each
-        assert sorted(calls) == ["transpose"] * 3 + ["validate"]
+        # h_z once in css.to_complex; the transposed check reads the factor
+        # maps' column supports, so no factor map is transposed
+        assert sorted(calls) == ["transpose", "validate"]
         calls.clear()
         css_tensor(code, code)  # two equal factor complexes
         assert calls.count("validate") == 1
@@ -694,15 +696,38 @@ class TestSweep:
     def test_mirrored_machine_bound_is_the_z_bound(self):
         base, square = steane(), css_power(steane(), 2)
         report = css.analyze(square, None, 10, 3)
+        plain = css._side(css.from_matrices(square.h_x, square.h_z), "Z")
         z_bound = tensorops.bound_from_params(
             tensorops.factor_params(base, "Z"),
             tensorops._factor_params(
-                css._side(css.from_matrices(square.h_x, square.h_z), "Z"),
-                report.d_z, report.min_stabilizer_weight_z,
+                plain, report.d_z, report.min_stabilizer_weight_z, plain.top_min
             ),
         )
-        assert tensorops._machine_bound(steane(), (square, report), "Z") == z_bound == 11
-        assert "Z" not in square._sides
+        assert tensorops._machine_bounds(steane(), (square, report), None) == (11, z_bound)
+        assert z_bound == 11 and "Z" not in square._sides
+
+    def test_machine_bounds_obey_the_stage_budget(self):
+        """The cube's X side has 162 independent relations among its 522
+        stabilizer rows; their exact minimum runs for many minutes, but the
+        sector machine gets it only for the stage's budget and uses the
+        certified lower bound it reached."""
+        base, cube = steane(), css_power(steane(), 3)
+        report = css.analyze(cube, 1, 2, 104, 5.0)
+        t0 = time.monotonic()
+        top = css._side(cube, "X").top_min_within(1.0)
+        assert time.monotonic() - t0 < 10.0
+        assert not top.exact and top.lower >= 1
+        t0 = time.monotonic()
+        bounds = tensorops._machine_bounds(base, (cube, report), 1.0)
+        assert time.monotonic() - t0 < 10.0
+        # the top-homology sector needs homology at the base's bottom, which
+        # Steane lacks, so the budgeted search leaves the bound as it was
+        sides = [tensorops.factor_params(base, "X"),
+                 tensorops._factor_params(css._side(cube, "X"), report.d_x,
+                                          report.min_stabilizer_weight_x, top.lower)]
+        assert sides[0].h_bot == 0 and sides[1].h_top == 162
+        assert bounds == (tensorops.bound_from_params(*sides),) * 2
+        assert "Z" not in cube._sides
 
     def test_degeneracy_is_derived_from_bounds(self):
         assert "degenerate" not in tensorops.SweepRecord._fields
