@@ -132,13 +132,21 @@ def homology_dims(x: ChainComplex) -> HomologyProfile:
     return tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(x.dims))
 
 
-def tensor_dims(dx: Sequence[int], dy: Sequence[int]) -> tuple[int, ...]:
-    """Dimension convolution of the two graded spaces."""
-    out = [0] * (len(dx) + len(dy) - 1)
-    for i, a in enumerate(dx):
-        for j, b in enumerate(dy):
-            out[i + j] += a * b
-    return tuple(out)
+def tensor_dims(*profiles: Sequence[int]) -> tuple[int, ...]:
+    """Dimension convolution of graded spaces, left to right; ``(1,)`` for none.
+
+    The dims of the tensor product of complexes with these dims, like
+    ``tensor(*factors)``; over a field, by Kuenneth, also its homology
+    from theirs.
+    """
+    out = (1,)
+    for p in profiles:
+        conv = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                conv[i + j] += a * b
+        out = tuple(conv)
+    return out
 
 
 _COMPOSITIONS: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import chain, css, families, tensorops, verify
+from . import css, families, tensorops, verify
 from .css import CssCode
 from .families import FamilyParseError
 from .tensorops import DEFAULT_SEED, ResourceCeiling
@@ -76,12 +76,8 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     left = _load_code(args.left)
     right = _load_code(args.right)
     product = tensorops.css_tensor(left, right, max_n=_ceiling())
-    # Kunneth: the product's middle homology is the convolution of the factors'.
-    k = chain.tensor_dims(
-        chain.homology_dims(css.to_complex(left)), chain.homology_dims(css.to_complex(right))
-    )[2]
     _write_code(product, f"tensor({args.left},{args.right})", args.out)
-    print(f"n={product.n} k={k}")
+    print(f"n={product.n} k={css.dimension_k(product)}")
     return 0
 
 
@@ -89,21 +85,16 @@ def cmd_power(args: argparse.Namespace) -> int:
     base_name, base = _load_named_code(args.input)
     if args.reduced:
         code = tensorops.css_power(base, args.ell, reduced=True)
-        predicted = k = code.n  # the Kunneth recurrence built it, with zero checks
+        predicted = code.n
     else:
-        x = css.to_complex(base)
-        predicted = tensorops.power_length(x.dims, args.ell)
+        predicted = tensorops.power_length(css.to_complex(base).dims, args.ell)
         code = tensorops.css_power(base, args.ell, max_n=_ceiling())
-        # Kunneth: H(X^l) is the l-fold convolution of H(X), and the built
-        # window l-1..l+1 holds both boundaries at degree l, so its middle
-        # homology, the code's k, is the full power's H_l.
-        k = tensorops.power_length(chain.homology_dims(x), args.ell)
     if args.ell == 1 and not args.reduced:
         name = base_name  # the first power is the code itself
     else:
         name = f"power(ell={args.ell},reduced={args.reduced})"
     _write_code(code, name, args.out)
-    print(f"predicted_n={predicted} actual_n={code.n} k={k}")
+    print(f"predicted_n={predicted} actual_n={code.n} k={css.dimension_k(code)}")
     if args.reduced and code.n == 0:
         print("warning: reduced power is empty (exact input)", file=sys.stderr)
     return 0

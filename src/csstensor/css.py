@@ -90,11 +90,12 @@ class CssCode(gf2._Value):
 
     ``_factors`` is the tuple of factor complexes a code was read from by
     ``from_complex``, None for ``from_matrices`` and so for loaded files.
-    It is an in-process record: code files never hold it, and copies and
-    pickles rebuild the code through ``__init__`` without it.  ``_sides``
-    keeps each side's ``_Side`` once built (see ``_side``) and ``_mirror``
-    the certified side mirror once computed (see ``_mirror``).  Equality,
-    hash and repr leave all three out.
+    ``dimension_k`` reads k off it by Kuenneth and ``_mirror`` a side
+    mirror.  It is an in-process record: code files never hold it, and
+    copies and pickles rebuild the code through ``__init__`` without it.
+    ``_sides`` keeps each side's ``_Side`` once built (see ``_side``) and
+    ``_mirror`` the certified side mirror once computed (see ``_mirror``).
+    Equality, hash and repr leave all three out.
     """
 
     __slots__ = ("n", "h_x", "h_z", "_factors", "_sides", "_mirror")
@@ -151,7 +152,8 @@ def from_complex(*factors: ChainComplex) -> CssCode:
     Each distinct factor passes ``chain.validate`` once, which makes the
     product's h_x . h_z^T vanish (see the ``chain`` module): nothing
     product-wide is checked, and ``chain.tensor_checks`` builds both checks.
-    The code keeps the factors as its ``_factors`` record (see ``_mirror``).
+    The code keeps the factors as its ``_factors`` record (see
+    ``dimension_k`` and ``_mirror``).
     """
     top = sum(x.top_degree() for x in factors)
     if top < 2 or top % 2:
@@ -163,8 +165,20 @@ def from_complex(*factors: ChainComplex) -> CssCode:
 
 
 def dimension_k(code: CssCode) -> int:
-    """Number of logical qubits, n - rank(h_x) - rank(h_z)."""
-    return code.n - gf2.rank(code.h_x) - gf2.rank(code.h_z)
+    """Number of logical qubits.
+
+    A code read by ``from_complex`` is the middle degree of its factors'
+    product, so its k is that degree's homology: by Kuenneth, the middle
+    coefficient of ``chain.tensor_dims`` of the factors' homology, each
+    distinct factor ranked once and no product check read.  A code with
+    no ``_factors`` record (``from_matrices``, loaded files) counts
+    n - rank(h_x) - rank(h_z).
+    """
+    if code._factors is None:
+        return code.n - gf2.rank(code.h_x) - gf2.rank(code.h_z)
+    homology = {x: chain.homology_dims(x) for x in dict.fromkeys(code._factors)}
+    profile = chain.tensor_dims(*[homology[x] for x in code._factors])
+    return profile[len(profile) // 2]
 
 
 # -- low-weight search engine ---------------------------------------------

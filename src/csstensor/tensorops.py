@@ -82,11 +82,6 @@ def css_tensor(c: CssCode, d: CssCode, max_n: int | None = None) -> CssCode:
     return css.from_complex(x, y)
 
 
-def _power_compositions(top: int, ell: int, degree: int) -> list[tuple[int, ...]]:
-    """Summand index tuples of degree ``degree`` in the ell-th power, in left-fold order."""
-    return chain._compositions((top,) * ell, degree)
-
-
 def power_complex_window(x: ChainComplex, ell: int, lo: int, hi: int) -> ChainComplex:
     """Degrees lo..hi of the ell-th tensor power, bit-identical to folding."""
     return chain.tensor(*[x] * ell, lo=lo, hi=hi)
@@ -95,18 +90,16 @@ def power_complex_window(x: ChainComplex, ell: int, lo: int, hi: int) -> ChainCo
 def power_length(dims: Sequence[int], ell: int, degree: int | None = None) -> int:
     """Dimension of one graded piece of the ell-th power.
 
-    The ell-fold dimension convolution ``chain.tensor_dims`` of ``dims``,
-    read at ``degree`` (default the middle one, ell for a length-3
-    complex): the coefficient of z^degree in (c0 + c1 z + c2 z^2)^ell.
-    Exact big-integer arithmetic, so no overflow at any ell.
+    ``chain.tensor_dims`` of ell copies of ``dims``, read at ``degree``
+    (default the middle one, ell for a length-3 complex): the coefficient
+    of z^degree in (c0 + c1 z + c2 z^2)^ell.  Exact big-integer
+    arithmetic, so no overflow at any ell.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if degree is None:
         degree = ell * (len(dims) - 1) // 2
-    poly: tuple[int, ...] = (1,)
-    for _ in range(ell):
-        poly = chain.tensor_dims(poly, dims)
+    poly = chain.tensor_dims(*[dims] * ell)
     return poly[degree] if 0 <= degree < len(poly) else 0
 
 
@@ -153,12 +146,6 @@ def _reduced_dims(x: ChainComplex, ell: int) -> tuple[int, ...]:
             raise ValueError(f"window {mid - 1}..{mid + 1} outside degrees 0..{len(kun) - 1}")
         s = (kun[mid - 1] + cut[mid - 1], kun[mid], kun[mid + 1] + cut[mid + 2])
     return s
-
-
-def reduced_power_length(base: CssCode | ChainComplex, ell: int) -> int:
-    """Qubit count (middle dimension) of the reduced power of a code or length-3 complex."""
-    x = css.to_complex(base) if isinstance(base, CssCode) else base
-    return _reduced_dims(x, ell)[1]
 
 
 # -- distance criterion and lower bounds ---------------------------------
@@ -330,19 +317,6 @@ def known_comparison_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
         for s in ("X", "Z")
     )
     return bx, bz
-
-
-def tensor_distance_lower_bound(
-    c: CssCode, d: CssCode, criterion: CriterionReport
-) -> tuple[int, int]:
-    """Lower bounds (bound_x, bound_z) for the product of c with any d.
-
-    This is ``generic_lower_bound``.  With the criterion holding on c, the
-    middle sector runs with c's distance d as its cycle bound, but
-    ``factor_params`` already has d_lo = d and cycle_lo =
-    min(d, stabilizer minimum) = d; when it fails, c's cycle minimum is used.
-    """
-    return generic_lower_bound(c, d)
 
 
 # -- sweeps ----------------------------------------------------------------

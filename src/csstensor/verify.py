@@ -150,7 +150,7 @@ def length_formula_suite(seed: int, triples: int) -> list[PropertyResult]:
         homology = chain.homology_dims(x)
         for ell in range(1, _ELL_MAX + 1):
             predicted = tensorops.power_length(dims, ell)
-            comps = tensorops._power_compositions(2, ell, ell)
+            comps = chain._compositions((2,) * ell, ell)
             assembled = 0
             for c in comps:
                 size = 1
@@ -200,10 +200,13 @@ def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
     Above: by Kunneth, x (x) y of two lightest logicals is a nontrivial
     logical of the product, so d <= d_C * d_D on each side.
 
-    ``tensorops/kunneth_k`` also checks the product itself against paths
-    that skip neither the product-wide transpose nor the product-wide
-    check: its checks must equal the boundaries of the window 1..3 of
-    ``chain.tensor``, validated, with the top one transposed.
+    ``tensorops/kunneth_k`` counts the product's k by ranking its checks
+    and compares it with ``css.dimension_k``, which reads the Kunneth
+    convolution of the factors' homology.  It also checks the product
+    itself against paths that skip neither the product-wide transpose nor
+    the product-wide check: its checks must equal the boundaries of the
+    window 1..3 of ``chain.tensor``, validated, with the top one
+    transposed.
     """
     rng = random.Random(seed)
     failures = {"generic": 0, "witness": 0, "comparison": 0, "kunneth_k": 0}
@@ -219,13 +222,12 @@ def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
         if any(gf2.rank(m) != m.rows for m in (c.h_x, c.h_z, d.h_x, d.h_z)):
             continue
         product = tensorops.css_tensor(c, d)
-        k = css.dimension_k(product)
+        k = product.n - gf2.rank(product.h_x) - gf2.rank(product.h_z)
         if k < 1:
             continue
         done += 1
-        x, y = css.to_complex(c), css.to_complex(d)
-        expected_k = chain.tensor_dims(chain.homology_dims(x), chain.homology_dims(y))[2]
-        if k != expected_k or not _is_window_code(product, x, y):
+        x, y = product._factors
+        if k != css.dimension_k(product) or not _is_window_code(product, x, y):
             failures["kunneth_k"] += 1
         exact = [css.min_distance_exact(product, s).value for s in "XZ"]
         generic = tensorops.generic_lower_bound(c, d)

@@ -26,8 +26,6 @@ SRC = Path(csstensor.__file__).resolve().parent
 BENCHMARK = SRC.parent.parent / "BENCHMARK.json"
 
 ALLOWED = {
-    "reduced_power_length": "used by the acceptance tests",
-    "tensor_distance_lower_bound": "used by the acceptance tests",
     "code_to_json": "named by BENCHMARK.json's per-layer metrics; oracle of dump_code",
 }
 

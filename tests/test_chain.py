@@ -235,6 +235,28 @@ class TestTensor:
         assert product.dims == (9, 42, 67, 42, 9)
         assert product.dims == chain.tensor_dims(x.dims, x.dims)
 
+    def test_tensor_dims_variadic(self):
+        # Like chain.tensor: the empty product is F at degree 0, one profile
+        # is itself, and more fold pairwise from the left.
+        assert chain.tensor_dims() == (1,) == chain.tensor().dims
+        rng = random.Random(23)
+        for _ in range(60):
+            profiles = [
+                tuple(rng.randrange(0, 5) for _ in range(rng.randrange(1, 6)))
+                for _ in range(rng.randrange(1, 5))
+            ]
+            assert chain.tensor_dims(profiles[0]) == profiles[0]
+            folded = (1,)
+            for p in profiles:
+                folded = convolve(folded, p)
+            assert chain.tensor_dims(*profiles) == folded
+            pairwise = profiles[0]
+            for p in profiles[1:]:
+                pairwise = chain.tensor_dims(pairwise, p)
+            assert pairwise == folded
+        factors = [random_complex3(rng, 3) for _ in range(3)]
+        assert chain.tensor(*factors).dims == chain.tensor_dims(*(f.dims for f in factors))
+
     def test_product_valid_and_kunneth(self):
         rng = random.Random(4)
         for _ in range(60):

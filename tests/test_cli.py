@@ -46,6 +46,15 @@ class TestFamily:
         code, out, _ = run(capsys, "family", "tz:hamming3,hamming3")
         assert code == 0 and out.strip() == "n=58 k=16"
 
+    def test_tz_k_builds_no_product_row(self, capsys, monkeypatch):
+        # k comes from the factors' homology: the product checks stay
+        # supports, and no int row of them is built.
+        def unbuilt(self):
+            raise AssertionError("built an int row of a product check")
+
+        monkeypatch.setattr(gf2._SupportMatrix, "data", property(unbuilt))
+        assert run(capsys, "family", "tz:rep5,rep5") == (0, "n=41 k=1\n", "")
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "family", "bogus:spec")
         assert code == 2 and "error" in err

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from csstensor import chain, css, families, gf2
+from csstensor import chain, css, families, gf2, rand
 from csstensor.css import (
     CssCode,
     EmptyStabilizerGroup,
@@ -25,6 +25,7 @@ from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex, random_css_code, random_matrix
 from csstensor.tensorops import css_power, css_tensor, factor_params
+from test_tensorops import redundant_check_code
 
 
 def annihilated(m: BinMatrix, rows) -> bool:
@@ -34,6 +35,20 @@ def annihilated(m: BinMatrix, rows) -> bool:
 
 def no_stabilizer_code(n: int) -> CssCode:
     return CssCode(n, BinMatrix.zeros(0, n), BinMatrix.zeros(0, n))
+
+
+def random_chain(rng: random.Random, dims: list[int]) -> chain.ChainComplex:
+    """A random valid complex on ``dims``, of any length.
+
+    Each boundary above the first takes its columns from random sums of
+    the kernel of the map below, so some are dependent: redundant checks.
+    """
+    boundaries = [random_matrix(rng, dims[0], dims[1])] if len(dims) > 1 else []
+    for i in range(2, len(dims)):
+        kernel = gf2.kernel_basis(boundaries[-1]).data
+        cols = rand._random_combinations(rng, kernel, dims[i])
+        boundaries.append(gf2.transpose(BinMatrix(dims[i], dims[i - 1], tuple(cols))))
+    return chain.ChainComplex(tuple(dims), tuple(boundaries))
 
 
 class TestFromMatrices:
@@ -155,13 +170,62 @@ class TestDimension:
 
     def test_tillich_zemor_hamming(self):
         h = hamming_parity_check(3)
-        assert css.dimension_k(tillich_zemor(h, h)) == 16
+        code = tillich_zemor(h, h)
+        ranked = code.n - gf2.rank(code.h_x) - gf2.rank(code.h_z)
+        assert css.dimension_k(code) == ranked == 16
 
     def test_matches_middle_homology(self):
         rng = random.Random(2)
         for _ in range(25):
             code = random_css_code(rng, rng.randrange(3, 9), 2, 2, min_k=0)
             assert css.dimension_k(code) == chain.homology_dims(css.to_complex(code))[1]
+
+    def test_factor_record_matches_ranks(self, monkeypatch):
+        # A from_complex code takes k from the Kuenneth convolution of its
+        # factors' homology, with no product check read; ranking its checks
+        # must agree.  Factors: 1 to 3 of 1-, 2-, 3- and 5-term complexes
+        # with zero dims and redundant checks, and reduced powers.  The
+        # from_matrices copy of each code has no record and ranks.
+        rng = random.Random(17)
+        codes, shapes = [], set()
+        while len(codes) < 300:
+            count = rng.randrange(1, 4)
+            factors = []
+            for _ in range(count):
+                if rng.random() < 0.2:
+                    base = redundant_check_code(rng, rng.randrange(1, 5))
+                    factors.append(css.to_complex(base))
+                else:
+                    length = rng.choice((1, 2, 3, 5))
+                    high = 3 if count < 3 else 2
+                    factors.append(random_chain(rng, [rng.randrange(0, high + 1)
+                                                      for _ in range(length)]))
+            if rng.random() < 0.3:
+                factors.append(factors[0])  # a repeated factor, ranked once
+            top = sum(f.top_degree() for f in factors)
+            if top >= 2 and top % 2 == 0:
+                codes.append(css.from_complex(*factors))
+                shapes.add(tuple(sorted(len(f.dims) for f in factors)))
+        for _ in range(40):
+            base = redundant_check_code(rng, rng.randrange(1, 6))
+            codes += [css_power(base, ell, reduced=True) for ell in (1, 2, 3)]
+        assert {(3,), (5,), (1, 3), (2, 2), (3, 5), (1, 2, 2), (3, 3, 3), (5, 5, 5)} <= shapes
+        ks = []
+        for code in codes:
+            lazy = (type(code.h_x), type(code.h_z))
+            k = css.dimension_k(code)
+            assert (type(code.h_x), type(code.h_z)) == lazy
+            assert k == code.n - gf2.rank(code.h_x) - gf2.rank(code.h_z)
+            ks.append(k)
+        assert sum(k > 0 for k in ks) > 100 and 0 in ks
+
+        def unused(x):
+            raise AssertionError("a code with no factor record read homology")
+
+        monkeypatch.setattr(chain, "homology_dims", unused)
+        for code, k in zip(codes, ks):
+            copy = css.from_matrices(code.h_x, code.h_z)
+            assert copy._factors is None and css.dimension_k(copy) == k
 
 
 class TestExactDistance:

@@ -22,8 +22,6 @@ from csstensor.tensorops import (
     generic_lower_bound,
     known_comparison_bound,
     power_length,
-    reduced_power_length,
-    tensor_distance_lower_bound,
 )
 
 
@@ -108,7 +106,8 @@ class TestCssTensor:
             hc = chain.homology_dims(css.to_complex(c))
             hd = chain.homology_dims(css.to_complex(d))
             expected = hc[0] * hd[2] + hc[1] * hd[1] + hc[2] * hd[0]
-            assert css.dimension_k(product) == expected
+            ranked = product.n - gf2.rank(product.h_x) - gf2.rank(product.h_z)
+            assert css.dimension_k(product) == ranked == expected
 
 
 def non_orthogonal_code() -> CssCode:
@@ -281,26 +280,26 @@ class TestPowerLength:
 class TestReducedPowers:
     def test_already_reduced_ell_one(self):
         x = chain.ChainComplex((2, 3, 1), (BinMatrix.zeros(2, 3), BinMatrix.zeros(3, 1)))
-        assert reduced_power_length(x, 1) == 3
+        assert tensorops._reduced_dims(x, 1)[1] == 3
 
     def test_exact_complex_collapses(self):
         x = chain.ChainComplex((2, 2), (BinMatrix.identity(2),))
         padded = chain.ChainComplex((2, 2, 0), (BinMatrix.identity(2), BinMatrix.zeros(2, 0)))
         assert chain.homology_dims(padded) == (0, 0, 0)
-        assert reduced_power_length(padded, 1) == 0
-        assert reduced_power_length(padded, 3) == 0
+        assert tensorops._reduced_dims(padded, 1)[1] == 0
+        assert tensorops._reduced_dims(padded, 3)[1] == 0
         del x
 
     def test_steane_goldens(self):
         code = steane()
-        assert [reduced_power_length(code, ell) for ell in (1, 2, 3)] == [1, 1, 1]
+        assert [css_power(code, ell, reduced=True).n for ell in (1, 2, 3)] == [1, 1, 1]
 
     def test_reduced_below_full(self):
         rng = random.Random(5)
         for _ in range(10):
             x = random_complex3(rng, 5)
             for ell in (1, 2, 3):
-                assert reduced_power_length(x, ell) <= power_length(x.dims, ell)
+                assert tensorops._reduced_dims(x, ell)[1] <= power_length(x.dims, ell)
 
     def test_reduced_code_buildable(self):
         reduced = css_power(steane(), 2, reduced=True)
@@ -399,8 +398,9 @@ PINNED_PARAMS = {
     "fg:pg,q=2": ((0, 0, 4, 4, 4, 3, 3), (0, 0, 3, 3, 3, 4, 4)),
 }
 
-# (generic, known comparison, criterion) bounds on (c, d); the criterion
-# bound uses c's criterion.
+# (generic, known comparison, criterion) bounds on (c, d).  The criterion
+# bound, with c's distance in the middle sector, is what the generic bound
+# already gives (see test_criterion_bound_is_generic_bound).
 _STEANE, _RM4 = "steane", "rm:m=4,r1=1,r2=1"
 _CYC, _TZ = "cyclic:n=7,g1=1011,g2=1011", "tz:rep3,rep3"
 PINNED_BOUNDS = {
@@ -428,12 +428,9 @@ class TestBounds:
         code = steane()
         assert known_comparison_bound(code, code) == (3, 3)
         assert generic_lower_bound(code, code) == (4, 4)
-        crit = check_distance_criterion(code)
-        assert tensor_distance_lower_bound(code, code, crit) == (4, 4)
 
     def test_factor_params_once_per_factor_and_side(self, monkeypatch):
         code = steane()
-        crit = check_distance_criterion(code)
         calls = []
         real = tensorops.factor_params
 
@@ -442,7 +439,7 @@ class TestBounds:
             return real(c, side)
 
         monkeypatch.setattr(tensorops, "factor_params", counting)
-        assert tensor_distance_lower_bound(code, code, crit) == (4, 4)
+        assert generic_lower_bound(code, code) == (4, 4)
         assert sorted(calls) == ["X", "X", "Z", "Z"]
 
     def test_soundness_suite_params_once_per_pair(self, monkeypatch):
@@ -483,10 +480,8 @@ class TestBounds:
             assert got == (x, z), spec
         for (a, b), (generic, known, strong) in PINNED_BOUNDS.items():
             c, d = codes[a], codes[b]
-            assert generic_lower_bound(c, d) == generic, (a, b)
+            assert generic_lower_bound(c, d) == generic == strong, (a, b)
             assert known_comparison_bound(c, d) == known, (a, b)
-            crit = check_distance_criterion(c)
-            assert tensor_distance_lower_bound(c, d, crit) == strong, (a, b)
 
     def test_criterion_bound_is_generic_bound(self):
         # With the criterion holding, putting c's distance in for its d_lo
@@ -511,14 +506,12 @@ class TestBounds:
                     full = cp._replace(d_lo=dist, cycle_lo=dist)
                     bound = max(bound, tensorops.bound_from_params(full, dp))
                 strong.append(bound)
-            generic = generic_lower_bound(c, d)
-            assert tensor_distance_lower_bound(c, d, crit) == generic == tuple(strong)
+            assert generic_lower_bound(c, d) == tuple(strong)
         assert True in outcomes and False in outcomes
 
     def test_bounds_below_exact_steane_square(self):
         code = steane()
-        crit = check_distance_criterion(code)
-        bound = tensor_distance_lower_bound(code, code, crit)
+        bound = generic_lower_bound(code, code)
         product = css_tensor(code, code)
         for side, value in zip(("X", "Z"), bound):
             upper = css.min_distance_random_upper(product, side, 100, 9)
@@ -547,7 +540,7 @@ class TestBounds:
         crit = check_distance_criterion(code)
         assert crit.holds
         product = css_tensor(code, code)
-        bound = tensor_distance_lower_bound(code, code, crit)
+        bound = generic_lower_bound(code, code)
         assert css.min_distance_exact(product, "Z").value == 4
         assert css.min_distance_exact(product, "X").value == 1
         assert bound[1] == 4  # capture factor 0 on the checkless side: pure product
