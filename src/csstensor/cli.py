@@ -87,7 +87,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         code = tensorops.css_power(base, args.ell, reduced=True)
         predicted = code.n
     else:
-        predicted = tensorops.power_length(css.to_complex(base).dims, args.ell)
+        predicted = tensorops.power_length((base.h_x.rows, base.n, base.h_z.rows), args.ell)
         code = tensorops.css_power(base, args.ell, max_n=_ceiling())
     if args.ell == 1 and not args.reduced:
         name = base_name  # the first power is the code itself

@@ -3,9 +3,9 @@
 Matrices store one Python int per row; bit ``j`` of a row is the entry in
 column ``j``.  Arbitrary-precision ints give word-parallel XOR row
 operations at any width, so rank/kernel/product all reduce to integer
-bit twiddling.  A matrix built from row supports (what ``chain``
-assembles products into, see ``BinMatrix``) keeps them and builds its
-ints on first read, so a sparse product can be written without any.
+bit twiddling.  A matrix built from row supports (a product, a transpose,
+a loaded file; see ``BinMatrix``) keeps them and builds its ints on first
+read, so a sparse product can be built, written and loaded without any.
 All values are immutable and safe to share between threads.  The value
 types are plain ``__slots__`` classes on ``_Value``: ``__init__`` checks
 its arguments and sets each field once through ``object.__setattr__``,
@@ -43,6 +43,7 @@ construction in this package relies on this single convention.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import index
 
 
 class DimensionMismatch(ValueError):
@@ -124,16 +125,15 @@ class BinMatrix(_Value):
     ``data[i]`` is row ``i``; bits beyond ``cols`` are always zero.
     0 x n and m x 0 matrices are valid and act as empty maps.
 
-    The product assemblers (``chain.tensor`` and ``chain.tensor_checks``)
-    make their matrices from sorted row supports instead
-    (``_of_supports``).  Those keep the supports as tuples, which
-    ``support``, ``row_weights``, ``col_weights``, ``is_zero``,
-    ``transpose`` and the left operand of ``matmul`` read, so writing a
-    power builds no n-bit row.  The int rows are made on the first read of
-    ``data``, which is also what equality, hash, repr, copy and pickle
-    read: a matrix built from supports equals its twin built from ints.
-    A matrix built from ints keeps its supports once ``support`` has read
-    them.
+    Products (``chain``), transposes and ``from_support`` make their
+    matrices from sorted row supports instead (``_of_supports``), and
+    their int rows are made on the first read of ``data``, which is also
+    what equality, hash, repr, copy and pickle read: a matrix built from
+    supports equals its twin built from ints.  A matrix has two faces and
+    two conversions between them: ``support`` reads (and keeps) the
+    supports of int rows, ``_SupportMatrix.data`` builds the ints of
+    supports.  Every other reader reads one face, so a power is built,
+    written and loaded without an n-bit row.
     """
 
     __slots__ = ("rows", "cols", "data", "_supports")
@@ -189,27 +189,33 @@ class BinMatrix(_Value):
 
     @classmethod
     def from_support(cls, rows: int, cols: int, support: Sequence[Sequence[int]]) -> BinMatrix:
+        """The matrix with ones at these column indices, row by row.
+
+        Indices may repeat and come in any order.  One out of range raises
+        ``ValueError``, any other that is no integer ``TypeError``.  The rows
+        are kept as supports until ``data`` is read.
+        """
         if len(support) != rows:
             raise DimensionMismatch("support list length != rows")
-        data = []
+        if cols < 0:
+            raise ValueError("negative dimension")
+        checked = []
         for sup in support:
-            bits = 0
+            row = set()
             for j in sup:
                 if not 0 <= j < cols:
                     raise ValueError(f"column index {j} out of range")
-                bits |= 1 << j
-            data.append(bits)
-        return cls(rows, cols, tuple(data))
+                row.add(index(j))
+            checked.append(sorted(row))
+        return cls._of_supports(rows, cols, checked)
 
     # -- accessors ------------------------------------------------------
 
     def row_weights(self) -> list[int]:
-        if self._supports is not None:
-            return list(map(len, self._supports))
-        return [r.bit_count() for r in self.data]
+        return list(map(len, self.support()))
 
     def col_weights(self) -> list[int]:
-        return [len(c) for c in _column_supports(self)]
+        return list(map(len, _column_supports(self)))
 
     def support(self) -> list[tuple[int, ...]]:
         """Each row's column indices, ascending, one tuple per row.
@@ -218,11 +224,13 @@ class BinMatrix(_Value):
         and keeps them, as a product keeps those it was built from.
         """
         if self._supports is None:
-            _set(self, "_supports", tuple([tuple(_support_of(r)) for r in self.data]))
+            _set(self, "_supports", tuple([
+                _BYTE_SUPPORTS[r] if r < 256 else tuple(_support_of(r)) for r in self.data
+            ]))
         return list(self._supports)
 
     def is_zero(self) -> bool:
-        return not any(self.data if self._supports is None else self._supports)
+        return not any(self.support())
 
 
 class _SupportMatrix(BinMatrix):
@@ -279,6 +287,11 @@ def _support_of(bits: int) -> list[int]:
         bits ^= 1 << t
     out.reverse()
     return out
+
+
+# The support of every row below 256, so ``support`` reads such a row
+# with one lookup.
+_BYTE_SUPPORTS = tuple(tuple(_support_of(r)) for r in range(256))
 
 
 # -- elimination core ---------------------------------------------------
@@ -441,46 +454,25 @@ def matmul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
         raise DimensionMismatch(f"inner dimensions {a.cols} != {b.rows}")
     out = []
     bdata = b.data
-    if a._supports is not None:
-        for support in a._supports:
-            acc = 0
-            for t in support:
-                acc ^= bdata[t]
-            out.append(acc)
-        return BinMatrix(a.rows, b.cols, tuple(out))
-    for row in a.data:
+    for support in a.support():
         acc = 0
-        while row:
-            t = row.bit_length() - 1
+        for t in support:
             acc ^= bdata[t]
-            row ^= 1 << t
         out.append(acc)
     return BinMatrix(a.rows, b.cols, tuple(out))
 
 
 def transpose(m: BinMatrix) -> BinMatrix:
-    """The transposed matrix.
-
-    Two phases: collect every column's support, then build each column int
-    once.  ``out[j] |= 1 << i`` per set bit would regrow thousands of ints
-    at once and fragment the heap.  The gain is memory, not time.
-    """
-    return BinMatrix.from_support(m.cols, m.rows, _column_supports(m))
+    """The transposed matrix, built from the column supports of ``m``."""
+    return BinMatrix._of_supports(m.cols, m.rows, _column_supports(m))
 
 
 def _column_supports(m: BinMatrix) -> list[list[int]]:
     """The rows holding a one in each column, ascending, one list per column."""
     columns: list[list[int]] = [[] for _ in range(m.cols)]
-    if m._supports is not None:
-        for i, sup in enumerate(m._supports):
-            for j in sup:
-                columns[j].append(i)
-        return columns
-    for i, row in enumerate(m.data):
-        while row:
-            t = row.bit_length() - 1
-            columns[t].append(i)
-            row ^= 1 << t
+    for i, sup in enumerate(m.support()):
+        for j in sup:
+            columns[j].append(i)
     return columns
 
 
@@ -491,8 +483,7 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     i1 * b.rows + i2 and column j1 * b.cols + j2.
     """
     out = []
-    for arow in a.data:
-        asup = _support_of(arow)
+    for asup in a.support():
         for brow in b.data:
             bits = 0
             for j1 in asup:

@@ -87,20 +87,17 @@ def power_complex_window(x: ChainComplex, ell: int, lo: int, hi: int) -> ChainCo
     return chain.tensor(*[x] * ell, lo=lo, hi=hi)
 
 
-def power_length(dims: Sequence[int], ell: int, degree: int | None = None) -> int:
-    """Dimension of one graded piece of the ell-th power.
+def power_length(dims: Sequence[int], ell: int) -> int:
+    """Dimension of the middle degree of the ell-th power.
 
-    ``chain.tensor_dims`` of ell copies of ``dims``, read at ``degree``
-    (default the middle one, ell for a length-3 complex): the coefficient
-    of z^degree in (c0 + c1 z + c2 z^2)^ell.  Exact big-integer
+    ``chain.tensor_dims`` of ell copies of ``dims``, read at degree
+    ell * (len(dims) - 1) // 2 (ell for a length-3 complex): the
+    coefficient of z^ell in (c0 + c1 z + c2 z^2)^ell.  Exact big-integer
     arithmetic, so no overflow at any ell.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if degree is None:
-        degree = ell * (len(dims) - 1) // 2
-    poly = chain.tensor_dims(*[dims] * ell)
-    return poly[degree] if 0 <= degree < len(poly) else 0
+    return chain.tensor_dims(*[dims] * ell)[ell * (len(dims) - 1) // 2]
 
 
 def css_power(
@@ -121,15 +118,14 @@ def css_power(
     exact input gives empty reduced powers; every reduced power has zero
     checks, so k = n.
     """
-    x = css.to_complex(c)
     if reduced:
-        return css.from_complex(ChainComplex.zero(_reduced_dims(x, ell)))
-    predicted = power_length(x.dims, ell)
+        return css.from_complex(ChainComplex.zero(_reduced_dims(css.to_complex(c), ell)))
+    predicted = power_length((c.h_x.rows, c.n, c.h_z.rows), ell)
     if max_n is not None and predicted > max_n:
         raise ResourceCeiling(predicted, max_n)
     if ell == 1:
         return c
-    return css.from_complex(*[x] * ell)
+    return css.from_complex(*[css.to_complex(c)] * ell)
 
 
 def _reduced_dims(x: ChainComplex, ell: int) -> tuple[int, ...]:

@@ -231,3 +231,36 @@ def test_only_css_builds_a_bare_code():
     ]
     assert "css" in calls
     assert [module for module in calls if module != "css"] == []
+
+
+def _none_tests_of_supports(
+    node: ast.AST, scope: tuple[str, ...] = ()
+) -> list[tuple[str, ...]]:
+    """The scopes of every comparison of a ``_supports`` with ``None``."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope += (node.name,)
+    found = []
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        if any(isinstance(s, ast.Constant) and s.value is None for s in sides) and any(
+            getattr(s, "attr", getattr(s, "id", None)) == "_supports" for s in sides
+        ):
+            found.append(scope)
+    for child in ast.iter_child_nodes(node):
+        found += _none_tests_of_supports(child, scope)
+    return found
+
+
+def test_only_support_asks_how_a_matrix_was_built():
+    """A matrix has two faces, int rows and supports, and two conversions:
+    ``BinMatrix.support`` (ints to supports) and ``_SupportMatrix`` (supports
+    to ints).  Every other reader reads one face and never branches on
+    which one the matrix was built with."""
+    found = [
+        (module, *scope)
+        for module, tree in _trees().items()
+        for scope in _none_tests_of_supports(tree)
+    ]
+    assert ("gf2", "BinMatrix", "support") in found
+    assert [s for s in found if s[:2] != ("gf2", "_SupportMatrix")
+            and s != ("gf2", "BinMatrix", "support")] == []

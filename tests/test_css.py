@@ -1137,6 +1137,70 @@ class TestCodeJson:
         assert size == 1_858_386
         assert peak < size / 2
 
+    def test_loading_the_cube_builds_no_product_row(self, monkeypatch):
+        """A written l = 3 power loads with both checks kept as supports,
+        through the orthogonality check, and dumps back byte for byte."""
+        code = css_power(steane(), 3)
+        out = io.StringIO()
+        css.dump_code(code, out, "cube")
+        text = out.getvalue()
+        real = gf2._SupportMatrix.data
+
+        def refuse(self):
+            if self.cols == code.n:
+                raise AssertionError("built an int row of a loaded check")
+            return real.fget(self)
+
+        monkeypatch.setattr(gf2._SupportMatrix, "data", property(refuse))
+        loaded = css.code_from_json(json.loads(text))
+        assert type(loaded.h_x) is type(loaded.h_z) is gf2._SupportMatrix
+        again = io.StringIO()
+        css.dump_code(loaded, again, "cube")
+        assert again.getvalue() == text
+        monkeypatch.undo()
+        assert loaded == code
+        bad = json.loads(text)
+        bad["h_z"]["support"][0].append(bad["h_z"]["support"][0].pop(0) + 1)
+        with pytest.raises(OrthogonalityViolation):
+            css.code_from_json(bad)
+
+    def test_from_support_keeps_its_input_rules(self):
+        """Repeated and unsorted indices are accepted, bools act as 0 and 1,
+        and the rows come out as ascending int supports."""
+        m = BinMatrix.from_support(3, 5, [[4, 1, 4, True], [False, 0], []])
+        assert type(m) is gf2._SupportMatrix
+        assert m.support() == [(1, 4), (0,), ()]
+        assert all(type(j) is int for row in m.support() for j in row)
+        assert m == BinMatrix(3, 5, (0b10010, 0b1, 0))
+
+    @pytest.mark.parametrize("rows, cols, support, error", [
+        (1, 3, 5, TypeError),  # the CLI's support-not-a-list file
+        (2, 3, [[0]], gf2.DimensionMismatch),
+        (1, 3, [[3]], ValueError),
+        (1, 3, [[-1]], ValueError),
+        (1, 3, [[7.5]], ValueError),
+        (1, 3, [[0, 5, "a"]], ValueError),  # the first bad index decides
+        (1, -1, [[]], ValueError),
+        (1, 3, [[1.5]], TypeError),
+        (1, 3, [[1.0]], TypeError),
+        (1, 3, [["1"]], TypeError),
+        (1, 3, [[None]], TypeError),
+        (1, 3, [[[1]]], TypeError),
+        (1, 3, [5], TypeError),
+        (1, 3, [{"a": 1}], TypeError),
+    ], ids=["support-not-a-list", "row-count", "index-too-big", "index-negative",
+            "float-out-of-range", "first-bad-index-decides", "negative-cols", "fraction",
+            "integral-float", "string", "null", "nested-list", "row-not-a-list",
+            "row-an-object"])
+    def test_from_support_rejects_malformed_rows(self, rows, cols, support, error):
+        with pytest.raises(error) as caught:
+            BinMatrix.from_support(rows, cols, support)
+        assert type(caught.value) is error
+        obj = {"h_x": {"rows": rows, "cols": cols, "support": support},
+               "h_z": {"rows": 0, "cols": 3, "support": []}}
+        with pytest.raises(ValueError, match="^malformed field 'h_x'"):
+            css.code_from_json(obj)
+
     def test_declared_n_checked(self):
         obj = css.code_to_json(steane(), "steane")
         obj["n"] = 8

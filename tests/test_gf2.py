@@ -351,6 +351,92 @@ class TestTranspose:
                     assert (row >> j) & 1 == (t.data[j] >> i) & 1
 
 
+DENSITIES = (0.0, 0.02, 0.1, 0.3, 0.7, 1.0)
+
+
+def twin_cases():
+    """Random (rows, cols, int rows) up to 70 columns, empty to full, with
+    zero rows and the empty shapes."""
+    rng = random.Random(2570)
+    cases = [(0, 0, ()), (0, 6, ()), (4, 0, (0,) * 4), (3, 9, (0, 1 << 8, 0))]
+    for _ in range(150):
+        m = random_matrix(rng, rng.randrange(0, 13), rng.randrange(1, 71), rng.choice(DENSITIES))
+        cases.append((m.rows, m.cols, m.data))
+    return rng, cases
+
+
+def faces(rows, cols, data, rng):
+    """Fresh copies of one matrix: built from its ints, through
+    ``_of_supports``, and through ``from_support`` from shuffled supports
+    with repeated indices."""
+    supports = [[j for j in range(cols) if row >> j & 1] for row in data]
+    messy = []
+    for sup in supports:
+        row = sup + rng.sample(sup, len(sup) // 2)
+        rng.shuffle(row)
+        messy.append(row)
+    return [BinMatrix(rows, cols, data), BinMatrix._of_supports(rows, cols, supports),
+            BinMatrix.from_support(rows, cols, messy)]
+
+
+FACE_TYPES = (BinMatrix, gf2._SupportMatrix, gf2._SupportMatrix)
+
+
+class TestTwinFaces:
+    """A matrix built from ints and its twins built from supports agree on
+    every reader, each twin read from the one face it was built with."""
+
+    def test_readers_agree(self):
+        rng, cases = twin_cases()
+        for rows, cols, data in cases:
+            supports = [tuple(j for j in range(cols) if row >> j & 1) for row in data]
+            columns = [tuple(i for i, row in enumerate(data) if row >> j & 1) for j in range(cols)]
+            for m, kind in zip(faces(rows, cols, data, rng), FACE_TYPES):
+                assert m.row_weights() == list(map(len, supports))
+                assert m.col_weights() == list(map(len, columns))
+                assert m.is_zero() == (not any(data))
+                assert m.support() == supports
+                t = gf2.transpose(m)
+                assert type(t) is gf2._SupportMatrix and (t.rows, t.cols) == (cols, rows)
+                assert t.support() == columns and t.row_weights() == m.col_weights()
+                assert type(m) is kind  # no reader above built the ints
+                assert t.data == tuple(sum(1 << i for i in col) for col in columns)
+                assert gf2.transpose(t) == m and m.data == data
+
+    def test_matmul_each_operand_kind(self):
+        rng, cases = twin_cases()
+        for rows, cols, data in cases:
+            inner = rng.randrange(0, 71)
+            b = random_matrix(rng, cols, inner, rng.choice(DENSITIES))
+            expected = []
+            for row in data:
+                acc = 0
+                for t in range(cols):
+                    if row >> t & 1:
+                        acc ^= b.data[t]
+                expected.append(acc)
+            expected = BinMatrix(rows, inner, tuple(expected))
+            for a, kind in zip(faces(rows, cols, data, rng), FACE_TYPES):
+                for right in faces(cols, inner, b.data, rng):
+                    product = gf2.matmul(a, right)
+                    assert type(product) is BinMatrix and product == expected
+                assert type(a) is kind  # the left operand is read as supports
+
+    def test_equality_and_hash(self):
+        rng, cases = twin_cases()
+        for rows, cols, data in cases:
+            twins = faces(rows, cols, data, rng) + faces(rows, cols, data, rng)
+            for x in twins[:3]:
+                for y in twins[3:]:
+                    assert x == y and y == x and not x != y and hash(x) == hash(y)
+            if rows and cols:
+                i, j = rng.randrange(rows), rng.randrange(cols)
+                flipped = data[:i] + (data[i] ^ 1 << j,) + data[i + 1:]
+                for x, y in zip(faces(rows, cols, data, rng), faces(rows, cols, flipped, rng)):
+                    assert x != y and not x == y
+            assert faces(rows, cols, data, rng)[1] != BinMatrix.zeros(rows, cols + 1)
+
+
 class TestKron:
     def test_unit(self):
         a = random_matrix(random.Random(2), 3, 4)

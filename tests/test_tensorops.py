@@ -228,7 +228,7 @@ class TestCssPower:
     def test_window_parameter(self):
         # off-middle window: degree 1 of the square
         window = tensorops.power_complex_window(css.to_complex(steane()), 2, 0, 2)
-        assert window.dims[1] == power_length((3, 7, 3), 2, 1) == 42
+        assert window.dims[1] == chain.tensor_dims((3, 7, 3), (3, 7, 3))[1] == 42
 
     def test_invalid_ell(self):
         with pytest.raises(ValueError):
@@ -266,8 +266,10 @@ class TestPowerLength:
         for trial in range(40):
             dims = tuple(rng.randrange(0, 9) for _ in range(3))
             for ell in (1, 2, 3, 4, 64) if trial < 3 else (1, 2, 3, 4):
+                poly = chain.tensor_dims(*[dims] * ell)
+                assert power_length(dims, ell) == poly[ell]
                 for degree in range(-1, 2 * ell + 2):
-                    value = power_length(dims, ell, degree)
+                    value = poly[degree] if 0 <= degree < len(poly) else 0
                     assert value == trinomial_sum(dims, ell, degree)
                     assert value == convolution_coefficient(dims, ell, degree)
 
