@@ -12,13 +12,14 @@ an opposite labelling elsewhere is a swap, not a numerical change):
     d_X = min weight of v in ker(h_z) outside rowspace(h_x)
 
 Exact searches cover the kernel from two disjoint information sets: the
-pivot columns P of the reduced kernel basis and their complement N.  A
-word with a ones on P and b ones on N weighs a + b; once every word with
-at most p1 ones on P and every word with at most p2 ones on N has been
-seen, anything missed weighs at least p1 + p2 + 2, which certifies the
-lower bound.  Each step extends whichever side enumerates fewer words
-(see ``_Search``).  A weight cap stops the search once the certified
-bound exceeds the cap, so a capped result reports lower = cap + 1.
+pivot columns P of a reduced kernel basis and their complement N, chosen
+together so that N has nearly full rank.  A word with a ones on P and b
+ones on N weighs a + b; once every word with at most p1 ones on P and
+every word with at most p2 ones on N has been seen, anything missed
+weighs at least p1 + p2 + 2, which certifies the lower bound.  Each step
+extends whichever side enumerates fewer words (see ``_Search``).  A
+weight cap stops the search once the certified bound exceeds the cap, so
+a capped result reports lower = cap + 1.
 
 Each side of a code is analysed once, on first use (``_side``): one
 elimination gives the kernel basis, one more the k check words, and every
@@ -223,6 +224,11 @@ _BATCH_MIN = 8
 _BATCH_CHECKS_MAX = 3
 _PAIR_TABLE_FACTOR = 32
 
+# The exact search picks its pair of information sets from this many column
+# priorities: the natural order, then shuffles from Random(_PAIR_SEED).
+_PAIR_CANDIDATES = 8
+_PAIR_SEED = 0
+
 
 def _signature(word: int, checks: Sequence[int]) -> int:
     """Parities of ``word`` with each check, one bit per check."""
@@ -324,9 +330,17 @@ class _Search:
     so no target lighter than ``lower`` = sum(level + 1) was missed.  The
     search is exhausted once a form completes level |G|.  Each step raises
     ``lower`` by one with the cheapest next level, C(|G|, j) * 2^|Z| words,
-    ties to the first form.  The second form costs about one elimination
-    of the K rows, so it is built only once the first form's next level
-    exceeds K^2 words.
+    ties to the first form.
+
+    The second form costs about two eliminations of the K rows, so it is
+    built only once the first form's next level exceeds K^2 words, and P
+    is chosen with it (``_pair``): every next level of the second form
+    walks all 2^|Z| words of span(Z), and |Z| = K - rank(N) depends on P.
+    The natural order's P, the rows' own pivots, is one candidate, and
+    shuffled column priorities give others; the pair with the fewest Z
+    rows is kept.  When it has a new P, the first form is rebuilt and its
+    levels start again: they cost at most K^2 words each, and the old
+    form's certificate still holds, so ``lower`` never drops.
 
     A leaf covers acc plus each row, or each pair of rows, of a tail.  With
     K >= _BATCH_MIN and k <= _BATCH_CHECKS_MAX the search batches: a leaf
@@ -410,17 +424,61 @@ class _Search:
                 return True
         return False
 
-    def _second_form(self) -> tuple[_Rows, _Rows]:
-        """(G, Z): the rows re-eliminated with the non-pivot columns first."""
-        pivot_set = set(self.pivots)
-        order = [c for c in range(self.n) if c not in pivot_set] + self.pivots
-        rows, pivots, _ = gf2._rref_by_priority([gf2._support_of(row) for row in self.rows], order)
-        # Bit b holds column order[n - 1 - b]: move the rows back.
+    def _second_form(
+        self, supports: list[list[int]], pivots: list[int], order: list[int]
+    ) -> tuple[int, list[int], list[int], list[int]]:
+        """The second form of the information set P = ``pivots``, in moved coordinates.
+
+        The rows, given by their ``supports``, are eliminated with N, the
+        columns outside P, first; each set keeps its place in ``order``.
+        Returns |Z| and the elimination's rows, their pivots and the
+        priority it ran in (see ``gf2._rref_by_priority``): the rows with
+        pivots in N are G, the rest Z.  ``_pair`` moves back only the one it
+        keeps.
+        """
+        pivot_set = set(pivots)
+        order = [c for c in order if c not in pivot_set] + [c for c in order if c in pivot_set]
+        rows, moved, _ = gf2._rref_by_priority(supports, order)
+        free = self.n - len(pivots)
+        return sum(p >= free for p in moved), rows, moved, order
+
+    def _pair(self) -> bool:
+        """Build the second form with the P it pairs best with; whether P changed.
+
+        Candidate 0 is the natural order, whose P is the rows' own pivots.
+        Each further candidate eliminates the rows under a shuffle of the
+        columns from ``Random(_PAIR_SEED)`` for its P, up to
+        _PAIR_CANDIDATES in all.  The pair with the fewest Z rows is kept,
+        ties to the earlier.  The loop stops early at the floor
+        max(0, 2K - n), since rank(N) <= n - K, or once the deadline has
+        passed; candidate 0 always runs.
+        """
+        supports = [gf2._support_of(row) for row in self.rows]
+        floor = max(0, 2 * len(self.rows) - self.n)
+        rng = random.Random(_PAIR_SEED)
+        first, best = None, self._second_form(supports, self.pivots, list(range(self.n)))
+        for _ in range(1, _PAIR_CANDIDATES):
+            if best[0] <= floor or (self.deadline is not None and time.monotonic() > self.deadline):
+                break
+            order = list(range(self.n))
+            rng.shuffle(order)
+            rows, moved, _ = gf2._rref_by_priority(supports, order)
+            pivots = [order[i] for i in moved]
+            found = self._second_form(supports, pivots, order)
+            if found[0] < best[0]:
+                first, best = (rows, pivots, order), found
+        if first is not None:
+            rows, self.pivots, order = first
+            # Bit b holds column order[n - 1 - b]: move the rows back.
+            self.rows = gf2._permute_bits(rows, order[::-1])
+            self.forms[0] = (_Rows(self.rows, self.checks, self.batch), _NO_ROWS)
+        _, rows, moved, order = best
         rows = gf2._permute_bits(rows, order[::-1])
         free = self.n - len(self.pivots)
-        g = [row for row, p in zip(rows, pivots) if p < free]
-        z = [row for row, p in zip(rows, pivots) if p >= free]
-        return _Rows(g, self.checks, self.batch), _Rows(z, self.checks, self.batch)
+        g = [row for row, p in zip(rows, moved) if p < free]
+        z = [row for row, p in zip(rows, moved) if p >= free]
+        self.forms.append((_Rows(g, self.checks, self.batch), _Rows(z, self.checks, self.batch)))
+        return first is not None
 
     def _level(self, g: _Rows, z: _Rows, j: int) -> None:
         """Cover level j of the form (g, z)."""
@@ -452,15 +510,17 @@ class _Search:
         if weight_cap is not None and weight_cap >= k:
             weight_cap = None  # the first form alone exhausts the basis within the cap
         levels = [0] + [-1] * (len(self.forms) - 1)
+        walked = 0  # the certificate of a first form given up for a new P
         while True:
-            lower = sum(levels) + len(levels)
+            lower = max(walked, sum(levels) + len(levels))
             exhausted = any(level == len(g) for level, (g, _) in zip(levels, self.forms))
             if exhausted or (self.best_w is not None and self.best_w <= lower):
                 break
             if weight_cap is not None and lower > weight_cap:
                 break
             if len(self.forms) == 1 and math.comb(k, levels[0] + 1) > k * k:
-                self.forms.append(self._second_form())
+                if self._pair():
+                    walked, levels = lower, [0]
                 levels.append(-1)
             costs = [math.comb(len(g), level + 1) << len(z)
                      for level, (g, z) in zip(levels, self.forms)]
@@ -657,40 +717,49 @@ def min_distance_exact(
     side: str,
     weight_cap: int | None = None,
     time_budget: float | None = None,
-    seed_upper: int | None = None,
+    seed_word: BinVector | None = None,
 ) -> DistanceResult:
     """Weight-stratified exact distance search on one side.
 
     Enumerates kernel words from two information sets (see ``_Search``);
     a word is a logical exactly when its parities with the k checks of
     ``_side`` are not all even.  With a cap the result certifies
-    lower = cap + 1 when nothing lighter was found.  With no cap, budget or
-    seed it is the side's kept ``_Side.distance``.
+    lower = cap + 1 when nothing lighter was found.  ``seed_word``, a
+    logical of this side (``min_distance_random_upper``'s), bounds the
+    search by its weight and stays the witness unless a lighter one turns
+    up.  With no cap, budget or seed it is the side's kept
+    ``_Side.distance``.
     """
     s = _side(code, side)
     if not s.k:
         raise KIsZero("distances are undefined for k = 0")
-    if weight_cap is None and time_budget is None and seed_upper is None:
+    if weight_cap is None and time_budget is None and seed_word is None:
         return s.distance
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    return _Search(s.kernel, code.n, s.checks, deadline).run(weight_cap, seed_upper=seed_upper)
+    seed = None if seed_word is None else seed_word.bits
+    return _Search(s.kernel, code.n, s.checks, deadline).run(weight_cap, seed_word=seed)
 
 
-def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) -> int:
-    """Upper bound from seeded random information sets over the kernel.
+def min_distance_random_upper(
+    code: CssCode, side: str, trials: int, seed: int
+) -> tuple[int, BinVector]:
+    """Upper bound from seeded random information sets over the kernel, with its word.
 
     Each trial takes the RREF of the kernel basis under a random column
     priority (``gf2._rref_by_priority``, from supports collected once per
     call); the resulting rows (and their pairs, on small kernels) are
     low-weight kernel members and every nontrivial one bounds the distance
-    from above.  The checks move to the trial's coordinates with the rows.
-    At least one trial runs.  Deterministic for a fixed seed.
+    from above.  The checks move to the trial's coordinates with the rows,
+    and the lightest logical found moves back to the code's through its
+    trial's priority.  At least one trial runs.  Deterministic for a fixed
+    seed.
     """
     s = _side(code, side)
     if not s.k:
         raise KIsZero("distances are undefined for k = 0")
     rng = random.Random(seed)
     best: int | None = None
+    best_word = best_order = None
     supports = [gf2._support_of(row) for row in s.kernel]
     check_supports = [gf2._support_of(c) for c in s.checks]
     for _ in range(max(1, trials)):
@@ -703,10 +772,12 @@ def min_distance_random_upper(code: CssCode, side: str, trials: int, seed: int) 
         for word in rows:
             w = word.bit_count()
             if (best is None or w < best) and _signature(word, moved_checks):
-                best = w
+                best, best_word, best_order = w, word, order
     if best is None:
         raise RuntimeError("no nontrivial kernel element found; inconsistent inputs")
-    return best
+    # Bit b holds column order[n - 1 - b]: move the word back.
+    columns = [best_order[code.n - 1 - b] for b in gf2._support_of(best_word)]
+    return best, BinVector.from_support(code.n, columns)
 
 
 def stabilizer_min_weight(
@@ -815,17 +886,17 @@ DEFAULT_WEIGHT_CAP = 6
 DEFAULT_TRIALS = 200
 
 
-def _bracket(res: DistanceResult, lower: int = 0, upper: int | None = None) -> DistanceResult:
-    """``res`` with a second certified lower bound and a second upper bound merged in.
+def _bracket(res: DistanceResult, lower: int) -> DistanceResult:
+    """``res`` with a second certified lower bound merged in.
 
     Exact when ``res`` is or when the bounds meet; ``res``'s witness is
-    kept.  No clamp of lower to upper: a search seeded with an upper bound
-    u stops once its certificate reaches u, so it never certifies above u,
-    and a lower bound above the upper one (an unsound bound) stays visible.
+    kept.  No clamp of lower to upper: a search seeded with a word of
+    weight u stops once its certificate reaches u, so it never certifies
+    above u, and a lower bound above the upper one (an unsound bound)
+    stays visible.
     """
     lo = max(res.lower, lower)
-    hi = min((u for u in (res.upper, upper) if u is not None), default=None)
-    return DistanceResult(lo, hi, res.exact or lo == hi, res.witness)
+    return DistanceResult(lo, res.upper, res.exact or lo == res.upper, res.witness)
 
 
 def analyze(
@@ -838,12 +909,12 @@ def analyze(
     """Full report: k, distance bounds per side, LDPC profile, degeneracy.
 
     Exact searches run up to ``exact_up_to`` (and ``time_budget`` seconds
-    each, when given), seeded with a randomized upper bound; ``_bracket``
-    merges that upper bound into the search's certified result, which
-    sets the exactness flag, and the degeneracy verdict follows from the
-    reported bounds.  For a fixed seed the result is deterministic
-    whenever the searches finish within budget; an expiring budget can
-    only weaken the certified lower bound, never the flags.  A code with a
+    each, when given), seeded with the logical of a randomized upper
+    bound, so that every distance with an upper bound has a witness of
+    that weight; the degeneracy verdict follows from the reported bounds.
+    For a fixed seed the result is deterministic whenever the searches
+    finish within budget; an expiring budget can only weaken the
+    certified lower bound, never the flags.  A code with a
     certified side mirror (see ``_mirror``) is searched on side X alone:
     Z gets X's results with their witnesses moved, and its ``_Side`` is
     never built.
@@ -868,11 +939,11 @@ def _side_bounds(
         stab = stabilizer_min_weight(code, side, exact_up_to, time_budget)
     if k == 0:
         return None, stab
-    upper = min_distance_random_upper(code, side, trials, seed)
+    _, word = min_distance_random_upper(code, side, trials, seed)
     res = min_distance_exact(
-        code, side, weight_cap=exact_up_to, time_budget=time_budget, seed_upper=upper
+        code, side, weight_cap=exact_up_to, time_budget=time_budget, seed_word=word
     )
-    return _bracket(res, upper=upper), stab
+    return res, stab
 
 
 # -- JSON file format --------------------------------------------------------

@@ -259,8 +259,10 @@ class TestExactDistance:
         assert (capped.lower, capped.exact) == (4, False)
         budgeted = css.min_distance_exact(square, "X", time_budget=60.0)
         assert budgeted is not dist and budgeted.value == 9
-        seeded = css.min_distance_exact(square, "X", seed_upper=9)
-        assert (seeded.lower, seeded.upper, seeded.exact) == (9, None, False)
+        # Nothing is lighter than the seed word, so it stays the witness.
+        upper, word = css.min_distance_random_upper(square, "X", 5, 1)
+        seeded = css.min_distance_exact(square, "X", seed_word=word)
+        assert upper == 9 and seeded == (9, 9, True, word)
         capped_stab = css.stabilizer_min_weight(square, "X", weight_cap=2)
         assert (capped_stab.lower, capped_stab.exact) == (3, False)
         budgeted_stab = css.stabilizer_min_weight(square, "X", time_budget=60.0)
@@ -552,13 +554,13 @@ class TestTwoSetSearch:
                 for seeds in ({}, {"seed_upper": d}, {"seed_upper": d + 2},
                               {"seed_word": seed_word}):
                     ref = _ReferenceSearch(rows, n, target).run(cap, **seeds)
-                    # As the callers run it (second form built on demand), and
-                    # with the second form built up front, so that small bases
-                    # also schedule the second pass.
+                    # As the callers run it (the pair of forms built on
+                    # demand), and with the pair built up front, so that small
+                    # bases also schedule the second pass.
                     for prebuilt in (False, True):
                         search = css._Search(rows, n, checks, None)
                         if prebuilt:
-                            search.forms.append(search._second_form())
+                            search._pair()
                         res = search.run(cap, **seeds)
                         pairs = search.forms[0][0].pairs
                         modes.add((search.batch, checks is None, pairs is not None))
@@ -568,7 +570,7 @@ class TestTwoSetSearch:
                             m.setattr(css, "_BATCH_MIN", math.inf)
                             plain = css._Search(rows, n, checks, None)
                             if prebuilt:
-                                plain.forms.append(plain._second_form())
+                                plain._pair()
                             assert plain.run(cap, **seeds) == res
                             assert plain.nodes == search.nodes
                         if cap is None:
@@ -594,8 +596,9 @@ class TestTwoSetSearch:
         assert {(True, False, False), (True, True, True), (False, False, False)} <= modes
 
     def test_batched_square_matches_word_by_word(self, monkeypatch):
-        # The Steane square reuses pair tables at pass-1 levels 3 to 5 and at
-        # pass-2 level 2 (|Z| = 10); the word-by-word walk is the oracle.
+        # The Steane square's pair has a new P and |Z| = 1.  It reuses pair
+        # tables at pass-2 levels 2 and 3 and, past cap 5, at pass-1 levels 3
+        # and 4; the word-by-word walk is the oracle.
         square = css_power(steane(), 2)
         for side in ("X", "Z"):
             s = css._side(square, side)
@@ -603,9 +606,10 @@ class TestTwoSetSearch:
             for cap, seed_upper in ((5, None), (7, 9), (None, 9), (None, 10), (None, None)):
                 search = css._Search(rows, square.n, checks, None)
                 res = search.run(cap, seed_upper=seed_upper)
-                g, _ = search.forms[1]
-                assert search.forms[0][0].pairs is not None
-                assert (g.pairs is not None) == (cap is None)
+                g, z = search.forms[1]
+                assert (len(g), len(z)) == (33, 1)
+                assert (search.forms[0][0].pairs is not None) == (cap != 5)
+                assert g.pairs is not None
                 with monkeypatch.context() as m:
                     m.setattr(css, "_BATCH_MIN", math.inf)
                     plain = css._Search(rows, square.n, checks, None)
@@ -645,7 +649,7 @@ class TestTwoSetSearch:
                     seen.clear()
                     search = css._Search(rows, n, [], None)
                     if prebuilt:
-                        search.forms.append(search._second_form())
+                        search._pair()
                     res = search.run(cap)
                     assert res.upper is None and not res.exact
                     light = {w for w in span if w.bit_count() < res.lower}
@@ -698,28 +702,100 @@ class TestTwoSetSearch:
             assert not gf2.rowspace_contains(s.stab, res.witness)
 
     def test_deadline_in_second_pass_keeps_certificate(self):
+        # The pair is built after P1(1), P1(2), with a new P, so the first
+        # form starts again.  Expiring at P2(1): completed P2(0), P1'(1), and
+        # nothing under 1 + 0 + 2 = 3 was missed.  Expiring at P2(0): the new
+        # forms certify only 1, and the old P1(2) still certifies 3.
         square = css_power(steane(), 2)
         kernel = gf2.kernel_basis(square.h_x)
-        search = css._Search(list(kernel.data), square.n, css._side(square, "Z").checks, None)
+        for expire_at, nodes in ((1, 34 + 561 + 1 + 34), (0, 34 + 561)):
+            search = css._Search(list(kernel.data), square.n, css._side(square, "Z").checks, None)
+            level = search._level
+
+            def expiring_level(g, z, j):
+                if j == expire_at and z is not css._NO_ROWS:  # a level of the second form
+                    search.deadline = time.monotonic() - 1.0
+                level(g, z, j)
+
+            search._level = expiring_level
+            res = search.run(None)
+            g, z = search.forms[1]
+            assert (len(search.rows), len(g), len(z)) == (34, 33, 1)
+            assert res.lower == 3 and not res.exact
+            assert search.nodes == nodes
+            if res.witness is not None:
+                assert res.upper == res.witness.weight() >= 9
+                assert not gf2.rowspace_contains(square.h_z, res.witness)
+            else:
+                assert res.upper is None
+
+    def test_expired_deadline_builds_one_candidate(self, monkeypatch):
+        # The deadline passes as P1(2) completes: the pair keeps candidate 0,
+        # the natural P with |Z| = 10, and the next leaf stops the search
+        # with the certificate of P1(2).
+        candidates = []
+        second_form = css._Search._second_form
+
+        def counting(search, *args):
+            found = second_form(search, *args)
+            candidates.append(found[0])
+            return found
+
+        monkeypatch.setattr(css._Search, "_second_form", counting)
+        square = css_power(steane(), 2)
+        s = css._side(square, "Z")
+        search = css._Search(s.kernel, square.n, s.checks, None)
+        natural = list(search.rows)
         level = search._level
 
-        def expire_at_level_one(g, z, j):
-            if j == 1 and z is not css._NO_ROWS:  # a level of the second form
-                search.deadline = time.monotonic() - 1.0
+        def expire_after_level_two(g, z, j):
             level(g, z, j)
+            if j == 2 and z is css._NO_ROWS:
+                search.deadline = time.monotonic() - 1.0
 
-        search._level = expire_at_level_one
+        search._level = expire_after_level_two
         res = search.run(None)
+        assert candidates == [10]
         g, z = search.forms[1]
-        assert (len(search.rows), len(g), len(z)) == (34, 24, 10)
-        # Completed P1(1), P1(2), P2(0), P1(3): nothing under 3 + 0 + 2 was missed.
-        assert res.lower == 5 and not res.exact
-        assert search.nodes == sum(math.comb(34, r) for r in (1, 2, 3)) + (1 << 10) - 1
-        if res.witness is not None:
-            assert res.upper == res.witness.weight() >= 9
-            assert not gf2.rowspace_contains(square.h_z, res.witness)
-        else:
-            assert res.upper is None
+        assert search.rows == natural and (len(g), len(z)) == (24, 10)
+        assert res.lower == 3 and not res.exact
+        assert search.nodes == 34 + 561
+        # Expired before the search starts: no pair, and lower is 1.
+        candidates.clear()
+        search = css._Search(s.kernel, square.n, s.checks, time.monotonic() - 1.0)
+        res = search.run(None)
+        assert (res.lower, res.exact, candidates, len(search.forms)) == (1, False, [], 1)
+
+    def test_pair_beats_the_natural_order(self):
+        # Candidate 0 leaves the square |Z| = 10 and the cube 136; the pair
+        # kept has disjoint P and N, G reduced on N, Z zero on N, and never
+        # more Z rows than candidate 0.  On the square, that cuts the distance
+        # search from 639 434 words per side to under 70 000.
+        for ell, natural_z, nodes in ((2, 10, 70_000), (3, 136, None)):
+            code = css_power(steane(), ell)
+            for side in "XZ":
+                s = css._side(code, side)
+                search = css._Search(s.kernel, code.n, s.checks, None)
+                _, z0 = reference_second_form(search.rows, search.pivots, code.n)
+                assert len(z0) == natural_z
+                search._pair()
+                g, z = search.forms[1]
+                p_mask = sum(1 << p for p in search.pivots)
+                n_mask = gf2._mask(code.n) & ~p_mask
+                k = len(s.kernel)
+                assert len(search.pivots) == len(set(search.pivots)) == k
+                assert [row & p_mask for row in search.rows] == [1 << p for p in search.pivots]
+                assert search.forms[0][0].rows == search.rows
+                assert all(row & n_mask == 0 for row in z.rows)
+                g_on_n = tuple(row & n_mask for row in g.rows)
+                assert gf2.rank(BinMatrix(len(g), code.n, g_on_n)) == len(g)
+                assert len(g) + len(z) == k
+                for form in (search.rows, g.rows + z.rows):
+                    assert gf2.rank(BinMatrix(2 * k, code.n, tuple(form) + s.kernel)) == k
+                assert max(0, 2 * k - code.n) <= len(z) < natural_z
+                if nodes is not None:
+                    res = search.run(None)
+                    assert res.exact and res.value == 9 and search.nodes <= nodes
 
 
 def reference_random_upper(code, side, trials, seed):
@@ -748,14 +824,30 @@ def reference_random_upper(code, side, trials, seed):
     return best
 
 
-def reference_second_form(rows, pivots, n):
-    """(G, Z) by permute, eliminate and unpermute, with N's columns first."""
-    pivot_set = set(pivots)
-    order = [c for c in range(n) if c not in pivot_set] + list(pivots)
-    position = [0] * n
+def _positions(order):
+    """position[c] = i for column c = order[i]."""
+    position = [0] * len(order)
     for i, c in enumerate(order):
         position[c] = i
-    reduced, moved_pivots = gf2._rref_bitrows(gf2._permute_bits(rows, position))
+    return position
+
+
+def reference_first_form(rows, n, order):
+    """(rows, P) of the RREF under the column priority ``order``, by permute,
+    eliminate and unpermute: P lists the pivot columns, rows in the same order."""
+    reduced, moved = gf2._rref_bitrows(gf2._permute_bits(rows, _positions(order)))
+    return gf2._permute_bits(reduced, order), [order[p] for p in moved]
+
+
+def reference_second_form(rows, pivots, n, order=None):
+    """(G, Z) by permute, eliminate and unpermute, with N's columns first.
+
+    Each of N and P keeps its place in ``order``, the natural order if None.
+    """
+    order = range(n) if order is None else order
+    pivot_set = set(pivots)
+    order = [c for c in order if c not in pivot_set] + [c for c in order if c in pivot_set]
+    reduced, moved_pivots = gf2._rref_bitrows(gf2._permute_bits(rows, _positions(order)))
     reduced = gf2._permute_bits(reduced, order)
     free = n - len(pivots)
     g = [row for row, p in zip(reduced, moved_pivots) if p < free]
@@ -763,9 +855,29 @@ def reference_second_form(rows, pivots, n):
     return g, z
 
 
+def reference_pair(rows, n):
+    """(first rows, P, G, Z) of the pair ``_Search._pair`` keeps, from the
+    reference forms of the natural order and the seeded shuffles."""
+    rng = random.Random(css._PAIR_SEED)
+    floor = max(0, 2 * len(rows) - n)
+    first, pivots = reference_first_form(rows, n, list(range(n)))
+    best = (first, pivots, *reference_second_form(rows, pivots, n))
+    for _ in range(1, css._PAIR_CANDIDATES):
+        if len(best[3]) <= floor:
+            break
+        order = list(range(n))
+        rng.shuffle(order)
+        first, pivots = reference_first_form(rows, n, order)
+        found = (first, pivots, *reference_second_form(rows, pivots, n, order))
+        if len(found[3]) < len(best[3]):
+            best = found
+    return best
+
+
 class TestRandomUpper:
     def test_steane_finds_three(self):
-        assert css.min_distance_random_upper(steane(), "Z", 100, 5) == 3
+        upper, word = css.min_distance_random_upper(steane(), "Z", 100, 5)
+        assert upper == word.weight() == 3
 
     def test_matches_permute_and_eliminate_oracle(self):
         # Kernels of at most 80 rows take the pair scan; the cube's 361 do not.
@@ -791,9 +903,14 @@ class TestRandomUpper:
                         css.min_distance_random_upper(code, side, trials, 0)
                     continue
                 for seed in range(20):
-                    assert css.min_distance_random_upper(code, side, trials, seed) == (
-                        reference_random_upper(code, side, trials, seed)
-                    ), (code.n, side, seed)
+                    upper, word = css.min_distance_random_upper(code, side, trials, seed)
+                    assert upper == reference_random_upper(code, side, trials, seed), (
+                        code.n, side, seed)
+                    # The word is a logical of that weight, in code coordinates.
+                    s = css._side(code, side)
+                    assert word.weight() == upper
+                    assert annihilated(s.kernel_of, [word.bits])
+                    assert not gf2.rowspace_contains(s.stab, word)
 
     def test_trials_do_not_permute_or_reeliminate(self, monkeypatch):
         code = css_power(steane(), 2)
@@ -805,7 +922,7 @@ class TestRandomUpper:
 
         monkeypatch.setattr(gf2, "_permute_bits", forbidden)
         monkeypatch.setattr(gf2, "_rref_bitrows", forbidden)
-        assert css.min_distance_random_upper(code, "Z", 20, 3) == expected
+        assert css.min_distance_random_upper(code, "Z", 20, 3)[0] == expected
 
     def test_at_least_exact(self):
         rng = random.Random(6)
@@ -813,7 +930,7 @@ class TestRandomUpper:
             code = random_css_code(rng, rng.randrange(4, 9), 1, 2)
             for side in ("X", "Z"):
                 exact = css.min_distance_exact(code, side).value
-                upper = css.min_distance_random_upper(code, side, 30, 7)
+                upper, _ = css.min_distance_random_upper(code, side, 30, 7)
                 assert upper >= exact
 
     def test_deterministic(self):
@@ -830,10 +947,28 @@ class TestSecondForm:
             code = css_power(steane(), ell)
             bases += [(list(css._side(code, side).kernel), code.n) for side in "XZ"]
         bases += [(rows, n) for rows, n, _, _ in _oracle_searches(43, 20)]
+        rng = random.Random(17)
+        changed = 0
         for rows, n in bases:
             search = css._Search(rows, n, None, None)
-            g, z = search._second_form()
-            assert (g.rows, z.rows) == reference_second_form(search.rows, search.pivots, n)
+            supports = [gf2._support_of(row) for row in search.rows]
+            # The per-candidate builder, on the natural order and on shuffles.
+            for order in [list(range(n))] + [rng.sample(range(n), n) for _ in range(2)]:
+                _, pivots = reference_first_form(search.rows, n, order)
+                size, reduced, moved, priority = search._second_form(supports, pivots, order)
+                reduced = gf2._permute_bits(reduced, priority[::-1])
+                free = n - len(pivots)
+                g = [row for row, p in zip(reduced, moved) if p < free]
+                z = [row for row, p in zip(reduced, moved) if p >= free]
+                assert (g, z) == reference_second_form(search.rows, pivots, n, order)
+                assert size == len(z)
+            # The pair kept, first form included.
+            first, pivots, g, z = reference_pair(search.rows, n)
+            changed += search._pair()
+            assert (search.rows, search.pivots) == (first, pivots)
+            assert search.forms[0][0].rows == first
+            assert (search.forms[1][0].rows, search.forms[1][1].rows) == (g, z)
+        assert 0 < changed < len(bases)
 
 
 class TestStabilizerWeight:
@@ -942,6 +1077,39 @@ class TestAnalyze:
         code = css.from_matrices(h, BinMatrix.zeros(0, 3))
         report = css.analyze(code, seed=3)
         assert report.k == 0 and report.d_x is None and report.d_z is None
+
+    def test_every_distance_has_a_witness(self):
+        # Steane and its square, as built (the square searched on side X
+        # and mirrored) and as loaded from a file (both sides searched).
+        # Every distance with an upper bound carries a logical of that
+        # weight; capped at 6 the square's distances are not exact.
+        square = css_power(steane(), 2)
+        exact = 0
+        for code in (steane(), generic_copy(steane()), square, generic_copy(square)):
+            for cap in (6, 9):
+                report = css.analyze(code, exact_up_to=cap, trials=50, seed=101)
+                for side, d in (("X", report.d_x), ("Z", report.d_z)):
+                    s = css._side(generic_copy(code), side)
+                    exact += d.exact
+                    assert d.upper == d.witness.weight()
+                    assert annihilated(s.kernel_of, [d.witness.bits])
+                    assert not gf2.rowspace_contains(s.stab, d.witness)
+        assert exact == 12
+
+    def test_steane_times_tillich_zemor_exact_nine(self):
+        # n = 127, K = 64 on each side.  The natural P leaves |Z| = 20 and a
+        # search of 130 463 919 words per side; the pair kept leaves at most
+        # 3 Z rows and under 2 M words.
+        code = css_tensor(steane(), families.parse_family_spec("tz:rep3,rep3")[1])
+        report = css.analyze(code, exact_up_to=9, trials=20, seed=3)
+        for side, d in (("X", report.d_x), ("Z", report.d_z)):
+            s = css._side(code, side)
+            assert d.exact and d.value == 9 == d.witness.weight()
+            assert annihilated(s.kernel_of, [d.witness.bits])
+            assert not gf2.rowspace_contains(s.stab, d.witness)
+            search = css._Search(s.kernel, code.n, s.checks, None)
+            assert search.run(None).value == 9
+            assert len(search.forms[1][1]) <= 3 and search.nodes < 2_000_000
 
     def test_json_round_trip(self):
         report = css.analyze(steane(), seed=3)

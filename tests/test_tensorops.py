@@ -516,8 +516,8 @@ class TestBounds:
         bound = generic_lower_bound(code, code)
         product = css_tensor(code, code)
         for side, value in zip(("X", "Z"), bound):
-            upper = css.min_distance_random_upper(product, side, 100, 9)
-            exact = css.min_distance_exact(product, side, weight_cap=9, seed_upper=upper)
+            _, word = css.min_distance_random_upper(product, side, 100, 9)
+            exact = css.min_distance_exact(product, side, weight_cap=9, seed_word=word)
             assert value <= exact.lower
 
     def test_nonnegative_and_at_least_one(self):
@@ -737,7 +737,6 @@ class TestSweep:
         assert raised == css.DistanceResult(6, 9, False)
         assert report._replace(d_x=raised, d_z=raised).degenerate is True
         assert css._bracket(undecided, lower=9) == css.DistanceResult(9, 9, True)
-        assert css._bracket(css.DistanceResult(5, None, False), upper=7).upper == 7
         ceiling = tensorops.SweepRecord(3, 721, None, 0.0, "ceiling")
         assert ceiling.to_json_dict()["degenerate"] is None
 
