@@ -26,6 +26,10 @@ EXIT_PARSE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_RESOURCE = 4
 
+TRIALS_HELP = (
+    "random information-set trials, run only when the capped search leaves the distance open"
+)
+
 
 class UsageError(Exception):
     """A malformed setting outside the argument list (exit code 2)."""
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full parameter report for a code file")
     p.add_argument("input")
     p.add_argument("--exact-up-to", type=_count, default=css.DEFAULT_WEIGHT_CAP)
-    p.add_argument("--trials", type=_positive_int, default=css.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_positive_int, default=css.DEFAULT_TRIALS, help=TRIALS_HELP)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--time-budget", type=_time_budget, default=60.0)
     p.add_argument("--out")
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--weight-cap", type=_count, default=css.DEFAULT_WEIGHT_CAP)
     p.add_argument("--time-budget", type=_time_budget, default=60.0)
-    p.add_argument("--trials", type=_positive_int, default=css.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_positive_int, default=css.DEFAULT_TRIALS, help=TRIALS_HELP)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")

@@ -495,17 +495,10 @@ class _Search:
                 sig ^= z.sigs[b]
             self._walk(g, 0, j, acc, sig)
 
-    def run(
-        self,
-        weight_cap: int | None,
-        seed_upper: int | None = None,
-        seed_word: int | None = None,
-    ) -> DistanceResult:
+    def run(self, weight_cap: int | None, seed_word: int | None = None) -> DistanceResult:
         if seed_word is not None:
             self.best_word = seed_word
             self.best_w = seed_word.bit_count()
-        if seed_upper is not None and (self.best_w is None or seed_upper < self.best_w):
-            self.best_w = seed_upper
         k = len(self.rows)
         if weight_cap is not None and weight_cap >= k:
             weight_cap = None  # the first form alone exhausts the basis within the cap
@@ -725,10 +718,10 @@ def min_distance_exact(
     a word is a logical exactly when its parities with the k checks of
     ``_side`` are not all even.  With a cap the result certifies
     lower = cap + 1 when nothing lighter was found.  ``seed_word``, a
-    logical of this side (``min_distance_random_upper``'s), bounds the
-    search by its weight and stays the witness unless a lighter one turns
-    up.  With no cap, budget or seed it is the side's kept
-    ``_Side.distance``.
+    logical of this side (``analyze`` passes the lightest logical kernel
+    row), bounds the search by its weight and stays the witness unless a
+    lighter one turns up.  With no cap, budget or seed it is the side's
+    kept ``_Side.distance``.
     """
     s = _side(code, side)
     if not s.k:
@@ -909,9 +902,11 @@ def analyze(
     """Full report: k, distance bounds per side, LDPC profile, degeneracy.
 
     Exact searches run up to ``exact_up_to`` (and ``time_budget`` seconds
-    each, when given), seeded with the logical of a randomized upper
-    bound, so that every distance with an upper bound has a witness of
-    that weight; the degeneracy verdict follows from the reported bounds.
+    each, when given), seeded with the lightest logical kernel row; the
+    ``trials`` random information sets run only where a search leaves the
+    distance open (see ``_side_bounds``).  Every distance with an upper
+    bound has a witness of that weight; the degeneracy verdict follows
+    from the reported bounds.
     For a fixed seed the result is deterministic whenever the searches
     finish within budget; an expiring budget can only weaken the
     certified lower bound, never the flags.  A code with a
@@ -933,16 +928,32 @@ def _side_bounds(
     code: CssCode, side: str, k: int, exact_up_to: int, trials: int, seed: int,
     time_budget: float | None,
 ) -> tuple[DistanceResult | None, DistanceResult | None]:
-    """``analyze``'s (distance, stabilizer minimum) of one side; None where undefined."""
+    """``analyze``'s (distance, stabilizer minimum) of one side; None where undefined.
+
+    The distance search is seeded with the lightest logical among the
+    kernel rows: K parity tests and no elimination, and for k >= 1 some
+    row is a logical.  Only when the capped search leaves the distance
+    open do the random trials run, and a lighter word of theirs becomes
+    the upper bound and the witness.  A search walks the same levels
+    under any seed heavier than the distance, so, absent a deadline, the
+    lower bound is that of a search seeded by the trials, and the upper
+    bound the least of the same candidates and the seed row.
+    """
+    s = _side(code, side)
     stab = None
-    if not _side(code, side).stab.is_zero():
+    if not s.stab.is_zero():
         stab = stabilizer_min_weight(code, side, exact_up_to, time_budget)
     if k == 0:
         return None, stab
-    _, word = min_distance_random_upper(code, side, trials, seed)
+    lightest = min((row for row in s.kernel if _signature(row, s.checks)), key=int.bit_count)
     res = min_distance_exact(
-        code, side, weight_cap=exact_up_to, time_budget=time_budget, seed_word=word
+        code, side, weight_cap=exact_up_to, time_budget=time_budget,
+        seed_word=BinVector(code.n, lightest),
     )
+    if not res.exact:
+        upper, word = min_distance_random_upper(code, side, trials, seed)
+        if upper < res.upper:
+            res = DistanceResult(res.lower, upper, res.lower >= upper, word)
     return res, stab
 
 

@@ -24,7 +24,7 @@ from csstensor.css import (
 from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex, random_css_code, random_matrix
-from csstensor.tensorops import css_power, css_tensor, factor_params
+from csstensor.tensorops import css_power, css_tensor, factor_params, sweep
 from test_tensorops import redundant_check_code
 
 
@@ -350,11 +350,9 @@ class _ReferenceSearch:
             if (self.best_w is None or w < self.best_w) and self.is_target(word):
                 self.best_w, self.best_word = w, word
 
-    def run(self, weight_cap, seed_upper=None, seed_word=None):
+    def run(self, weight_cap, seed_word=None):
         if seed_word is not None:
             self.best_word, self.best_w = seed_word, seed_word.bit_count()
-        if seed_upper is not None and (self.best_w is None or seed_upper < self.best_w):
-            self.best_w = seed_upper
         completed = 0
         r = 1
         while not (self.best_w is not None and self.best_w <= r):
@@ -369,6 +367,27 @@ class _ReferenceSearch:
             return css.DistanceResult(found, found, True, witness)
         lower = completed + 1 if found is None else min(completed + 1, found)
         return css.DistanceResult(lower, found, False, witness)
+
+
+def _seed_of_weight(rows, target, witness, weight):
+    """A target word of ``weight`` near ``witness``, else the lightest heavier one, or None.
+
+    The words tried are the witness plus sums of up to three reduced rows
+    of the space.  A seed heavier than the minimum stops the search at the
+    level an unseeded one stops at, so a heavier stand-in, or None, walks
+    the same levels as a seed of ``weight``.
+    """
+    basis, _ = gf2._rref_bitrows(rows)
+    words = set()
+    for r in (1, 2, 3):
+        for subset in itertools.combinations(basis, r):
+            word = witness
+            for row in subset:
+                word ^= row
+            if word.bit_count() > witness.bit_count():
+                words.add(word)
+    ordered = sorted(words, key=lambda w: (w.bit_count() != weight, w.bit_count(), w))
+    return next(filter(target, ordered), None)
 
 
 def _brute_force_min(rows, is_target):
@@ -550,10 +569,12 @@ class TestTwoSetSearch:
                 extra = rows[rng.randrange(len(rows))] ^ seed_word
                 if extra and target(extra) and extra.bit_count() > seed_word.bit_count():
                     seed_word = extra
+            # Unseeded, and seeded with words of weight d, d + 2 and more.
+            seeds = (None, exact.witness.bits,
+                     _seed_of_weight(rows, target, exact.witness.bits, d + 2), seed_word)
             for cap in (None, 1, 2, 3, 4, 6):
-                for seeds in ({}, {"seed_upper": d}, {"seed_upper": d + 2},
-                              {"seed_word": seed_word}):
-                    ref = _ReferenceSearch(rows, n, target).run(cap, **seeds)
+                for seed in seeds:
+                    ref = _ReferenceSearch(rows, n, target).run(cap, seed)
                     # As the callers run it (the pair of forms built on
                     # demand), and with the pair built up front, so that small
                     # bases also schedule the second pass.
@@ -561,7 +582,7 @@ class TestTwoSetSearch:
                         search = css._Search(rows, n, checks, None)
                         if prebuilt:
                             search._pair()
-                        res = search.run(cap, **seeds)
+                        res = search.run(cap, seed)
                         pairs = search.forms[0][0].pairs
                         modes.add((search.batch, checks is None, pairs is not None))
                         # Batching changes neither the result, the witness
@@ -571,17 +592,10 @@ class TestTwoSetSearch:
                             plain = css._Search(rows, n, checks, None)
                             if prebuilt:
                                 plain._pair()
-                            assert plain.run(cap, **seeds) == res
+                            assert plain.run(cap, seed) == res
                             assert plain.nodes == search.nodes
                         if cap is None:
-                            assert (res.upper, res.exact) == (ref.upper, ref.exact)
-                            if not ref.exact and ref.lower > len(search.rows):
-                                # The reference exhausted the basis without a
-                                # witness and reports K + 1; a finished search
-                                # has seen every word under the seeded bound.
-                                assert res.lower == seeds["seed_upper"]
-                            else:
-                                assert res.lower == ref.lower
+                            assert (res.lower, res.upper, res.exact) == ref[:3]
                         assert ref.lower <= res.lower <= d
                         if res.exact:
                             assert res.lower == res.upper == d
@@ -599,13 +613,20 @@ class TestTwoSetSearch:
         # The Steane square's pair has a new P and |Z| = 1.  It reuses pair
         # tables at pass-2 levels 2 and 3 and, past cap 5, at pass-1 levels 3
         # and 4; the word-by-word walk is the oracle.
+        # Seeds of weight 9 and 10 are the witness plus stabilizer rows.
         square = css_power(steane(), 2)
         for side in ("X", "Z"):
             s = css._side(square, side)
             rows, checks = s.kernel, s.checks
-            for cap, seed_upper in ((5, None), (7, 9), (None, 9), (None, 10), (None, None)):
+            witness = s.distance.witness.bits
+            seeds = {None: None, 9: witness}
+            for a, b in itertools.combinations_with_replacement(s.stab.data, 2):
+                seeds.setdefault((witness ^ a ^ b).bit_count(), witness ^ a ^ b)
+            for cap, weight in ((5, None), (7, 9), (None, 9), (None, 10), (None, None)):
+                seed = seeds[weight]
+                assert seed is None or css._signature(seed, checks) and seed.bit_count() == weight
                 search = css._Search(rows, square.n, checks, None)
-                res = search.run(cap, seed_upper=seed_upper)
+                res = search.run(cap, seed)
                 g, z = search.forms[1]
                 assert (len(g), len(z)) == (33, 1)
                 assert (search.forms[0][0].pairs is not None) == (cap != 5)
@@ -613,7 +634,7 @@ class TestTwoSetSearch:
                 with monkeypatch.context() as m:
                     m.setattr(css, "_BATCH_MIN", math.inf)
                     plain = css._Search(rows, square.n, checks, None)
-                    assert plain.run(cap, seed_upper=seed_upper) == res
+                    assert plain.run(cap, seed) == res
                 assert plain.nodes == search.nodes
                 assert res.lower == (cap + 1 if cap is not None and cap < 8 else 9)
 
@@ -1082,11 +1103,11 @@ class TestAnalyze:
         # Steane and its square, as built (the square searched on side X
         # and mirrored) and as loaded from a file (both sides searched).
         # Every distance with an upper bound carries a logical of that
-        # weight; capped at 6 the square's distances are not exact.
+        # weight; capped at 4 or 6 the square's distances are not exact.
         square = css_power(steane(), 2)
         exact = 0
         for code in (steane(), generic_copy(steane()), square, generic_copy(square)):
-            for cap in (6, 9):
+            for cap in (4, 6, 9):
                 report = css.analyze(code, exact_up_to=cap, trials=50, seed=101)
                 for side, d in (("X", report.d_x), ("Z", report.d_z)):
                     s = css._side(generic_copy(code), side)
@@ -1094,7 +1115,90 @@ class TestAnalyze:
                     assert d.upper == d.witness.weight()
                     assert annihilated(s.kernel_of, [d.witness.bits])
                     assert not gf2.rowspace_contains(s.stab, d.witness)
-        assert exact == 12
+        assert exact == 16
+
+    def test_trials_run_only_for_open_distances(self, monkeypatch):
+        # The square's lightest logical kernel row weighs 9 on both sides,
+        # so a search capped at 9 settles the distance with no trial; capped
+        # at 4 it leaves 5..9 open, each searched side runs the trials, and
+        # the seed row stays the witness.  On the n = 9 code side X is
+        # exact at cap 1 (d = 1), and side Z's search leaves 2..3 open
+        # (lightest logical row 3, d = 2); the trials' word of weight 2
+        # closes it.
+        calls = []
+        real = css.min_distance_random_upper
+
+        def counting(code, side, trials, seed):
+            calls.append(side)
+            return real(code, side, trials, seed)
+
+        monkeypatch.setattr(css, "min_distance_random_upper", counting)
+        loaded = generic_copy(css_power(steane(), 2))
+        report = css.analyze(loaded, exact_up_to=9, trials=50, seed=101)
+        assert calls == [] and report.d_x.exact and report.d_z.value == 9
+        report = css.analyze(loaded, exact_up_to=4, trials=50, seed=101)
+        assert calls == ["X", "Z"]
+        for side, d in (("X", report.d_x), ("Z", report.d_z)):
+            assert (d.lower, d.upper, d.exact) == (5, 9, False)
+            assert d.witness.bits in css._side(loaded, side).kernel
+        calls.clear()
+        sweep(steane(), 1)
+        assert calls == []
+        h_x = BinMatrix.from_support(4, 9, [[0, 3, 4, 5, 8], [1, 2], [1, 2, 3, 4, 5, 7],
+                                            [2, 4, 5, 6, 7, 8]])
+        code = css.from_matrices(h_x, BinMatrix.from_support(1, 9, [[0, 4, 7]]))
+        s = css._side(code, "Z")
+        seed = min((r for r in s.kernel if css._signature(r, s.checks)), key=int.bit_count)
+        assert css.min_distance_exact(code, "Z", 1, None, gf2.BinVector(9, seed))[:3] == (2, 3, False)
+        report = css.analyze(code, exact_up_to=1, trials=10, seed=1)
+        assert calls == ["Z"]
+        assert report.d_x.value == 1 and report.d_z.value == 2 == report.d_z.witness.weight()
+        assert annihilated(code.h_x, [report.d_z.witness.bits])
+        assert not gf2.rowspace_contains(code.h_z, report.d_z.witness)
+
+    def test_bounds_match_the_trials_first_flow(self):
+        # The oracle is the trials-first flow, from public calls: each
+        # search seeded with the word of the random upper bound.  analyze
+        # seeds it with the lightest logical kernel row, of weight u, and
+        # runs the trials only when the search stays open.  A search walks
+        # the same levels under any seed heavier than the distance, and
+        # every candidate upper bound of the oracle is one of analyze's, so
+        # analyze reports the oracle's lower bound and the lesser of u and
+        # the oracle's upper bound, exact once they meet.
+        rng = random.Random(2707)
+        codes = []
+        for _ in range(100):
+            n = rng.randrange(3, 16)
+            codes.append(random_css_code(rng, n, rng.randrange(n // 2 + 1), rng.randrange(n // 2 + 1)))
+        products = 0
+        while products < 10:
+            try:
+                code = css.from_complex(rand.random_complex3(rng, 4), rand.random_complex3(rng, 4))
+            except ValueError:
+                continue
+            if css.dimension_k(code) >= 1:
+                codes.append(code)
+                products += 1
+        for code in codes:
+            perm = css._mirror(code)
+            for cap in (1, 2, 3, 6, None):
+                for trials, seed in ((1, 5), (10, 6)):
+                    want = {}
+                    for side in ("X", "Z") if perm is None else ("X",):
+                        s = css._side(code, side)
+                        _, word = css.min_distance_random_upper(code, side, trials, seed)
+                        old = css.min_distance_exact(code, side, cap, None, word)
+                        u = min(r.bit_count() for r in s.kernel if css._signature(r, s.checks))
+                        upper = min(u, old.upper)
+                        want[side] = (old.lower, upper, old.exact or old.lower >= upper)
+                        stab = None
+                        if not s.stab.is_zero():
+                            stab = css.stabilizer_min_weight(code, side, cap)[:3]
+                        want["stab" + side] = stab
+                    if perm is not None:
+                        want["Z"], want["stabZ"] = want["X"], want["stabX"]
+                    report = css.analyze(code, cap, trials, seed, None)
+                    assert bounds(report) == [want[f] for f in ("X", "Z", "stabX", "stabZ")]
 
     def test_steane_times_tillich_zemor_exact_nine(self):
         # n = 127, K = 64 on each side.  The natural P leaves |Z| = 20 and a
