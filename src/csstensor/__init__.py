@@ -10,7 +10,7 @@ supported code families.
 from .chain import ChainComplex
 from .css import CodeReport, CssCode, DistanceResult
 from .gf2 import BinMatrix, BinVector
-from .tensorops import CriterionReport, SweepRecord
+from .tensorops import SweepRecord
 
 __all__ = [
     "BinMatrix",
@@ -18,7 +18,6 @@ __all__ = [
     "ChainComplex",
     "CssCode",
     "CodeReport",
-    "CriterionReport",
     "DistanceResult",
     "SweepRecord",
 ]

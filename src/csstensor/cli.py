@@ -119,8 +119,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_criterion(args: argparse.Namespace) -> int:
     code = _load_code(args.input)
-    report = tensorops.check_distance_criterion(code)
-    _dump_json(report.to_json_dict(), args.out)
+    if not css.dimension_k(code):  # before the uncapped stabilizer searches of analyze
+        raise css.KIsZero("criterion is undefined for k = 0")
+    report = css.analyze(code, exact_up_to=None)
+    _dump_json(tensorops.criterion_to_json(report), args.out)
     return 0
 
 
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("criterion", help="distance criterion report for a code file")
+    p = sub.add_parser("criterion", help="distance criterion off an exact analyze of a code file")
     p.add_argument("input")
     p.add_argument("--out")
     p.set_defaults(func=cmd_criterion)

@@ -554,7 +554,9 @@ class _Side:
     ``distance``, ``stab_min`` and ``top_min`` are exact, uncapped minima,
     searched on first use and kept.  They depend on the side alone: an unbudgeted
     search is a fixed walk over the kernel basis and the stabilizer rows,
-    so its value and its witness are the same on every run.
+    so its value and its witness are the same on every run.  ``distance``
+    is seeded with the lightest logical kernel row (``_lightest_logical``),
+    so it is the search ``analyze`` runs with no cap and no budget.
     ``top_min_within`` runs the ``top_min`` search under a time budget.
     """
 
@@ -576,7 +578,8 @@ class _Side:
         """The exact distance of this side; None when k = 0."""
         if not self.k:
             return None
-        return _Search(self.kernel, self.stab.cols, self.checks, None).run(None)
+        search = _Search(self.kernel, self.stab.cols, self.checks, None)
+        return search.run(None, seed_word=_lightest_logical(self))
 
     @cached_property
     def stab_min(self) -> DistanceResult | None:
@@ -605,6 +608,14 @@ class _Side:
         deadline = None if time_budget is None else time.monotonic() + time_budget
         relations = gf2.kernel_basis(gf2.transpose(self.stab))
         return _min_weight(relations.data, self.stab.rows, None, deadline)
+
+
+def _lightest_logical(s: _Side) -> int:
+    """The lightest logical among the kernel rows of a side with k >= 1.
+
+    K parity tests and no elimination; some row is a logical since k >= 1.
+    """
+    return min((row for row in s.kernel if _signature(row, s.checks)), key=int.bit_count)
 
 
 def _side(code: CssCode, side: str) -> _Side:
@@ -721,7 +732,7 @@ def min_distance_exact(
     logical of this side (``analyze`` passes the lightest logical kernel
     row), bounds the search by its weight and stays the witness unless a
     lighter one turns up.  With no cap, budget or seed it is the side's
-    kept ``_Side.distance``.
+    kept ``_Side.distance``, the search seeded with that kernel row.
     """
     s = _side(code, side)
     if not s.k:
@@ -894,7 +905,7 @@ def _bracket(res: DistanceResult, lower: int) -> DistanceResult:
 
 def analyze(
     code: CssCode,
-    exact_up_to: int = DEFAULT_WEIGHT_CAP,
+    exact_up_to: int | None = DEFAULT_WEIGHT_CAP,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     time_budget: float | None = None,
@@ -904,9 +915,10 @@ def analyze(
     Exact searches run up to ``exact_up_to`` (and ``time_budget`` seconds
     each, when given), seeded with the lightest logical kernel row; the
     ``trials`` random information sets run only where a search leaves the
-    distance open (see ``_side_bounds``).  Every distance with an upper
-    bound has a witness of that weight; the degeneracy verdict follows
-    from the reported bounds.
+    distance open (see ``_side_bounds``).  With ``exact_up_to=None`` and
+    no budget every result is a side's kept exact minimum (see ``_Side``).
+    Every distance with an upper bound has a witness of that weight; the
+    degeneracy verdict follows from the reported bounds.
     For a fixed seed the result is deterministic whenever the searches
     finish within budget; an expiring budget can only weaken the
     certified lower bound, never the flags.  A code with a
@@ -925,19 +937,20 @@ def analyze(
 
 
 def _side_bounds(
-    code: CssCode, side: str, k: int, exact_up_to: int, trials: int, seed: int,
+    code: CssCode, side: str, k: int, exact_up_to: int | None, trials: int, seed: int,
     time_budget: float | None,
 ) -> tuple[DistanceResult | None, DistanceResult | None]:
     """``analyze``'s (distance, stabilizer minimum) of one side; None where undefined.
 
     The distance search is seeded with the lightest logical among the
-    kernel rows: K parity tests and no elimination, and for k >= 1 some
-    row is a logical.  Only when the capped search leaves the distance
-    open do the random trials run, and a lighter word of theirs becomes
-    the upper bound and the witness.  A search walks the same levels
-    under any seed heavier than the distance, so, absent a deadline, the
-    lower bound is that of a search seeded by the trials, and the upper
-    bound the least of the same candidates and the seed row.
+    kernel rows (``_lightest_logical``).  With no cap and no budget that
+    is the side's kept ``_Side.distance``, and no second search runs.
+    Only when the capped search leaves the distance open do the random
+    trials run, and a lighter word of theirs becomes the upper bound and
+    the witness.  A search walks the same levels under any seed heavier
+    than the distance, so, absent a deadline, the lower bound is that of
+    a search seeded by the trials, and the upper bound the least of the
+    same candidates and the seed row.
     """
     s = _side(code, side)
     stab = None
@@ -945,10 +958,11 @@ def _side_bounds(
         stab = stabilizer_min_weight(code, side, exact_up_to, time_budget)
     if k == 0:
         return None, stab
-    lightest = min((row for row in s.kernel if _signature(row, s.checks)), key=int.bit_count)
+    if exact_up_to is None and time_budget is None:
+        return s.distance, stab
     res = min_distance_exact(
         code, side, weight_cap=exact_up_to, time_budget=time_budget,
-        seed_word=BinVector(code.n, lightest),
+        seed_word=BinVector(code.n, _lightest_logical(s)),
     )
     if not res.exact:
         upper, word = min_distance_random_upper(code, side, trials, seed)

@@ -36,11 +36,12 @@ the stabilizer minimum therefore bound it too, which lets ``sweep`` feed
 a built power's ``CodeReport`` (each sweep row carries its stage's
 report) back into the machine.
 
-The criterion reported by ``check_distance_criterion`` is per-side
-non-degeneracy: no stabilizer is strictly lighter than the distance,
-i.e. the minimum nonzero cycle weight equals the distance.  When it
-holds for C the middle-sector bound evaluates with the full distance of
-C in place of its cycle minimum for every partner D.
+The criterion, read by ``criterion_to_json`` off an exact
+``css.analyze`` report, is per-side non-degeneracy: no stabilizer is
+strictly lighter than the distance, i.e. the minimum nonzero cycle
+weight equals the distance.  When it holds for C the middle-sector bound
+evaluates with the full distance of C in place of its cycle minimum for
+every partner D.
 """
 
 from __future__ import annotations
@@ -147,66 +148,29 @@ def _reduced_dims(x: ChainComplex, ell: int) -> tuple[int, ...]:
 # -- distance criterion and lower bounds ---------------------------------
 
 
-class CriterionReport(namedtuple("CriterionReport", (
-    "holds", "holds_x", "holds_z", "d_x", "d_z", "stab_min_x", "stab_min_z",
-    "logical_witness_x", "logical_witness_z", "stabilizer_witness_x", "stabilizer_witness_z",
-))):
-    """Per-side non-degeneracy of a code, with the witnesses that decide it.
+def criterion_to_json(report: css.CodeReport) -> dict:
+    """The criterion of an exact ``css.analyze`` report, with its witnesses.
 
-    ``holds_z`` means no nonzero Z stabilizer is strictly lighter than
-    d_Z (equivalently the minimum nonzero weight in ker h_x equals d_Z);
-    ``holds_x`` symmetrically.  ``holds`` requires both sides.  The
-    witnesses are ``BinVector``s; a stabilizer minimum and its witness are
-    None when that side has no nonzero stabilizer.
+    ``holds_x`` means no nonzero X stabilizer is strictly lighter than
+    d_X, ``holds_z`` likewise, and ``holds`` requires both.  The
+    witnesses are supports; a stabilizer minimum and its witness are
+    None when that side has no nonzero stabilizer.  An inexact distance
+    raises ValueError (see ``DistanceResult.value``).
     """
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "holds_x": self.holds_x,
-            "holds_z": self.holds_z,
-            "d_x": self.d_x,
-            "d_z": self.d_z,
-            "stab_min_x": self.stab_min_x,
-            "stab_min_z": self.stab_min_z,
-            "logical_witness_x": self.logical_witness_x.support(),
-            "logical_witness_z": self.logical_witness_z.support(),
-            "stabilizer_witness_x": (
-                None
-                if self.stabilizer_witness_x is None
-                else self.stabilizer_witness_x.support()
-            ),
-            "stabilizer_witness_z": (
-                None
-                if self.stabilizer_witness_z is None
-                else self.stabilizer_witness_z.support()
-            ),
-        }
-
-
-def check_distance_criterion(code: CssCode) -> CriterionReport:
-    """Exact per-side non-degeneracy check with witnesses."""
-    sx, sz = css._side(code, "X"), css._side(code, "Z")
-    if sx.k == 0:
+    if not report.k:
         raise KIsZero("criterion is undefined for k = 0")
-    dist_x, stab_x, dist_z, stab_z = sx.distance, sx.stab_min, sz.distance, sz.stab_min
-    holds_x = stab_x is None or stab_x.value >= dist_x.value
-    holds_z = stab_z is None or stab_z.value >= dist_z.value
-    return CriterionReport(
-        holds=holds_x and holds_z,
-        holds_x=holds_x,
-        holds_z=holds_z,
-        d_x=dist_x.value,
-        d_z=dist_z.value,
-        stab_min_x=None if stab_x is None else stab_x.value,
-        stab_min_z=None if stab_z is None else stab_z.value,
-        logical_witness_x=dist_x.witness,
-        logical_witness_z=dist_z.witness,
-        stabilizer_witness_x=None if stab_x is None else stab_x.witness,
-        stabilizer_witness_z=None if stab_z is None else stab_z.witness,
-    )
+    out = {}
+    for side, dist, stab in (
+        ("x", report.d_x, report.min_stabilizer_weight_x),
+        ("z", report.d_z, report.min_stabilizer_weight_z),
+    ):
+        out[f"holds_{side}"] = stab is None or stab.value >= dist.value
+        out[f"d_{side}"] = dist.value
+        out[f"stab_min_{side}"] = None if stab is None else stab.value
+        out[f"logical_witness_{side}"] = dist.witness.support()
+        out[f"stabilizer_witness_{side}"] = None if stab is None else stab.witness.support()
+    out["holds"] = out["holds_x"] and out["holds_z"]
+    return out
 
 
 class FactorParams(namedtuple("FactorParams", "k d_lo cycle_lo check_w h_top h_bot top_min_lo")):

@@ -379,10 +379,38 @@ class TestCriterion:
         assert report["holds"] is True
         assert report["d_x"] == 3 and report["stab_min_x"] == 4
 
-    def test_k_zero_exit_3(self, capsys, tmp_path):
+    def test_k_zero_exit_3(self, capsys, tmp_path, monkeypatch):
+        # No search runs: an uncapped stabilizer minimum of a large k = 0
+        # code can take minutes, and there is no criterion to report.
+        def never(*args, **kwargs):
+            raise AssertionError("searched a k = 0 code")
+
+        monkeypatch.setattr(css._Search, "run", never)
         path = exact_complex_code_file(tmp_path)
         code, _, err = run(capsys, "criterion", path)
-        assert code == 3
+        assert code == 3 and "k = 0" in err
+
+    def test_projection_of_an_exact_analyze(self, capsys, tmp_path, monkeypatch):
+        # The Steane file has h_x = h_z, so its mirror leaves one side to
+        # build; the square's file has no factor record and no mirror.
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "family", "steane", "--out", "steane.json")
+        run(capsys, "power", "steane.json", "--ell", "2", "--out", "sq.json")
+        built = []
+        real = css._Side.__init__
+
+        def counting(side, *args):
+            built.append(side)
+            real(side, *args)
+
+        for path, sides in (("steane.json", 1), ("sq.json", 2)):
+            with monkeypatch.context() as patch:
+                patch.setattr(css._Side, "__init__", counting)
+                built.clear()
+                code, stdout, _ = run(capsys, "criterion", path)
+            assert code == 0 and len(built) == sides
+            report = css.analyze(cli._load_code(path), exact_up_to=None)
+            assert json.loads(stdout) == tensorops.criterion_to_json(report)
 
 
 class TestSweep:
@@ -519,10 +547,13 @@ PINNED_STDOUT = [
      "1eba12d7183eaf650b07bc02b5a2639d24b20a4b40d57f42111e2f55ba615c81"),
     (("analyze", "sq.json", "--exact-up-to", "9", "--trials", "50", "--seed", "101"),
      "237073b607873d6abb1ccbbdfc00d75999627aa86b52e54bcc60f5f095b37672"),
+    # The kept distance is seeded with the lightest logical kernel row: the
+    # two criterion digests moved from 3e7388f3... and 995b570e... with their
+    # logical witnesses only, every value field kept.
     (("criterion", "steane.json"),
-     "3e7388f32b27868888d0edc3945d1a906d99bd6c5cdc6beef77b53af1d0aee4c"),
+     "0a3f4c2775c1ac2a6d9a3024b7daff1bf3c047885ed740585a76426dae655677"),
     (("criterion", "sq.json"),
-     "995b570e81f33d6705b25c4269c10c11fa131491c51e6f2c6d13c9dafde1ef5d"),
+     "5e297b6fcac70f32d01d03010b88078bad8737302450551406d140d798850260"),
     (("sweep", "steane", "--ell-max", "3", "--weight-cap", "2", "--trials", "10",
       "--seed", "101"),
      "ab7d3181eeaebf87beab796e8d199b011ced672c12ab50cfc46d1cd81345826c"),

@@ -16,7 +16,6 @@ from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex3, random_css_code, random_matrix
 from csstensor.tensorops import (
     ResourceCeiling,
-    check_distance_criterion,
     css_power,
     css_tensor,
     generic_lower_bound,
@@ -361,32 +360,126 @@ class TestReducedPowers:
         assert code == want and code.n == 876
 
 
+def criterion(code: CssCode) -> dict:
+    """The ``criterion`` command's report: the projection of an exact ``analyze``."""
+    return tensorops.criterion_to_json(css.analyze(code, exact_up_to=None))
+
+
+def reference_criterion(code: CssCode) -> dict:
+    """The criterion's value fields from an unseeded search and the kept
+    stabilizer minimum of each side, both sides built, no mirror read."""
+    out = {}
+    for side in ("X", "Z"):
+        s = css._side(code, side)
+        dist = css._Search(s.kernel, code.n, s.checks, None).run(None)
+        stab = s.stab_min
+        low = side.lower()
+        out[f"holds_{low}"] = stab is None or stab.value >= dist.value
+        out[f"d_{low}"] = dist.value
+        out[f"stab_min_{low}"] = None if stab is None else stab.value
+    out["holds"] = out["holds_x"] and out["holds_z"]
+    return out
+
+
+def degenerate_nine_qubit_code() -> CssCode:
+    pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]
+    h_z = BinMatrix.from_support(6, 9, [list(p) for p in pairs])
+    h_x = BinMatrix.from_support(2, 9, [list(range(0, 6)), list(range(3, 9))])
+    return css.from_matrices(h_x, h_z)
+
+
 class TestCriterion:
     def test_steane_golden(self):
-        report = check_distance_criterion(steane())
-        assert report.holds and report.holds_x and report.holds_z
-        assert (report.d_x, report.d_z) == (3, 3)
-        assert (report.stab_min_x, report.stab_min_z) == (4, 4)
-        assert report.logical_witness_x.weight() == 3
-        assert report.stabilizer_witness_x.weight() == 4
+        report = criterion(steane())
+        assert report["holds"] and report["holds_x"] and report["holds_z"]
+        assert (report["d_x"], report["d_z"]) == (3, 3)
+        assert (report["stab_min_x"], report["stab_min_z"]) == (4, 4)
+        assert len(report["logical_witness_x"]) == 3
+        assert len(report["stabilizer_witness_x"]) == 4
 
     def test_k_zero_raises(self):
         code = css.from_matrices(BinMatrix.identity(3), BinMatrix.zeros(0, 3))
         with pytest.raises(KIsZero):
-            check_distance_criterion(code)
+            criterion(code)
 
     def test_degenerate_code_fails_criterion(self):
-        pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]
-        h_z = BinMatrix.from_support(6, 9, [list(p) for p in pairs])
-        h_x = BinMatrix.from_support(2, 9, [list(range(0, 6)), list(range(3, 9))])
-        report = check_distance_criterion(css.from_matrices(h_x, h_z))
-        assert not report.holds
-        assert not report.holds_z  # the weight-2 checks undercut d_Z = 3
+        report = criterion(degenerate_nine_qubit_code())
+        assert not report["holds"]
+        assert not report["holds_z"]  # the weight-2 checks undercut d_Z = 3
 
     def test_no_stabilizers_holds_trivially(self):
         code = CssCode(2, BinMatrix.zeros(0, 2), BinMatrix.zeros(0, 2))
-        report = check_distance_criterion(code)
-        assert report.holds and report.stab_min_x is None
+        report = criterion(code)
+        assert report["holds"] and report["stab_min_x"] is None
+
+    def test_inexact_report_is_refused(self):
+        with pytest.raises(ValueError):
+            tensorops.criterion_to_json(css.analyze(css_power(steane(), 2), exact_up_to=4))
+
+    def test_matches_the_per_side_reference(self):
+        # Every value field agrees with an unseeded search per side; the
+        # witnesses may differ from its, so each is checked for what it is.
+        rng = random.Random(2808)
+        codes = [
+            steane(), css_power(steane(), 2), degenerate_nine_qubit_code(),
+            CssCode(2, BinMatrix.zeros(0, 2), BinMatrix.zeros(0, 2)),
+        ]
+        while len(codes) < 104:
+            n = rng.randrange(3, 16)
+            codes.append(random_css_code(rng, n, rng.randrange(n // 2 + 1), rng.randrange(n // 2 + 1)))
+        products = 0
+        while products < 10:
+            try:
+                code = css.from_complex(random_complex3(rng, 4), random_complex3(rng, 4))
+            except ValueError:
+                continue
+            if css.dimension_k(code) >= 1:
+                codes.append(code)
+                products += 1
+        mirrored = 0
+        for code in codes:
+            report = criterion(code)
+            mirrored += css._mirror(code) is not None
+            assert {k: v for k, v in report.items() if "witness" not in k} == (
+                reference_criterion(code)
+            )
+            for side in ("X", "Z"):
+                s, low = css._side(code, side), side.lower()
+                word = gf2.BinVector.from_support(code.n, report[f"logical_witness_{low}"])
+                assert word.weight() == report[f"d_{low}"]
+                assert not any((row & word.bits).bit_count() & 1 for row in s.kernel_of.data)
+                assert css._signature(word.bits, s.checks)
+                support = report[f"stabilizer_witness_{low}"]
+                if report[f"stab_min_{low}"] is None:
+                    assert support is None
+                    continue
+                word = gf2.BinVector.from_support(code.n, support)
+                assert word.weight() == report[f"stab_min_{low}"]
+                assert gf2.rowspace_contains(s.stab, word)
+        assert mirrored >= 2
+
+    def test_one_distance_search_per_searched_side(self, monkeypatch):
+        # analyze, the criterion and factor_params read one kept distance
+        # per side; a mirrored code searches side X alone.
+        searched = []
+        real = css._Search.run
+
+        def counting(search, *args, **kwargs):
+            if search.checks is not None:
+                searched.append(search)
+            return real(search, *args, **kwargs)
+
+        monkeypatch.setattr(css._Search, "run", counting)
+        square = css_power(steane(), 2)
+        loaded = css.from_matrices(square.h_x, square.h_z)
+        for code, sides in ((steane(), "X"), (square, "X"), (loaded, "XZ")):
+            searched.clear()
+            report = css.analyze(code, exact_up_to=None)
+            tensorops.criterion_to_json(report)
+            for side in sides:
+                tensorops.factor_params(code, side)
+            assert report.d_x is css.min_distance_exact(code, "X") is css._side(code, "X").distance
+            assert len(searched) == len(sides)
 
 
 # FactorParams (k, d_lo, cycle_lo, check_w, h_top, h_bot, top_min_lo) of
@@ -498,13 +591,13 @@ class TestBounds:
         outcomes = []
         for _ in range(300):
             c, d = rng.choice(pool), rng.choice(pool)
-            crit = check_distance_criterion(c)
-            outcomes.append(crit.holds)
+            crit = criterion(c)
+            outcomes.append(crit["holds"])
             strong = []
-            for side, dist in (("X", crit.d_x), ("Z", crit.d_z)):
+            for side, dist in (("X", crit["d_x"]), ("Z", crit["d_z"])):
                 cp, dp = tensorops.factor_params(c, side), tensorops.factor_params(d, side)
                 bound = tensorops.bound_from_params(cp, dp)
-                if crit.holds:
+                if crit["holds"]:
                     full = cp._replace(d_lo=dist, cycle_lo=dist)
                     bound = max(bound, tensorops.bound_from_params(full, dp))
                 strong.append(bound)
@@ -539,8 +632,7 @@ class TestBounds:
         # single X check of weight 2: d_X = 1, d_Z = 2; the square of this
         # code has Z distance exactly 4, matching the refined bound
         code = css.from_matrices(BinMatrix.from_rows([[1, 1]]), BinMatrix.zeros(0, 2))
-        crit = check_distance_criterion(code)
-        assert crit.holds
+        assert criterion(code)["holds"]
         product = css_tensor(code, code)
         bound = generic_lower_bound(code, code)
         assert css.min_distance_exact(product, "Z").value == 4

@@ -23,7 +23,6 @@ def _pairs() -> list[tuple[object, object, str]]:
     profile = css.weight_profile(steane())
     report = css.CodeReport(7, 1, dist, dist, profile, None, None)
     fp = tensorops.factor_params(steane(), "X")
-    crit = tensorops.check_distance_criterion(steane())
     return [
         (BinVector(5, 0b10110), BinVector(5, 0b10110), "bits"),
         (BinMatrix(2, 3, (1, 6)), BinMatrix(2, 3, (1, 6)), "data"),
@@ -32,7 +31,6 @@ def _pairs() -> list[tuple[object, object, str]]:
         (dist, css.DistanceResult(3, 3, True, BinVector(7, 0b111)), "lower"),
         (profile, css.weight_profile(steane()), "max_row_weight_x"),
         (report, css.CodeReport(7, 1, dist, dist, profile, None, None), "k"),
-        (crit, tensorops.check_distance_criterion(steane()), "holds"),
         (fp, tensorops.factor_params(steane(), "X"), "d_lo"),
         (
             tensorops.SweepRecord(1, 7, report, 0.5),
