@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 construction error, 4 resource ceiling.  All randomness sits behind
 ``--seed`` (default fixed), so runs are reproducible by default; stdout
 tables omit wall-clock columns, which only go to output files.
+
+Code files are read by ``_load`` alone.  ``tensor``, ``power`` and
+``sweep`` pass the ceiling (``CSSTENSOR_MAX_N``) down as ``max_n`` to
+``css.from_complex``, which checks the predicted n before it builds.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import os
 import sys
 
 from . import css, families, tensorops, verify
-from .css import CssCode
+from .css import CssCode, ResourceCeiling
 from .families import FamilyParseError
-from .tensorops import DEFAULT_SEED, ResourceCeiling
+from .tensorops import DEFAULT_SEED
 
 RESOURCE_CEILING_ENV = "CSSTENSOR_MAX_N"
 DEFAULT_CEILING = 100_000
@@ -43,14 +47,11 @@ def _ceiling() -> int:
         raise UsageError(f"{RESOURCE_CEILING_ENV} must be an integer, got {raw!r}") from None
 
 
-def _load_code(path: str) -> CssCode:
-    return _load_named_code(path)[1]
-
-
-def _load_named_code(path: str) -> tuple[str, CssCode]:
+def _load(path: str) -> tuple[str, CssCode]:
+    """The name and the code of a code file."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    code = css.code_from_json(obj)
+    code = css.code_from_json(obj)  # rejects a file that is no code object
     return obj.get("name", ""), code
 
 
@@ -70,15 +71,15 @@ def _write_code(code: CssCode, name: str, path: str | None) -> None:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    name, code = families.parse_family_spec(args.spec)
-    _write_code(code, name, args.out)
+    code = families.parse_family_spec(args.spec)
+    _write_code(code, args.spec, args.out)
     print(f"n={code.n} k={css.dimension_k(code)}")
     return 0
 
 
 def cmd_tensor(args: argparse.Namespace) -> int:
-    left = _load_code(args.left)
-    right = _load_code(args.right)
+    _, left = _load(args.left)
+    _, right = _load(args.right)
     product = tensorops.css_tensor(left, right, max_n=_ceiling())
     _write_code(product, f"tensor({args.left},{args.right})", args.out)
     print(f"n={product.n} k={css.dimension_k(product)}")
@@ -86,26 +87,20 @@ def cmd_tensor(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    base_name, base = _load_named_code(args.input)
-    if args.reduced:
-        code = tensorops.css_power(base, args.ell, reduced=True)
-        predicted = code.n
-    else:
-        predicted = tensorops.power_length((base.h_x.rows, base.n, base.h_z.rows), args.ell)
-        code = tensorops.css_power(base, args.ell, max_n=_ceiling())
-    if args.ell == 1 and not args.reduced:
-        name = base_name  # the first power is the code itself
-    else:
+    name, base = _load(args.input)
+    code = tensorops.css_power(base, args.ell, reduced=args.reduced, max_n=_ceiling())
+    if code is not base:  # the first full power is the code itself, and keeps its name
         name = f"power(ell={args.ell},reduced={args.reduced})"
     _write_code(code, name, args.out)
-    print(f"predicted_n={predicted} actual_n={code.n} k={css.dimension_k(code)}")
+    # Any code returned is within the ceiling, and its n is the predicted one.
+    print(f"predicted_n={code.n} actual_n={code.n} k={css.dimension_k(code)}")
     if args.reduced and code.n == 0:
         print("warning: reduced power is empty (exact input)", file=sys.stderr)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    code = _load_code(args.input)
+    _, code = _load(args.input)
     report = css.analyze(
         code,
         exact_up_to=args.exact_up_to,
@@ -118,7 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_criterion(args: argparse.Namespace) -> int:
-    code = _load_code(args.input)
+    _, code = _load(args.input)
     if not css.dimension_k(code):  # before the uncapped stabilizer searches of analyze
         raise css.KIsZero("criterion is undefined for k = 0")
     report = css.analyze(code, exact_up_to=None)
@@ -127,7 +122,7 @@ def cmd_criterion(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _, base = families.parse_family_spec(args.spec)
+    base = families.parse_family_spec(args.spec)
     records = tensorops.sweep(
         base,
         args.ell_max,

@@ -81,6 +81,15 @@ class EmptyStabilizerGroup(ValueError):
     """The selected stabilizer matrix has no nonzero row."""
 
 
+class ResourceCeiling(RuntimeError):
+    """Predicted size exceeds the configured ceiling."""
+
+    def __init__(self, predicted: int, ceiling: int):
+        super().__init__(f"predicted n = {predicted} exceeds ceiling {ceiling}")
+        self.predicted = predicted
+        self.ceiling = ceiling
+
+
 class CssCode(gf2._Value):
     """Checks shapes only; orthogonality is the caller's to establish.
 
@@ -142,7 +151,7 @@ def to_complex(code: CssCode) -> ChainComplex:
     )
 
 
-def from_complex(*factors: ChainComplex) -> CssCode:
+def from_complex(*factors: ChainComplex, max_n: int | None = None) -> CssCode:
     """The code at the middle degree of the tensor product of the factors.
 
     The one reader from complexes to codes.  A length-3 complex gives the
@@ -150,6 +159,9 @@ def from_complex(*factors: ChainComplex) -> CssCode:
     them give the product code C (x) D, l copies the l-th power, and two
     2-term complexes a hypergraph product.  The product's top degree must
     be even and at least 2, so a lone 5-space complex is read at degree 2.
+    It is also the one resource ceiling: n, predicted by ``chain.tensor_dims``
+    from the factor dims, above ``max_n`` raises ``ResourceCeiling`` before
+    anything is validated or assembled.
     Each distinct factor passes ``chain.validate`` once, which makes the
     product's h_x . h_z^T vanish (see the ``chain`` module): nothing
     product-wide is checked, and ``chain.tensor_checks`` builds both checks.
@@ -159,6 +171,10 @@ def from_complex(*factors: ChainComplex) -> CssCode:
     top = sum(x.top_degree() for x in factors)
     if top < 2 or top % 2:
         raise ValueError(f"a code is read at the middle of an even top degree >= 2, got {top}")
+    if max_n is not None:
+        n = chain.tensor_dims(*(x.dims for x in factors))[top // 2]
+        if n > max_n:
+            raise ResourceCeiling(n, max_n)
     for x in dict.fromkeys(factors):
         chain.validate(x)
     h_x, h_z = chain.tensor_checks(*factors, degree=top // 2)

@@ -384,8 +384,8 @@ def _classical_matrix(token: str) -> BinMatrix:
 _FAMILY_NAMES = ("steane", "hamming", "tz", "rm", "cyclic", "fg")
 
 
-def parse_family_spec(spec: str) -> tuple[str, CssCode]:
-    """Parse and build a family string; returns (spec string, code).
+def parse_family_spec(spec: str) -> CssCode:
+    """Parse and build a family string.
 
     Formats: ``steane``, ``hamming:m=4``, ``tz:hamming3,hamming3``,
     ``rm:m=4,r1=1,r2=1``, ``cyclic:n=7,g1=1011,g2=1011`` (coefficient
@@ -424,4 +424,4 @@ def parse_family_spec(spec: str) -> tuple[str, CssCode]:
         if isinstance(exc, (css.OrthogonalityViolation, NotADivisor)):
             raise
         raise FamilyParseError(f"bad parameters for {name!r}: {exc}") from exc
-    return spec, code
+    return code

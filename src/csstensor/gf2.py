@@ -67,7 +67,9 @@ class _Value:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        # Same fields, not same class: a matrix still held as supports
+        # equals its twin built from ints (see ``_SupportMatrix``).
+        if not isinstance(other, _Value) or other._fields is not self._fields:
             return NotImplemented
         return self._key() == other._key()
 
@@ -86,8 +88,10 @@ class _Value:
 
     def __reduce__(self) -> tuple:
         # Copies and pickles rebuild through __init__: the default restores
-        # slots through the __setattr__ above, which refuses.
-        return type(self), self._key()
+        # slots through the __setattr__ above, which refuses.  The key is
+        # read first, since reading a lazy field may change the class.
+        key = self._key()
+        return type(self), key
 
 
 class BinVector(_Value):
@@ -128,9 +132,9 @@ class BinMatrix(_Value):
     Products (``chain``), transposes and ``from_support`` make their
     matrices from sorted row supports instead (``_of_supports``), and
     their int rows are made on the first read of ``data``, which is also
-    what equality, hash, repr, copy and pickle read: a matrix built from
-    supports equals its twin built from ints.  A matrix has two faces and
-    two conversions between them: ``support`` reads (and keeps) the
+    what ``_Value``'s equality, hash, repr, copy and pickle read: a matrix
+    built from supports equals its twin built from ints.  A matrix has two
+    faces and two conversions between them: ``support`` reads (and keeps) the
     supports of int rows, ``_SupportMatrix.data`` builds the ints of
     supports.  Every other reader reads one face, so a power is built,
     written and loaded without an n-bit row.
@@ -239,8 +243,8 @@ class _SupportMatrix(BinMatrix):
     Reading ``data`` builds the int rows, fills the slot and turns the
     object into a plain ``BinMatrix``.  Keeping the lazy read off
     ``BinMatrix`` itself keeps attribute reads of every other matrix on
-    the interpreter's fast slot path.  Equality, hash, repr and pickling
-    read ``data`` first, so they always see a plain ``BinMatrix``.
+    the interpreter's fast slot path.  It needs nothing else: ``_Value``'s
+    equality, hash, repr and pickling read ``data`` before the class.
     """
 
     __slots__ = ()
@@ -257,22 +261,6 @@ class _SupportMatrix(BinMatrix):
         _DATA.__set__(self, data)
         _set(self, "__class__", BinMatrix)
         return data
-
-    def _plain(self) -> BinMatrix:
-        self.data
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        return self._plain() == other
-
-    def __hash__(self) -> int:
-        return hash(self._plain())
-
-    def __repr__(self) -> str:
-        return repr(self._plain())
-
-    def __reduce__(self) -> tuple:
-        return self._plain().__reduce__()
 
 
 # The ``data`` slot of ``BinMatrix``, which ``_SupportMatrix.data`` shadows.

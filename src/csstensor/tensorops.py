@@ -52,18 +52,9 @@ from collections.abc import Sequence
 
 from . import chain, css, gf2
 from .chain import ChainComplex
-from .css import CssCode, DistanceResult, KIsZero
+from .css import CssCode, DistanceResult, KIsZero, ResourceCeiling
 
 DEFAULT_SEED = 101
-
-
-class ResourceCeiling(RuntimeError):
-    """Predicted size exceeds the configured ceiling."""
-
-    def __init__(self, predicted: int, ceiling: int):
-        super().__init__(f"predicted n = {predicted} exceeds ceiling {ceiling}")
-        self.predicted = predicted
-        self.ceiling = ceiling
 
 
 # -- products and powers ------------------------------------------------
@@ -72,15 +63,10 @@ class ResourceCeiling(RuntimeError):
 def css_tensor(c: CssCode, d: CssCode, max_n: int | None = None) -> CssCode:
     """Tensor product code: the middle degree 2 of the product complex.
 
-    Read back by ``css.from_complex(x, y)`` from the two factor complexes.
-    The length, ``chain.tensor_dims`` at degree 2, is checked against
-    ``max_n`` before anything is assembled.
+    Read back by ``css.from_complex(x, y, max_n=max_n)`` from the two
+    factor complexes, which checks the ceiling before assembling anything.
     """
-    x, y = css.to_complex(c), css.to_complex(d)
-    predicted = chain.tensor_dims(x.dims, y.dims)[2]
-    if max_n is not None and predicted > max_n:
-        raise ResourceCeiling(predicted, max_n)
-    return css.from_complex(x, y)
+    return css.from_complex(css.to_complex(c), css.to_complex(d), max_n=max_n)
 
 
 def power_complex_window(x: ChainComplex, ell: int, lo: int, hi: int) -> ChainComplex:
@@ -117,22 +103,23 @@ def css_power(
     every bottom chain a cycle and leaves the top image undivided, adding
     the dropped maps' ranks (s * r)[mid - 1] and (s * r)[mid + 2].  An
     exact input gives empty reduced powers; every reduced power has zero
-    checks, so k = n.
+    checks, so k = n.  Full or reduced, ``from_complex`` holds the result
+    to ``max_n`` before it assembles anything (a reduced power's zero
+    complex, one int per row, is made first); a first power above the
+    ceiling raises there too.
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     if reduced:
-        return css.from_complex(ChainComplex.zero(_reduced_dims(css.to_complex(c), ell)))
-    predicted = power_length((c.h_x.rows, c.n, c.h_z.rows), ell)
-    if max_n is not None and predicted > max_n:
-        raise ResourceCeiling(predicted, max_n)
-    if ell == 1:
+        dims = _reduced_dims(css.to_complex(c), ell)
+        return css.from_complex(ChainComplex.zero(dims), max_n=max_n)
+    if ell == 1 and (max_n is None or c.n <= max_n):
         return c
-    return css.from_complex(*[css.to_complex(c)] * ell)
+    return css.from_complex(*[css.to_complex(c)] * ell, max_n=max_n)
 
 
 def _reduced_dims(x: ChainComplex, ell: int) -> tuple[int, ...]:
-    """Dims of the ell-th reduced power of x (see ``css_power``); ranks only x's maps."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    """Dims of the ell-th reduced power of x, ell >= 1 (see ``css_power``); ranks only x's maps."""
     chain.validate(x)
     ranks = (0, *map(gf2.rank, x.boundaries))
     h = s = tuple(d - out - into for d, out, into in zip(x.dims, ranks, ranks[1:] + (0,)))

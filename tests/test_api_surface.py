@@ -233,6 +233,24 @@ def test_only_css_builds_a_bare_code():
     assert [module for module in calls if module != "css"] == []
 
 
+def test_only_from_complex_raises_the_ceiling():
+    """Every product, power and reduced power is read by ``css.from_complex``,
+    so the resource ceiling is checked there once, before anything is
+    built, and nowhere else predicts n against it."""
+    trees = _trees()
+    raisers = [
+        (module, func.name)
+        for module, tree in trees.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and "ResourceCeiling" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))
+    ]
+    assert raisers == [("css", "from_complex")]
+
+
 def _none_tests_of_supports(
     node: ast.AST, scope: tuple[str, ...] = ()
 ) -> list[tuple[str, ...]]:

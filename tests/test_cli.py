@@ -204,7 +204,7 @@ class TestPower:
     def test_k_matches_the_built_code(self, capsys, tmp_path):
         """k printed from the Kunneth convolution equals the ranks of the code."""
         bases = [
-            families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")[1],
+            families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011"),
             # k = 0 with H_0 = H_2 = 1: the square has k = 2.
             css.from_matrices(BinMatrix.from_rows([[1, 0], [1, 0]]),
                               BinMatrix.from_rows([[0, 1], [0, 1]])),
@@ -310,6 +310,21 @@ class TestPower:
         monkeypatch.setenv(cli.RESOURCE_CEILING_ENV, "100")
         code, _, err = run(capsys, "power", str(base), "--ell", "3")
         assert code == 4 and "ceiling" in err
+        monkeypatch.setenv(cli.RESOURCE_CEILING_ENV, "6")
+        code, _, err = run(capsys, "power", str(base), "--ell", "1")
+        assert (code, err) == (4, "error: predicted n = 7 exceeds ceiling 6\n")
+
+    def test_reduced_power_obeys_the_ceiling(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "family", "steane", "--out", "steane.json")
+        run(capsys, "power", "steane.json", "--ell", "2", "--out", "sq.json")
+        code, stdout, _ = run(capsys, "power", "sq.json", "--ell", "2", "--reduced")
+        assert (code, stdout) == (0, "predicted_n=163 actual_n=163 k=163\n")
+        monkeypatch.setenv(cli.RESOURCE_CEILING_ENV, "2")
+        code, stdout, err = run(capsys, "power", "sq.json", "--ell", "2", "--reduced",
+                                "--out", "r.json")
+        assert (code, stdout) == (4, "")
+        assert "predicted n = 163" in err and not Path("r.json").exists()
 
     def test_tensor_resource_ceiling_exit_4(self, capsys, tmp_path, monkeypatch):
         base = tmp_path / "steane.json"
@@ -409,7 +424,7 @@ class TestCriterion:
                 built.clear()
                 code, stdout, _ = run(capsys, "criterion", path)
             assert code == 0 and len(built) == sides
-            report = css.analyze(cli._load_code(path), exact_up_to=None)
+            report = css.analyze(cli._load(path)[1], exact_up_to=None)
             assert json.loads(stdout) == tensorops.criterion_to_json(report)
 
 

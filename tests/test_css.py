@@ -435,8 +435,8 @@ def _oracle_searches(seed, count):
     (checks None).
     """
     rng = random.Random(seed)
-    out = _side_searches(families.parse_family_spec("rm:m=4,r1=1,r2=1")[1])
-    out += _side_searches(families.parse_family_spec("tz:rep5,rep5")[1])
+    out = _side_searches(families.parse_family_spec("rm:m=4,r1=1,r2=1"))
+    out += _side_searches(families.parse_family_spec("tz:rep5,rep5"))
     out.append(([GOLAY_POLY << i for i in range(11)], 22, None, _every_nonzero))
     while len(out) < 3 * count:
         n = rng.randrange(6, 23)
@@ -904,7 +904,7 @@ class TestRandomUpper:
         # Kernels of at most 80 rows take the pair scan; the cube's 361 do not.
         codes = [css_power(steane(), ell) for ell in (1, 2, 3)]
         # fg:pg,q=2 has k = 0, so it checks that both refuse it; fg:pg,q=4 has k = 2.
-        codes += [families.parse_family_spec(spec)[1] for spec in (
+        codes += [families.parse_family_spec(spec) for spec in (
             "rm:m=4,r1=1,r2=1", "cyclic:n=7,g1=1011,g2=1011", "fg:pg,q=2", "fg:pg,q=4")]
         rng = random.Random(41)
         while len(codes) < 47:
@@ -1204,7 +1204,7 @@ class TestAnalyze:
         # n = 127, K = 64 on each side.  The natural P leaves |Z| = 20 and a
         # search of 130 463 919 words per side; the pair kept leaves at most
         # 3 Z rows and under 2 M words.
-        code = css_tensor(steane(), families.parse_family_spec("tz:rep3,rep3")[1])
+        code = css_tensor(steane(), families.parse_family_spec("tz:rep3,rep3"))
         report = css.analyze(code, exact_up_to=9, trials=20, seed=3)
         for side, d in (("X", report.d_x), ("Z", report.d_z)):
             s = css._side(code, side)
@@ -1299,7 +1299,7 @@ class TestSideMirror:
             assert report.d_z == css._mirrored(report.d_x, perm)
 
     def test_no_mirror_without_self_dual_factors(self):
-        tz = families.parse_family_spec("tz:rep3,rep3")[1]
+        tz = families.parse_family_spec("tz:rep3,rep3")
         assert tz._factors is not None and css._mirror(tz) is None
         rng = random.Random(4)
         other = random_css_code(rng, 6, 2, 1)
@@ -1369,9 +1369,9 @@ class TestCodeJson:
         products = [css_power(steane(), 2), css_power(steane(), 3),
                     css_tensor(steane(), random_css_code(rng, 5, 2, 1)),
                     css_power(random_css_code(rng, 4, 1, 1), 3),
-                    families.parse_family_spec("tz:rep3,rep3")[1],
-                    families.parse_family_spec("tz:rep2,rep5")[1],
-                    families.parse_family_spec("tz:hamming3,rep2")[1],
+                    families.parse_family_spec("tz:rep3,rep3"),
+                    families.parse_family_spec("tz:rep2,rep5"),
+                    families.parse_family_spec("tz:hamming3,rep2"),
                     tillich_zemor(random_matrix(rng, 13, 17, 0.2),
                                   random_matrix(rng, 11, 16, 0.2)),
                     css.from_complex(chain.ChainComplex.zero((3, 3, 3)))]

@@ -283,27 +283,27 @@ class TestFiniteGeometry:
 
 class TestParseFamilySpec:
     def test_steane(self):
-        _, code = parse_family_spec("steane")
+        code = parse_family_spec("steane")
         assert code.n == 7
 
     def test_tz(self):
-        _, code = parse_family_spec("tz:hamming3,hamming3")
+        code = parse_family_spec("tz:hamming3,hamming3")
         assert code.n == 58 and css.dimension_k(code) == 16
 
     def test_rm(self):
-        _, code = parse_family_spec("rm:m=4,r1=1,r2=1")
+        code = parse_family_spec("rm:m=4,r1=1,r2=1")
         assert code.n == 16 and css.dimension_k(code) == 6
 
     def test_cyclic(self):
-        _, code = parse_family_spec("cyclic:n=7,g1=1101,g2=1101")
+        code = parse_family_spec("cyclic:n=7,g1=1101,g2=1101")
         assert code.n == 7 and css.dimension_k(code) == 1
 
     def test_fg(self):
-        _, code = parse_family_spec("fg:pg,q=2")
+        code = parse_family_spec("fg:pg,q=2")
         assert code.n == 7
 
     def test_rep(self):
-        _, code = parse_family_spec("tz:rep3,rep3")
+        code = parse_family_spec("tz:rep3,rep3")
         assert code.n == 13 and css.dimension_k(code) == 1
 
     def test_parse_errors(self):
@@ -354,8 +354,7 @@ SPEC_TABLE_BAD = [
 class TestParseFamilySpecTable:
     @pytest.mark.parametrize("spec, n, k", SPEC_TABLE_VALID, ids=[r[0] for r in SPEC_TABLE_VALID])
     def test_valid(self, spec, n, k):
-        name, code = parse_family_spec(spec)
-        assert name == spec
+        code = parse_family_spec(spec)
         assert (code.n, css.dimension_k(code)) == (n, k)
 
     @pytest.mark.parametrize("spec, error, message", SPEC_TABLE_BAD,

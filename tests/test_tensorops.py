@@ -178,7 +178,7 @@ class TestCssPower:
 
     def test_ell_one_identity(self):
         code = steane()
-        assert css_power(code, 1) == code
+        assert css_power(code, 1) is code and css_power(code, 1, max_n=7) is code
 
     def test_ell_two_matches_pairwise(self):
         code = steane()
@@ -213,16 +213,30 @@ class TestCssPower:
         with pytest.raises(ResourceCeiling):
             css_power(steane(), 4, max_n=1000)
 
-    def test_tensor_resource_guard_before_assembly(self, monkeypatch):
+    # (build, predicted n): each is one past the ceiling.  The ceiling is
+    # checked by css.from_complex for products, full and reduced powers and
+    # a first power alike.
+    CEILING_CASES = [
+        (lambda max_n: css_tensor(steane(), steane(), max_n=max_n), 67),
+        (lambda max_n: css_power(steane(), 3, max_n=max_n), 721),
+        (lambda max_n: css_power(families.parse_family_spec("fg:pg,q=2"), 2, reduced=True,
+                                 max_n=max_n), 24),
+        (lambda max_n: css_power(steane(), 1, max_n=max_n), 7),
+    ]
+
+    @pytest.mark.parametrize("build, predicted", CEILING_CASES,
+                             ids=["tensor", "power3", "reduced2", "power1"])
+    def test_resource_guard_before_assembly(self, monkeypatch, build, predicted):
         def never(*factors, degree):
             raise AssertionError("assembled past the ceiling")
 
-        monkeypatch.setattr(chain, "tensor_checks", never)
-        with pytest.raises(ResourceCeiling) as caught:
-            css_tensor(steane(), steane(), max_n=66)
-        assert caught.value.predicted == 67
-        monkeypatch.undo()
-        assert css_tensor(steane(), steane(), max_n=67).n == 67
+        with monkeypatch.context() as patch:
+            patch.setattr(chain, "tensor_checks", never)
+            with pytest.raises(ResourceCeiling) as caught:
+                build(predicted - 1)
+        assert (caught.value.predicted, caught.value.ceiling) == (predicted, predicted - 1)
+        assert str(caught.value) == f"predicted n = {predicted} exceeds ceiling {predicted - 1}"
+        assert build(predicted).n == predicted
 
     def test_window_parameter(self):
         # off-middle window: degree 1 of the square
@@ -230,8 +244,9 @@ class TestCssPower:
         assert window.dims[1] == chain.tensor_dims((3, 7, 3), (3, 7, 3))[1] == 42
 
     def test_invalid_ell(self):
-        with pytest.raises(ValueError):
-            css_power(steane(), 0)
+        for reduced in (False, True):
+            with pytest.raises(ValueError, match="ell must be >= 1"):
+                css_power(steane(), 0, reduced=reduced)
 
     def test_row_weight_subadditive(self):
         rng = random.Random(11)
@@ -339,7 +354,7 @@ class TestReducedPowers:
     def test_reduced_power_ranks_only_the_factor(self, monkeypatch):
         """No window is assembled or reduced: the factor's two boundaries
         are the only matrices ranked."""
-        base = families.parse_family_spec("fg:pg,q=2")[1]
+        base = families.parse_family_spec("fg:pg,q=2")
         x = css.to_complex(base)
         want = css.from_complex(reduced_power_complex(x, 4))
         ranked = []
@@ -569,7 +584,7 @@ class TestBounds:
     def test_pinned_factor_params_and_bounds(self):
         # Values of the bound machine on family codes: k = 0 codes, codes
         # with redundant checks (h_top > 0) and every pair with k >= 1.
-        codes = {spec: families.parse_family_spec(spec)[1] for spec in PINNED_PARAMS}
+        codes = {spec: families.parse_family_spec(spec) for spec in PINNED_PARAMS}
         for spec, (x, z) in PINNED_PARAMS.items():
             got = tuple(tuple(tensorops.factor_params(codes[spec], side)) for side in "XZ")
             assert got == (x, z), spec
@@ -746,7 +761,7 @@ class TestSweep:
     def test_first_stage_is_the_base(self, monkeypatch):
         # ell = 1 analyses the base itself, so its sides are eliminated
         # once, and the top-homology minimum is kept on each side.
-        base = families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")[1]
+        base = families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")
         assert css_power(base, 1) is base
         calls = []
         real = gf2._kernel_bitrows
@@ -846,6 +861,18 @@ class TestSweep:
             assert mine.exact == (mine.lower == mine.upper)
             # the capped search certifies cap + 1; the sector machine lifts it to 4
             assert (plain.lower, mine.lower) == (cap + 1, 4)
+
+    def test_reduced_ceiling_rows_assemble_nothing(self, monkeypatch):
+        def never(*factors, degree):
+            raise AssertionError("assembled past the ceiling")
+
+        monkeypatch.setattr(chain, "tensor_checks", never)
+        base = families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")
+        records = tensorops.sweep(base, 2, reduced=True, max_n=0)
+        assert [(r.n, r.report, r.error) for r in records] == [
+            (1, None, "predicted n = 1 exceeds ceiling 0"),
+            (33, None, "predicted n = 33 exceeds ceiling 0"),
+        ]
 
     def test_ceiling_failures_recorded_in_row(self):
         records = tensorops.sweep(
