@@ -17,9 +17,11 @@ together so that N has nearly full rank.  A word with a ones on P and b
 ones on N weighs a + b; once every word with at most p1 ones on P and
 every word with at most p2 ones on N has been seen, anything missed
 weighs at least p1 + p2 + 2, which certifies the lower bound.  Each step
-extends whichever side enumerates fewer words (see ``_Search``).  A
-weight cap stops the search once the certified bound exceeds the cap, so
-a capped result reports lower = cap + 1.
+extends whichever side enumerates fewer words (see ``_Search``).  Weights
+and parities do not depend on the column order, so each set's rows stay in
+the order their elimination wrote them in, and only a new lightest word
+moves back.  A weight cap stops the search once the certified bound
+exceeds the cap, so a capped result reports lower = cap + 1.
 
 Each side of a code is analysed once, on first use (``_side``): one
 elimination gives the kernel basis, one more the k check words, and every
@@ -54,7 +56,7 @@ import math
 import random
 import time
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import islice
 
@@ -278,16 +280,20 @@ def _classes(items: list[tuple[int, int, int]], size: int) -> list:
 class _Rows:
     """One row list of a search, the signatures of its rows, its class tables.
 
-    ``singles`` groups the rows and ``pairs`` the sums of two rows by
-    signature (see ``_classes``).  Row signatures are kept only when the
-    search batches; otherwise they read 0 and targets are tested word by
-    word.
+    The rows and ``checks`` (the search's, moved once) are written under
+    the column priority ``order`` (see ``_in_code``), or in code
+    coordinates when it is None.  ``singles`` groups the rows and ``pairs``
+    the sums of two rows by signature (see ``_classes``).  Row signatures
+    are kept only when the search batches; otherwise they read 0 and
+    targets are tested word by word.
     """
 
-    __slots__ = ("rows", "batch", "sigs", "singles", "pairs")
+    __slots__ = ("rows", "checks", "order", "batch", "sigs", "singles", "pairs")
 
-    def __init__(self, rows: list[int], checks: Sequence[int] | None, batch: bool):
+    def __init__(self, rows: list[int], checks: Sequence[int] | None, batch: bool, order=None):
         self.rows = rows
+        self.checks = checks
+        self.order = order
         self.batch = batch
         if batch and checks:
             self.sigs = [_signature(row, checks) for row in rows]
@@ -314,6 +320,17 @@ class _Rows:
             pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
             self.pairs = _classes([(i, sigs[i] ^ sigs[j], rows[i] ^ rows[j]) for i, j in pairs], k)
 
+    def is_target(self, word: int, sig: int) -> bool:
+        """Whether a word of these rows is a target; sig is its signature when batching."""
+        if self.checks is None:
+            return True
+        if self.batch:
+            return sig != 0
+        for c in self.checks:
+            if (word & c).bit_count() & 1:
+                return True
+        return False
+
 
 # The Z of a form with no span to add; it never batches, so it builds no tables.
 _NO_ROWS = _Rows([], None, False)
@@ -334,11 +351,12 @@ class _Search:
     an information set: a word of the span is the sum of exactly the rows
     whose pivots it has, so level j covers every word with j ones on P.
     The second form re-eliminates the rows with the complement N of P first
-    in the column priority (``gf2._rref_by_priority``): G holds the rows
-    with pivots in N and Z the rows that are zero on all of N.  A sum over
-    a j-subset of G has a one at the pivot of each row of the subset, and
-    any word with at most j ones on N is such a sum for some subset of at
-    most j rows, so levels 0..j cover it.
+    in the column priority (``gf2._rref_by_priority``) and keeps the
+    coordinates it wrote them in, as a rebuilt first form does (see
+    ``_Rows``): G holds the rows with pivots in N and Z the rows that are
+    zero on all of N.  A sum over a j-subset of G has a one at the pivot of
+    each row of the subset, and any word with at most j ones on N is such a
+    sum for some subset of at most j rows, so levels 0..j cover it.
 
     Each form keeps its last completed level, 0 for the first (its level 0
     is empty) and -1 for the second.  A word not yet seen has more ones
@@ -364,22 +382,23 @@ class _Search:
     equals acc's, whose words are all trivial.  Only when a remaining word
     is lighter than ``best_w`` does it walk the tail word by word, in
     enumeration order, so the witness is the first lightest target, as
-    without tables.  Tables are built for the levels that reuse them, pair
+    without tables, and moves to code coordinates as it becomes
+    ``best_word``.  Tables are built for the levels that reuse them, pair
     tables only on bases of at most 2 * _PAIR_TABLE_FACTOR + 1 rows.
     """
 
     def __init__(self, basis_rows, n, checks: Sequence[int] | None, deadline):
-        self.rows, self.pivots = gf2._rref_bitrows(basis_rows)
+        rows, self.pivots = gf2._rref_bitrows(basis_rows)
         self.n = n
         self.checks = checks
-        self.batch = len(self.rows) >= _BATCH_MIN and (
+        self.batch = len(rows) >= _BATCH_MIN and (
             checks is None or len(checks) <= _BATCH_CHECKS_MAX
         )
         self.deadline = deadline
         self.best_w: int | None = None
         self.best_word: int | None = None
         self.nodes = 0
-        self.forms = [(_Rows(self.rows, checks, self.batch), _NO_ROWS)]
+        self.forms = [(_Rows(rows, checks, self.batch), _NO_ROWS)]
 
     def _walk(self, t: _Rows, start: int, left: int, acc: int, sig: int) -> None:
         """Cover acc + every left-subset sum of t.rows[start:]; sig is acc's.
@@ -410,9 +429,9 @@ class _Search:
         for idx in range(start, len(rows)):
             word = acc ^ rows[idx]
             w = word.bit_count()
-            if (best_w is None or w < best_w) and self._is_target(word, sig ^ sigs[idx]):
+            if (best_w is None or w < best_w) and t.is_target(word, sig ^ sigs[idx]):
                 best_w = w
-                self.best_word = word
+                self.best_word = word if t.order is None else _in_code(word, t.order)
         self.best_w = best_w
 
     def _lighter_target(self, table: list, start: int, acc: int, sig: int) -> bool:
@@ -429,34 +448,27 @@ class _Search:
                         return True
         return False
 
-    def _is_target(self, word: int, sig: int) -> bool:
-        """Whether a word is a target; sig is its signature when batching."""
-        if self.checks is None:
-            return True
-        if self.batch:
-            return sig != 0
-        for c in self.checks:
-            if (word & c).bit_count() & 1:
-                return True
-        return False
-
     def _second_form(
         self, supports: list[list[int]], pivots: list[int], order: list[int]
-    ) -> tuple[int, list[int], list[int], list[int]]:
-        """The second form of the information set P = ``pivots``, in moved coordinates.
+    ) -> tuple[_Rows, _Rows]:
+        """The second form (G, Z) of the information set P = ``pivots``.
 
         The rows, given by their ``supports``, are eliminated with N, the
         columns outside P, first; each set keeps its place in ``order``.
-        Returns |Z| and the elimination's rows, their pivots and the
-        priority it ran in (see ``gf2._rref_by_priority``): the rows with
-        pivots in N are G, the rest Z.  ``_pair`` moves back only the one it
-        keeps.
+        The rows with pivots in N are G, the rest Z, both in the
+        elimination's own coordinates.
         """
         pivot_set = set(pivots)
         order = [c for c in order if c not in pivot_set] + [c for c in order if c in pivot_set]
-        rows, moved, _ = gf2._rref_by_priority(supports, order)
-        free = self.n - len(pivots)
-        return sum(p >= free for p in moved), rows, moved, order
+        rows, moved, bit = gf2._rref_by_priority(supports, order)
+        checks, free = self._checks_in(bit), self.n - len(pivots)
+        g = [row for row, p in zip(rows, moved) if p < free]
+        z = [row for row, p in zip(rows, moved) if p >= free]
+        return _Rows(g, checks, self.batch, order), _Rows(z, checks, self.batch, order)
+
+    def _checks_in(self, bit: list[int]) -> list[int] | None:
+        """The checks where column c is ``bit[c]``; None when every word is a target."""
+        return None if self.checks is None else _moved(self.checks, bit)
 
     def _pair(self) -> bool:
         """Build the second form with the P it pairs best with; whether P changed.
@@ -467,33 +479,28 @@ class _Search:
         _PAIR_CANDIDATES in all.  The pair with the fewest Z rows is kept,
         ties to the earlier.  The loop stops early at the floor
         max(0, 2K - n), since rank(N) <= n - K, or once the deadline has
-        passed; candidate 0 always runs.
+        passed; candidate 0 always runs.  Every form stays in the
+        coordinates its elimination wrote it in (see ``_Rows``).
         """
-        supports = [gf2._support_of(row) for row in self.rows]
-        floor = max(0, 2 * len(self.rows) - self.n)
+        supports = [gf2._support_of(row) for row in self.forms[0][0].rows]
+        floor = max(0, 2 * len(supports) - self.n)
         rng = random.Random(_PAIR_SEED)
         first, best = None, self._second_form(supports, self.pivots, list(range(self.n)))
         for _ in range(1, _PAIR_CANDIDATES):
-            if best[0] <= floor or (self.deadline is not None and time.monotonic() > self.deadline):
+            size = len(best[1])
+            if size <= floor or (self.deadline is not None and time.monotonic() > self.deadline):
                 break
             order = list(range(self.n))
             rng.shuffle(order)
-            rows, moved, _ = gf2._rref_by_priority(supports, order)
+            rows, moved, bit = gf2._rref_by_priority(supports, order)
             pivots = [order[i] for i in moved]
             found = self._second_form(supports, pivots, order)
-            if found[0] < best[0]:
-                first, best = (rows, pivots, order), found
+            if len(found[1]) < size:
+                first, best = (rows, pivots, order, bit), found
         if first is not None:
-            rows, self.pivots, order = first
-            # Bit b holds column order[n - 1 - b]: move the rows back.
-            self.rows = gf2._permute_bits(rows, order[::-1])
-            self.forms[0] = (_Rows(self.rows, self.checks, self.batch), _NO_ROWS)
-        _, rows, moved, order = best
-        rows = gf2._permute_bits(rows, order[::-1])
-        free = self.n - len(self.pivots)
-        g = [row for row, p in zip(rows, moved) if p < free]
-        z = [row for row, p in zip(rows, moved) if p >= free]
-        self.forms.append((_Rows(g, self.checks, self.batch), _Rows(z, self.checks, self.batch)))
+            rows, self.pivots, order, bit = first
+            self.forms[0] = (_Rows(rows, self._checks_in(bit), self.batch, order), _NO_ROWS)
+        self.forms.append(best)
         return first is not None
 
     def _level(self, g: _Rows, z: _Rows, j: int) -> None:
@@ -515,7 +522,7 @@ class _Search:
         if seed_word is not None:
             self.best_word = seed_word
             self.best_w = seed_word.bit_count()
-        k = len(self.rows)
+        k = len(self.forms[0][0])
         if weight_cap is not None and weight_cap >= k:
             weight_cap = None  # the first form alone exhausts the basis within the cap
         levels = [0] + [-1] * (len(self.forms) - 1)
@@ -551,6 +558,19 @@ class _Search:
 
 def _vec(bits: int | None, n: int) -> BinVector | None:
     return None if bits is None else BinVector(n, bits)
+
+
+def _moved(words: Iterable[int], bit: Sequence[int]) -> list[int]:
+    """The words with column c moved to ``bit[c]``, its bit in ``gf2._rref_by_priority``."""
+    return [sum(map(bit.__getitem__, gf2._support_of(word))) for word in words]
+
+
+def _in_code(word: int, order: Sequence[int]) -> int:
+    """A word that ``gf2._rref_by_priority`` wrote under ``order``, in code coordinates.
+
+    Bit b holds column order[n - 1 - b], that is order[~b].
+    """
+    return sum(1 << order[~b] for b in gf2._support_of(word))
 
 
 class _Side:
@@ -682,7 +702,8 @@ def _dual_permutation(factors: Sequence[ChainComplex]) -> list[int] | None:
 
 def _rows_map(a: BinMatrix, perm: Sequence[int], b: BinMatrix) -> bool:
     """Whether the rows of a, moved by perm, are the rows of b up to order."""
-    return sorted(gf2._permute_bits(a.data, perm)) == sorted(b.data)
+    moved = [tuple(sorted(map(perm.__getitem__, support))) for support in a.support()]
+    return sorted(moved) == sorted(b.support())
 
 
 def _mirror(code: CssCode) -> list[int] | None:
@@ -714,8 +735,8 @@ def _mirrored(res: DistanceResult | None, perm: Sequence[int]) -> DistanceResult
     """An X-side result as the Z side's under the mirror perm: same bounds, moved witness."""
     if res is None or res.witness is None:
         return res
-    (bits,) = gf2._permute_bits([res.witness.bits], perm)
-    return res._replace(witness=BinVector(res.witness.n, bits))
+    moved = map(perm.__getitem__, res.witness.support())
+    return res._replace(witness=BinVector.from_support(res.witness.n, moved))
 
 
 def _min_weight(
@@ -769,9 +790,9 @@ def min_distance_random_upper(
     priority (``gf2._rref_by_priority``, from supports collected once per
     call); the resulting rows (and their pairs, on small kernels) are
     low-weight kernel members and every nontrivial one bounds the distance
-    from above.  The checks move to the trial's coordinates with the rows,
-    and the lightest logical found moves back to the code's through its
-    trial's priority.  At least one trial runs.  Deterministic for a fixed
+    from above.  The checks move to the trial's coordinates with the rows
+    (``_moved``), and the lightest logical found moves back to the code's
+    (``_in_code``).  At least one trial runs.  Deterministic for a fixed
     seed.
     """
     s = _side(code, side)
@@ -781,12 +802,11 @@ def min_distance_random_upper(
     best: int | None = None
     best_word = best_order = None
     supports = [gf2._support_of(row) for row in s.kernel]
-    check_supports = [gf2._support_of(c) for c in s.checks]
     for _ in range(max(1, trials)):
         order = list(range(code.n))
         rng.shuffle(order)
         rows, _, bit = gf2._rref_by_priority(supports, order)
-        moved_checks = [sum(map(bit.__getitem__, c)) for c in check_supports]
+        moved_checks = _moved(s.checks, bit)
         if len(rows) <= 80:
             rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]
         for word in rows:
@@ -795,9 +815,7 @@ def min_distance_random_upper(
                 best, best_word, best_order = w, word, order
     if best is None:
         raise RuntimeError("no nontrivial kernel element found; inconsistent inputs")
-    # Bit b holds column order[n - 1 - b]: move the word back.
-    columns = [best_order[code.n - 1 - b] for b in gf2._support_of(best_word)]
-    return best, BinVector.from_support(code.n, columns)
+    return best, BinVector(code.n, _in_code(best_word, best_order))
 
 
 def stabilizer_min_weight(

@@ -26,13 +26,12 @@ independent of row order and method: it is the form a column-scan
 Gauss-Jordan gives.
 
 Loops over the set bits of a row whose visiting order cannot change the
-result (supports, products, transposes, permutations, back-substitution,
-reduction) strip the top bit, ``t = x.bit_length() - 1; x ^= 1 << t``, so
-every step shrinks the int; ``x & -x`` would rebuild a full-width int per
-set bit.  In natural order pivots stay a row's lowest set bit, which fixes
-the RREF and every basis read from it (kernel bases, search pivots,
-criterion witnesses), and the free columns of a kernel are still listed
-lowest first.
+result (supports, products, transposes, back-substitution) strip the top
+bit, ``t = x.bit_length() - 1; x ^= 1 << t``, so every step shrinks the
+int; ``x & -x`` would rebuild a full-width int per set bit.  In natural
+order pivots stay a row's lowest set bit, which fixes the RREF and every
+basis read from it (kernel bases, search pivots, criterion witnesses), and
+the free columns of a kernel are still listed lowest first.
 
 Kronecker products use left-factor-major index ordering throughout:
 ``kron(A, B)`` places entry ``(i1, i2), (j1, j2)`` at row
@@ -320,7 +319,13 @@ def _back_substitute(rows: dict[int, int] | list[int], pivots: Iterable[int]) ->
     """
     done = 0
     for p in pivots:
-        rows[p] = _reduce_by_rref(rows[p], rows, done)
+        row = rows[p]
+        hit = row & done
+        while hit:
+            t = hit.bit_length() - 1
+            row ^= rows[t]
+            hit ^= 1 << t
+        rows[p] = row
         done |= 1 << p
 
 
@@ -359,21 +364,6 @@ def _rref_by_priority(
     _back_substitute(by_top, tops)
     tops.reverse()
     return [by_top[p] for p in tops], [n - 1 - p for p in tops], bit
-
-
-def _reduce_by_rref(vec: int, by_pivot: dict[int, int] | list[int], pivot_mask: int) -> int:
-    """Residue of ``vec`` modulo the reduced rows ``by_pivot[p]``, p in ``pivot_mask``.
-
-    Reduced rows are zero on the other pivots, so one XOR per pivot bit
-    set in ``vec`` suffices.  With every row and pivot of ``_rref_bitrows``
-    the residue is zero exactly when ``vec`` lies in the row space.
-    """
-    hit = vec & pivot_mask
-    while hit:
-        t = hit.bit_length() - 1
-        vec ^= by_pivot[t]
-        hit ^= 1 << t
-    return vec
 
 
 # -- public operations ---------------------------------------------------
@@ -479,15 +469,3 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
             out.append(bits)
     return BinMatrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
-
-def _permute_bits(bitrows: Iterable[int], perm: Sequence[int]) -> list[int]:
-    """Move bit j of every row to bit perm[j]."""
-    out = []
-    for row in bitrows:
-        bits = 0
-        while row:
-            t = row.bit_length() - 1
-            bits |= 1 << perm[t]
-            row ^= 1 << t
-        out.append(bits)
-    return out

@@ -339,14 +339,16 @@ def _machine_bounds(
 ) -> tuple[int, int]:
     """Sector bounds (X, Z) on base (x) the previous stage, from its report; 0 where none.
 
-    The previous stage's top-homology minimum is searched for at most
-    ``time_budget`` seconds per side, the stage's budget, and enters as
-    the search's certified lower bound.  When the base and the previous
-    stage both have a certified side mirror (see ``css._mirror``), side Z
-    gets side X's bound: the mirror carries each side's checks, kernel,
-    logicals and stabilizers onto the other's with their weights, so the
-    ``FactorParams`` of both sides agree, and ``css.analyze`` gave the
-    stage the same bounds on both.  No Z ``_Side`` of either is built.
+    The one sector that reads the previous stage's top-homology minimum
+    needs h_bot > 0 on the base side; only then is the minimum searched,
+    for at most ``time_budget`` seconds per side, the stage's budget, and
+    it enters as the search's certified lower bound.  When the base and
+    the previous stage both have a certified side mirror (see
+    ``css._mirror``), side Z gets side X's bound: the mirror carries each
+    side's checks, kernel, logicals and stabilizers onto the other's with
+    their weights, so the ``FactorParams`` of both sides agree, and
+    ``css.analyze`` gave the stage the same bounds on both.  No Z ``_Side``
+    of either is built.
     """
     code, last = prev
     reports = {
@@ -358,11 +360,11 @@ def _machine_bounds(
         if side == "Z" and css._mirror(base) is not None and css._mirror(code) is not None:
             return bounds["X"], bounds["X"]
         s = css._side(code, side)
-        top = s.top_min_within(time_budget)
+        params = factor_params(base, side)
+        top = s.top_min_within(time_budget) if params.h_bot else None
         try:
             bounds[side] = bound_from_params(
-                factor_params(base, side),
-                _factor_params(s, *reports[side], None if top is None else top.lower),
+                params, _factor_params(s, *reports[side], None if top is None else top.lower),
             )
         except KIsZero:
             bounds[side] = 0

@@ -16,6 +16,7 @@ from csstensor.chain import BoundarySquareNonzero, ChainComplex, ShapeMismatch
 from csstensor.families import hamming_parity_check
 from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex, random_complex3, random_matrix
+from test_gf2 import permute_bits
 from test_tensorops import reduced_power_complex
 
 
@@ -302,7 +303,7 @@ class TestTensor:
             assert chain.homology_dims(lhs) == chain.homology_dims(rhs)
             perms = associativity_permutation(x.dims, y.dims, z.dims)
             for i in range(1, len(lhs.dims)):
-                cols_moved = gf2._permute_bits(lhs.boundary(i).data, perms[i])
+                cols_moved = permute_bits(lhs.boundary(i).data, perms[i])
                 moved = [0] * len(cols_moved)
                 for row, target in zip(cols_moved, perms[i - 1]):
                     moved[target] = row

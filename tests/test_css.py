@@ -25,6 +25,7 @@ from csstensor.families import hamming_parity_check, steane, tillich_zemor
 from csstensor.gf2 import BinMatrix
 from csstensor.rand import random_complex, random_css_code, random_matrix
 from csstensor.tensorops import css_power, css_tensor, factor_params, sweep
+from test_gf2 import permute_bits
 from test_tensorops import redundant_check_code
 
 
@@ -648,12 +649,13 @@ class TestTwoSetSearch:
 
         def recording_walk(search, t, start, left, acc, sig):
             if left <= 2:
-                rows = t.rows[start:]
-                for subset in itertools.combinations(rows, left):
+                words = []
+                for subset in itertools.combinations(t.rows[start:], left):
                     word = acc
                     for row in subset:
                         word ^= row
-                    seen.add(word)
+                    words.append(word)
+                seen.update(in_code(t, words))  # each form walks its own coordinates
             walk(search, t, start, left, acc, sig)
 
         monkeypatch.setattr(css._Search, "_walk", recording_walk)
@@ -741,7 +743,7 @@ class TestTwoSetSearch:
             search._level = expiring_level
             res = search.run(None)
             g, z = search.forms[1]
-            assert (len(search.rows), len(g), len(z)) == (34, 33, 1)
+            assert (len(search.forms[0][0]), len(g), len(z)) == (34, 33, 1)
             assert res.lower == 3 and not res.exact
             assert search.nodes == nodes
             if res.witness is not None:
@@ -759,14 +761,14 @@ class TestTwoSetSearch:
 
         def counting(search, *args):
             found = second_form(search, *args)
-            candidates.append(found[0])
+            candidates.append(len(found[1]))
             return found
 
         monkeypatch.setattr(css._Search, "_second_form", counting)
         square = css_power(steane(), 2)
         s = css._side(square, "Z")
         search = css._Search(s.kernel, square.n, s.checks, None)
-        natural = list(search.rows)
+        natural = list(search.forms[0][0].rows)
         level = search._level
 
         def expire_after_level_two(g, z, j):
@@ -778,7 +780,7 @@ class TestTwoSetSearch:
         res = search.run(None)
         assert candidates == [10]
         g, z = search.forms[1]
-        assert search.rows == natural and (len(g), len(z)) == (24, 10)
+        assert search.forms[0][0].rows == natural and (len(g), len(z)) == (24, 10)
         assert res.lower == 3 and not res.exact
         assert search.nodes == 34 + 561
         # Expired before the search starts: no pair, and lower is 1.
@@ -791,29 +793,33 @@ class TestTwoSetSearch:
         # Candidate 0 leaves the square |Z| = 10 and the cube 136; the pair
         # kept has disjoint P and N, G reduced on N, Z zero on N, and never
         # more Z rows than candidate 0.  On the square, that cuts the distance
-        # search from 639 434 words per side to under 70 000.
+        # search from 639 434 words per side to under 70 000.  Each form is
+        # read in its own coordinates, where its checks are too.
         for ell, natural_z, nodes in ((2, 10, 70_000), (3, 136, None)):
             code = css_power(steane(), ell)
+            n = code.n
             for side in "XZ":
                 s = css._side(code, side)
-                search = css._Search(s.kernel, code.n, s.checks, None)
-                _, z0 = reference_second_form(search.rows, search.pivots, code.n)
+                search = css._Search(s.kernel, n, s.checks, None)
+                _, z0 = reference_second_form(search.forms[0][0].rows, search.pivots, n)
                 assert len(z0) == natural_z
                 search._pair()
-                g, z = search.forms[1]
-                p_mask = sum(1 << p for p in search.pivots)
-                n_mask = gf2._mask(code.n) & ~p_mask
+                (first, _), (g, z) = search.forms
                 k = len(s.kernel)
                 assert len(search.pivots) == len(set(search.pivots)) == k
-                assert [row & p_mask for row in search.rows] == [1 << p for p in search.pivots]
-                assert search.forms[0][0].rows == search.rows
+                p_bits = in_form(first, [1 << p for p in search.pivots], n)
+                assert [row & sum(p_bits) for row in first.rows] == p_bits
+                (n_mask,) = in_form(g, [gf2._mask(n) & ~sum(1 << p for p in search.pivots)], n)
                 assert all(row & n_mask == 0 for row in z.rows)
                 g_on_n = tuple(row & n_mask for row in g.rows)
-                assert gf2.rank(BinMatrix(len(g), code.n, g_on_n)) == len(g)
+                assert gf2.rank(BinMatrix(len(g), n, g_on_n)) == len(g)
                 assert len(g) + len(z) == k
-                for form in (search.rows, g.rows + z.rows):
-                    assert gf2.rank(BinMatrix(2 * k, code.n, tuple(form) + s.kernel)) == k
-                assert max(0, 2 * k - code.n) <= len(z) < natural_z
+                for form, rows in ((first, first.rows), (g, g.rows + z.rows)):
+                    kernel = in_form(form, s.kernel, n)
+                    assert gf2.rank(BinMatrix(2 * k, n, tuple(rows) + tuple(kernel))) == k
+                    assert form.checks == in_form(form, s.checks, n)
+                assert z.order is g.order and z.checks == g.checks
+                assert max(0, 2 * k - n) <= len(z) < natural_z
                 if nodes is not None:
                     res = search.run(None)
                     assert res.exact and res.value == 9 and search.nodes <= nodes
@@ -834,8 +840,8 @@ def reference_random_upper(code, side, trials, seed):
         rng.shuffle(order)
         for i, c in enumerate(order):
             position[c] = i
-        rows, _ = gf2._rref_bitrows(gf2._permute_bits(s.kernel, position))
-        moved_checks = gf2._permute_bits(s.checks, position)
+        rows, _ = gf2._rref_bitrows(permute_bits(s.kernel, position))
+        moved_checks = permute_bits(s.checks, position)
         if len(rows) <= 80:
             rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]
         for word in rows:
@@ -853,11 +859,26 @@ def _positions(order):
     return position
 
 
+def in_code(t, words):
+    """Words in the coordinates of the search form ``t``, in code coordinates.
+
+    Bit b of a form with a column order holds column order[n - 1 - b].
+    """
+    return list(words) if t.order is None else permute_bits(words, t.order[::-1])
+
+
+def in_form(t, words, n):
+    """Words in code coordinates, moved into those of the search form ``t``."""
+    if t.order is None:
+        return list(words)
+    return permute_bits(words, [n - 1 - i for i in _positions(t.order)])
+
+
 def reference_first_form(rows, n, order):
     """(rows, P) of the RREF under the column priority ``order``, by permute,
     eliminate and unpermute: P lists the pivot columns, rows in the same order."""
-    reduced, moved = gf2._rref_bitrows(gf2._permute_bits(rows, _positions(order)))
-    return gf2._permute_bits(reduced, order), [order[p] for p in moved]
+    reduced, moved = gf2._rref_bitrows(permute_bits(rows, _positions(order)))
+    return permute_bits(reduced, order), [order[p] for p in moved]
 
 
 def reference_second_form(rows, pivots, n, order=None):
@@ -868,8 +889,8 @@ def reference_second_form(rows, pivots, n, order=None):
     order = range(n) if order is None else order
     pivot_set = set(pivots)
     order = [c for c in order if c not in pivot_set] + [c for c in order if c in pivot_set]
-    reduced, moved_pivots = gf2._rref_bitrows(gf2._permute_bits(rows, _positions(order)))
-    reduced = gf2._permute_bits(reduced, order)
+    reduced, moved_pivots = gf2._rref_bitrows(permute_bits(rows, _positions(order)))
+    reduced = permute_bits(reduced, order)
     free = n - len(pivots)
     g = [row for row, p in zip(reduced, moved_pivots) if p < free]
     z = [row for row, p in zip(reduced, moved_pivots) if p >= free]
@@ -939,9 +960,8 @@ class TestRandomUpper:
         css._side(code, "Z")  # the side's own eliminations run before the trials
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a trial moved or eliminated rows the old way")
+            raise AssertionError("a trial eliminated rows the old way")
 
-        monkeypatch.setattr(gf2, "_permute_bits", forbidden)
         monkeypatch.setattr(gf2, "_rref_bitrows", forbidden)
         assert css.min_distance_random_upper(code, "Z", 20, 3)[0] == expected
 
@@ -968,28 +988,125 @@ class TestSecondForm:
             code = css_power(steane(), ell)
             bases += [(list(css._side(code, side).kernel), code.n) for side in "XZ"]
         bases += [(rows, n) for rows, n, _, _ in _oracle_searches(43, 20)]
+        # The reference forms are in code coordinates; each is moved into
+        # the coordinates of the form it is compared with.
         rng = random.Random(17)
         changed = 0
         for rows, n in bases:
             search = css._Search(rows, n, None, None)
-            supports = [gf2._support_of(row) for row in search.rows]
+            natural = search.forms[0][0].rows
+            supports = [gf2._support_of(row) for row in natural]
             # The per-candidate builder, on the natural order and on shuffles.
             for order in [list(range(n))] + [rng.sample(range(n), n) for _ in range(2)]:
-                _, pivots = reference_first_form(search.rows, n, order)
-                size, reduced, moved, priority = search._second_form(supports, pivots, order)
-                reduced = gf2._permute_bits(reduced, priority[::-1])
-                free = n - len(pivots)
-                g = [row for row, p in zip(reduced, moved) if p < free]
-                z = [row for row, p in zip(reduced, moved) if p >= free]
-                assert (g, z) == reference_second_form(search.rows, pivots, n, order)
-                assert size == len(z)
+                _, pivots = reference_first_form(natural, n, order)
+                g, z = search._second_form(supports, pivots, order)
+                assert z.order is g.order and z.checks is g.checks is None
+                pivot_set = set(pivots)
+                assert g.order == [c for c in order if c not in pivot_set] + [
+                    c for c in order if c in pivot_set]
+                ref_g, ref_z = reference_second_form(natural, pivots, n, order)
+                assert (g.rows, z.rows) == (in_form(g, ref_g, n), in_form(z, ref_z, n))
             # The pair kept, first form included.
-            first, pivots, g, z = reference_pair(search.rows, n)
+            first, pivots, g, z = reference_pair(natural, n)
             changed += search._pair()
-            assert (search.rows, search.pivots) == (first, pivots)
-            assert search.forms[0][0].rows == first
-            assert (search.forms[1][0].rows, search.forms[1][1].rows) == (g, z)
+            (t, _), (tg, tz) = search.forms
+            assert search.pivots == pivots
+            assert t.rows == in_form(t, first, n)
+            assert (tg.rows, tz.rows) == (in_form(tg, g, n), in_form(tz, z, n))
         assert 0 < changed < len(bases)
+
+
+class _CodeCoordinateSearch(css._Search):
+    """The search with every form moved back to code coordinates, its
+    signatures read off the unmoved checks: the path before each form kept
+    its own coordinates, kept as the oracle of the moves."""
+
+    def _pair(self):
+        changed = super()._pair()
+        self.forms = [tuple(map(self._in_code, form)) for form in self.forms]
+        return changed
+
+    def _in_code(self, t):
+        if t.order is None:
+            return t
+        return css._Rows(in_code(t, t.rows), self.checks, self.batch)
+
+
+def _coordinate_cases(seed):
+    """(name, rows, n, checks, seeds): distance searches of random codes
+    with n <= 40 and of random products, with no seed and seeded with the
+    lightest logical kernel row, and stabilizer minimum searches (no checks)."""
+    rng = random.Random(seed)
+    codes = []
+    while len(codes) < 24:
+        n = rng.randrange(8, 41)
+        try:
+            codes.append(random_css_code(rng, n, rng.randrange(1, 2 * n // 3),
+                                         rng.randrange(1, n // 3 + 1)))
+        except RuntimeError:
+            continue
+    while len(codes) < 32:
+        factors = []
+        for _ in range(2):
+            n = rng.randrange(3, 9)
+            try:
+                factors.append(random_css_code(rng, n, rng.randrange(1, n // 2 + 1),
+                                               rng.randrange(1, n // 2 + 1)))
+            except RuntimeError:
+                break
+        if len(factors) == 2:
+            codes.append(css_tensor(*factors))
+    cases = []
+    for i, code in enumerate(codes):
+        for side in "XZ":
+            s = css._side(code, side)
+            if s.k:
+                seeds = (None, css._lightest_logical(s))
+                cases.append((f"code {i} {side}", s.kernel, code.n, s.checks, seeds))
+            stab = [row for row in s.stab.data if row]
+            if stab:
+                cases.append((f"code {i} {side} stab", stab, code.n, None, (None, min(stab))))
+    return cases
+
+
+class TestOwnCoordinates:
+    def test_matches_the_code_coordinate_search(self, monkeypatch):
+        # Forms searched in their own coordinates give the result, witness
+        # included, and the node count of the same forms moved back to code
+        # coordinates, at caps 2-4, with the pair built on demand and up front.
+        moves = []
+        real_in_code = css._in_code
+
+        def counting_in_code(word, order):
+            moves.append(word)
+            return real_in_code(word, order)
+
+        monkeypatch.setattr(css, "_in_code", counting_in_code)
+        cases = _coordinate_cases(59)
+        for ell in (2, 3):
+            code = css_power(steane(), ell)
+            s = css._side(code, "X")
+            seeds = (None, css._lightest_logical(s))
+            cases.append((f"steane^{ell} X", s.kernel, code.n, s.checks, seeds))
+        assert max(n for _, _, n, _, _ in cases if n <= 40) > 30
+        reached = changed = unprompted = 0
+        for name, rows, n, checks, seeds in cases:
+            for cap, seed, prebuilt in itertools.product((2, 3, 4), seeds, (False, True)):
+                searches = [css._Search(rows, n, checks, None),
+                            _CodeCoordinateSearch(rows, n, checks, None)]
+                runs = []
+                for search in searches:
+                    if prebuilt:
+                        search._pair()
+                    runs.append((search.run(cap, seed), search.nodes, len(search.forms)))
+                assert runs[0] == runs[1], (name, cap, seed, prebuilt)
+                if runs[0][2] == 2:
+                    reached += 1
+                    unprompted += not prebuilt
+                    changed += searches[0].forms[0][0].order is not None
+        # Runs reached the pair, also unprompted, many kept a first form in
+        # new coordinates, and found best words there that moved back.
+        assert reached >= 500 and unprompted >= 50 and changed >= 100 and len(moves) >= 100
 
 
 class TestStabilizerWeight:

@@ -137,6 +137,19 @@ def reference_kernel(bitrows, cols):
     return basis
 
 
+def permute_bits(bitrows, perm):
+    """Move bit j of every row to bit perm[j], one set bit at a time."""
+    out = []
+    for row in bitrows:
+        bits = 0
+        while row:
+            t = row.bit_length() - 1
+            bits |= 1 << perm[t]
+            row ^= 1 << t
+        out.append(bits)
+    return out
+
+
 def reference_reduce(vec, bitrows, cols):
     for row, col in zip(*reference_rref(bitrows, cols)):
         if (vec >> col) & 1:
@@ -178,8 +191,8 @@ class TestReferenceOracle:
             position = [0] * m.cols
             for i, c in enumerate(order):
                 position[c] = i
-            rows, pivots = gf2._rref_bitrows(gf2._permute_bits(m.data, position))
-            assert (gf2._permute_bits(rows, order), [order[p] for p in pivots]) == (
+            rows, pivots = gf2._rref_bitrows(permute_bits(m.data, position))
+            assert (permute_bits(rows, order), [order[p] for p in pivots]) == (
                 reference_rref(m.data, m.cols, order)
             )
 
@@ -192,22 +205,25 @@ class TestReferenceOracle:
             rng.shuffle(order)
             supports = [gf2._support_of(row) for row in m.data]
             rows, pivots, bit = gf2._rref_by_priority(supports, order)
-            assert (gf2._permute_bits(rows, order[::-1]), [order[i] for i in pivots]) == (
+            assert (permute_bits(rows, order[::-1]), [order[i] for i in pivots]) == (
                 reference_rref(m.data, m.cols, order)
             )
             assert bit == [1 << (m.cols - 1 - order.index(c)) for c in range(m.cols)]
 
     def test_kernel_and_membership(self):
+        # Each vector also joins m as one more row, so the back-substitution
+        # runs on rows and pivots that m alone does not give.
         rng = random.Random(11)
         for m in oracle_matrices():
             assert list(gf2.kernel_basis(m).data) == reference_kernel(m.data, m.cols)
-            rows, pivots = gf2._rref_bitrows(m.data)
-            by_pivot, mask = dict(zip(pivots, rows)), sum(1 << p for p in pivots)
             members = [rng.getrandbits(m.cols) for _ in range(4)]
             members += [r ^ rng.choice(m.data) for r in m.data[:4]]
             for v in members:
                 residue = reference_reduce(v, m.data, m.cols)
-                assert gf2._reduce_by_rref(v, by_pivot, mask) == residue
+                grown = m.data + (v,)
+                assert gf2._rref_bitrows(grown) == reference_rref(grown, m.cols)
+                basis, _ = gf2._kernel_bitrows(grown, gf2._mask(m.cols))
+                assert basis == reference_kernel(grown, m.cols)
                 assert gf2.rowspace_contains(m, BinVector(m.cols, v)) == (residue == 0)
 
     def test_steane_cube_checks(self):
@@ -262,15 +278,6 @@ def lowbit_rref(bitrows):
     return [echelon[p] for p in pivots], pivots
 
 
-def lowbit_reduce(vec, by_pivot, pivot_mask):
-    hit = vec & pivot_mask
-    while hit:
-        low = hit & -hit
-        vec ^= by_pivot[low.bit_length() - 1]
-        hit ^= low
-    return vec
-
-
 def lowbit_kernel(bitrows, columns):
     rows, pivots = lowbit_rref(bitrows)
     free = columns & ~sum(1 << p for p in pivots)
@@ -320,16 +327,18 @@ class TestLowBitOracle:
             assert gf2.matmul(m, gf2.transpose(m)) == lowbit_matmul(m, gf2.transpose(m))
 
     def test_rref_reduce_and_kernel(self):
+        # Each vector also joins m as one more row, so the back-substitution
+        # runs on rows and pivots that m alone does not give.
         rng = random.Random(4)
         for m in bit_loop_matrices():
-            rows, pivots = gf2._rref_bitrows(m.data)
-            assert (rows, pivots) == lowbit_rref(m.data)
-            by_pivot, mask = dict(zip(pivots, rows)), sum(1 << p for p in pivots)
-            vecs = [0, rng.getrandbits(m.cols)] + [r ^ rng.getrandbits(m.cols) for r in m.data[:3]]
-            for v in vecs + list(m.data[:5]):
-                assert gf2._reduce_by_rref(v, by_pivot, mask) == lowbit_reduce(v, by_pivot, mask)
+            assert gf2._rref_bitrows(m.data) == lowbit_rref(m.data)
             columns = gf2._mask(m.cols)
             assert gf2._kernel_bitrows(m.data, columns) == lowbit_kernel(m.data, columns)
+            vecs = [0, rng.getrandbits(m.cols)] + [r ^ rng.getrandbits(m.cols) for r in m.data[:3]]
+            for v in vecs + list(m.data[:5]):
+                grown = m.data + (v,)
+                assert gf2._rref_bitrows(grown) == lowbit_rref(grown)
+                assert gf2._kernel_bitrows(grown, columns) == lowbit_kernel(grown, columns)
 
 
 class TestTranspose:
@@ -508,12 +517,12 @@ class TestInvariants:
         m = random_matrix(rng, 5, 6)
         perm = list(range(6))
         rng.shuffle(perm)
-        moved = gf2._permute_bits(m.data, perm)
+        moved = permute_bits(m.data, perm)
         for i in range(5):
             for j in range(6):
                 assert (moved[i] >> perm[j]) & 1 == (m.data[i] >> j) & 1
         inverse = [perm.index(j) for j in range(6)]
-        assert tuple(gf2._permute_bits(moved, inverse)) == m.data
+        assert tuple(permute_bits(moved, inverse)) == m.data
 
 
 class TestValidation:

@@ -810,9 +810,10 @@ class TestSweep:
 
     def test_machine_bounds_obey_the_stage_budget(self):
         """The cube's X side has 162 independent relations among its 522
-        stabilizer rows; their exact minimum runs for many minutes, but the
-        sector machine gets it only for the stage's budget and uses the
-        certified lower bound it reached."""
+        stabilizer rows; a budgeted search for their minimum stops within
+        its budget with a certified lower bound.  The sector machine, whose
+        relation sector needs bottom homology that Steane lacks, runs no
+        search and gives the bound that lower bound would have given."""
         base, cube = steane(), css_power(steane(), 3)
         report = css.analyze(cube, 1, 2, 104, 5.0)
         t0 = time.monotonic()
@@ -822,14 +823,33 @@ class TestSweep:
         t0 = time.monotonic()
         bounds = tensorops._machine_bounds(base, (cube, report), 1.0)
         assert time.monotonic() - t0 < 10.0
-        # the top-homology sector needs homology at the base's bottom, which
-        # Steane lacks, so the budgeted search leaves the bound as it was
         sides = [tensorops.factor_params(base, "X"),
                  tensorops._factor_params(css._side(cube, "X"), report.d_x,
                                           report.min_stabilizer_weight_x, top.lower)]
         assert sides[0].h_bot == 0 and sides[1].h_top == 162
         assert bounds == (tensorops.bound_from_params(*sides),) * 2
         assert "Z" not in cube._sides
+
+    def test_top_minimum_searched_only_for_an_active_sector(self, monkeypatch):
+        # The machine searches the previous stage's relations (with the
+        # stage's budget; a kept top_min passes None) only when the base
+        # side has bottom homology: Steane has none, the cyclic base 4.
+        searched = []
+        real = css._Side.top_min_within
+
+        def counting(s, time_budget):
+            if time_budget is not None:
+                searched.append(s.stab.cols)
+            return real(s, time_budget)
+
+        monkeypatch.setattr(css._Side, "top_min_within", counting)
+        tensorops.sweep(steane(), 3, weight_cap=2, trials=10, seed=101, time_budget=60.0)
+        assert searched == []
+        assert tensorops.factor_params(steane(), "X").h_bot == 0
+        cyclic = families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")
+        assert tensorops.factor_params(cyclic, "X").h_bot == 4
+        tensorops.sweep(cyclic, 2, weight_cap=3, trials=10, time_budget=60.0)
+        assert searched == [7]
 
     def test_degeneracy_is_derived_from_bounds(self):
         assert "degenerate" not in tensorops.SweepRecord._fields
