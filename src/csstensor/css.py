@@ -25,14 +25,15 @@ exceeds the cap, so a capped result reports lower = cap + 1.
 
 Each side of a code is analysed once, on first use (``_side``): one
 elimination gives the kernel basis, one more the k check words, and every
-distance, stabilizer and bound phase reads that ``_Side``.  A kernel word
-is a logical exactly when one of its parities with the checks is odd (the
-checks live on an information set of the kernel, where they annihilate
-the stabilizers).  The k parities,
-the word's signature, are linear, so the search sorts rows and sums of two
-rows into signature classes once, skips every class of trivial words, and
-walks a leaf word by word only when it holds a logical lighter than the
-best so far.
+distance, stabilizer and bound phase reads that ``_Side``.  Its one search
+entry, ``_Side.minimum``, gives the side's three minima (logical,
+stabilizer, relation), each search started from the lightest target row.
+A kernel word is a logical exactly when one of its parities with the
+checks is odd (the checks live on an information set of the kernel, where
+they annihilate the stabilizers).  The k parities, the word's signature,
+are linear, so the search sorts rows and sums of two rows into signature
+classes once, skips every class of trivial words, and walks a leaf word by
+word only when it holds a logical lighter than the best so far.
 
 A self-dual code is analysed on one side (``_mirror``).  A column
 permutation pi that moves the rows of h_x onto those of h_z and the rows
@@ -57,7 +58,6 @@ import random
 import time
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from itertools import islice
 
 from . import chain, gf2
@@ -161,9 +161,9 @@ def from_complex(*factors: ChainComplex, max_n: int | None = None) -> CssCode:
     them give the product code C (x) D, l copies the l-th power, and two
     2-term complexes a hypergraph product.  The product's top degree must
     be even and at least 2, so a lone 5-space complex is read at degree 2.
-    It is also the one resource ceiling: n, predicted by ``chain.tensor_dims``
-    from the factor dims, above ``max_n`` raises ``ResourceCeiling`` before
-    anything is validated or assembled.
+    It checks the resource ceiling (``_check_ceiling``): n, predicted by
+    ``chain.tensor_dims`` from the factor dims, above ``max_n`` raises
+    ``ResourceCeiling`` before anything is validated or assembled.
     Each distinct factor passes ``chain.validate`` once, which makes the
     product's h_x . h_z^T vanish (see the ``chain`` module): nothing
     product-wide is checked, and ``chain.tensor_checks`` builds both checks.
@@ -174,13 +174,19 @@ def from_complex(*factors: ChainComplex, max_n: int | None = None) -> CssCode:
     if top < 2 or top % 2:
         raise ValueError(f"a code is read at the middle of an even top degree >= 2, got {top}")
     if max_n is not None:
-        n = chain.tensor_dims(*(x.dims for x in factors))[top // 2]
-        if n > max_n:
-            raise ResourceCeiling(n, max_n)
+        _check_ceiling(chain.tensor_dims(*(x.dims for x in factors)), max_n)
     for x in dict.fromkeys(factors):
         chain.validate(x)
     h_x, h_z = chain.tensor_checks(*factors, degree=top // 2)
     return CssCode(h_x.cols, h_x, h_z, factors)
+
+
+def _check_ceiling(dims: Sequence[int], max_n: int | None) -> None:
+    """The one resource ceiling: ``ResourceCeiling`` when n, the middle of
+    the dims of a complex a code is read from, exceeds ``max_n``."""
+    n = dims[len(dims) // 2]
+    if max_n is not None and n > max_n:
+        raise ResourceCeiling(n, max_n)
 
 
 def dimension_k(code: CssCode) -> int:
@@ -212,8 +218,9 @@ class DistanceResult(namedtuple("DistanceResult", "lower upper exact witness", d
     once its certified bound exceeds the cap, so it reports lower = cap + 1
     and whatever upper the enumeration happened to find.  A cap of at least
     the basis size K is no cap: the search then ends exact, as walking all
-    combinations of up to K rows would.  ``upper`` is an int or None, and
-    ``witness`` a ``BinVector`` of weight ``upper`` or None.
+    combinations of up to K rows would.  A search starts from a target
+    word, so its result always has an int ``upper`` and a ``BinVector``
+    ``witness`` of that weight; a hand-built result may leave both None.
     """
 
     __slots__ = ()
@@ -342,7 +349,10 @@ class _Search:
     Targets are the words with a nonzero signature: their parities with
     the k ``checks`` (see ``_side``), or every nonzero word when
     ``checks`` is None.  Signatures are linear, so a sum of rows has the
-    XOR of their signatures.
+    XOR of their signatures.  The search starts from ``seed``, a target
+    (``_Side.minimum`` passes the lightest target row): it is the best
+    word until a strictly lighter target turns up, and the search stops
+    once the certified bound reaches the best weight.
 
     The search walks forms (G, Z).  Level j of a form covers every sum of a
     j-subset of G with an element of span(Z), except the zero word; level
@@ -387,7 +397,7 @@ class _Search:
     tables only on bases of at most 2 * _PAIR_TABLE_FACTOR + 1 rows.
     """
 
-    def __init__(self, basis_rows, n, checks: Sequence[int] | None, deadline):
+    def __init__(self, basis_rows, n, checks: Sequence[int] | None, deadline, seed: int):
         rows, self.pivots = gf2._rref_bitrows(basis_rows)
         self.n = n
         self.checks = checks
@@ -395,8 +405,8 @@ class _Search:
             checks is None or len(checks) <= _BATCH_CHECKS_MAX
         )
         self.deadline = deadline
-        self.best_w: int | None = None
-        self.best_word: int | None = None
+        self.best_word = seed
+        self.best_w = seed.bit_count()
         self.nodes = 0
         self.forms = [(_Rows(rows, checks, self.batch), _NO_ROWS)]
 
@@ -429,7 +439,7 @@ class _Search:
         for idx in range(start, len(rows)):
             word = acc ^ rows[idx]
             w = word.bit_count()
-            if (best_w is None or w < best_w) and t.is_target(word, sig ^ sigs[idx]):
+            if w < best_w and t.is_target(word, sig ^ sigs[idx]):
                 best_w = w
                 self.best_word = word if t.order is None else _in_code(word, t.order)
         self.best_w = best_w
@@ -437,8 +447,6 @@ class _Search:
     def _lighter_target(self, table: list, start: int, acc: int, sig: int) -> bool:
         """Whether a target of the leaf at row ``start`` is lighter than best_w."""
         bound = self.best_w
-        if bound is None:
-            return True
         skip = sig if self.checks is not None else -1
         for csig, words, counts in table:
             c = counts[start]
@@ -518,10 +526,7 @@ class _Search:
                 sig ^= z.sigs[b]
             self._walk(g, 0, j, acc, sig)
 
-    def run(self, weight_cap: int | None, seed_word: int | None = None) -> DistanceResult:
-        if seed_word is not None:
-            self.best_word = seed_word
-            self.best_w = seed_word.bit_count()
+    def run(self, weight_cap: int | None) -> DistanceResult:
         k = len(self.forms[0][0])
         if weight_cap is not None and weight_cap >= k:
             weight_cap = None  # the first form alone exhausts the basis within the cap
@@ -530,7 +535,7 @@ class _Search:
         while True:
             lower = max(walked, sum(levels) + len(levels))
             exhausted = any(level == len(g) for level, (g, _) in zip(levels, self.forms))
-            if exhausted or (self.best_w is not None and self.best_w <= lower):
+            if exhausted or self.best_w <= lower:
                 break
             if weight_cap is not None and lower > weight_cap:
                 break
@@ -547,17 +552,10 @@ class _Search:
                 break
             levels[i] += 1
 
-        found = self.best_w if self.best_word is not None else None
-        witness = _vec(self.best_word, self.n)
-        if found is not None and (found <= lower or exhausted):
+        found, witness = self.best_w, BinVector(self.n, self.best_word)
+        if found <= lower or exhausted:
             return DistanceResult(found, found, True, witness)
-        if exhausted and self.best_w is not None:
-            lower = self.best_w  # every word lighter than the seeded bound was seen
         return DistanceResult(lower, found, False, witness)
-
-
-def _vec(bits: int | None, n: int) -> BinVector | None:
-    return None if bits is None else BinVector(n, bits)
 
 
 def _moved(words: Iterable[int], bit: Sequence[int]) -> list[int]:
@@ -587,13 +585,11 @@ class _Side:
     them are even.  So rank(kernel_of) = n - |kernel| and
     rank(stab) = |kernel| - k.
 
-    ``distance``, ``stab_min`` and ``top_min`` are exact, uncapped minima,
-    searched on first use and kept.  They depend on the side alone: an unbudgeted
-    search is a fixed walk over the kernel basis and the stabilizer rows,
-    so its value and its witness are the same on every run.  ``distance``
-    is seeded with the lightest logical kernel row (``_lightest_logical``),
-    so it is the search ``analyze`` runs with no cap and no budget.
-    ``top_min_within`` runs the ``top_min`` search under a time budget.
+    ``minimum`` is the one search of a side's three minima.  Each
+    search starts from the lightest target row, which stays the witness
+    unless a lighter word turns up.  An uncapped, unbudgeted search is a
+    fixed walk over the rows, so its result is the same on every run: it
+    is kept, and later calls return it.
     """
 
     def __init__(
@@ -604,54 +600,44 @@ class _Side:
         self.stab = stab
         self.kernel = kernel
         self.checks = checks
+        self.kept: dict[str, DistanceResult | None] = {}
 
     @property
     def k(self) -> int:
         return len(self.checks)
 
-    @cached_property
-    def distance(self) -> DistanceResult | None:
-        """The exact distance of this side; None when k = 0."""
-        if not self.k:
-            return None
-        search = _Search(self.kernel, self.stab.cols, self.checks, None)
-        return search.run(None, seed_word=_lightest_logical(self))
+    def minimum(
+        self, of: str, weight_cap: int | None = None, deadline: float | None = None
+    ) -> DistanceResult | None:
+        """The certified minimum weight of one kind of word on this side.
 
-    @cached_property
-    def stab_min(self) -> DistanceResult | None:
-        """The exact stabilizer minimum; None when no stabilizer row is nonzero."""
-        return _min_weight(self.stab.data, self.stab.cols)
-
-    @cached_property
-    def top_min(self) -> int | None:
-        """Minimum weight of a nonzero relation among the stabilizer rows.
-
-        None, with no elimination, when the rows are independent
-        (rank(stab) = |kernel| - k equals their number).
+        ``of`` is "logical" (kernel words outside the stabilizer row
+        space: the distance), "stabilizer" (nonzero stabilizer words) or
+        "relation" (nonzero relations y with y . stab = 0, bit i of y
+        weighting stabilizer row i).  None when there is no such word: k =
+        0, no nonzero stabilizer row, or independent stabilizer rows (no
+        elimination then).  ``deadline`` is a ``time.monotonic`` time.
         """
-        found = self.top_min_within(None)
-        return None if found is None else found.value
-
-    def top_min_within(self, time_budget: float | None) -> DistanceResult | None:
-        """The search behind ``top_min``, stopped after ``time_budget`` seconds.
-
-        Its ``lower`` is certified either way, and with no budget it is
-        exact.  None when the stabilizer rows are independent.  Not kept:
-        a stopped search depends on the clock.
-        """
-        if self.stab.rows == len(self.kernel) - self.k:
-            return None
-        deadline = None if time_budget is None else time.monotonic() + time_budget
-        relations = gf2.kernel_basis(gf2.transpose(self.stab))
-        return _min_weight(relations.data, self.stab.rows, None, deadline)
-
-
-def _lightest_logical(s: _Side) -> int:
-    """The lightest logical among the kernel rows of a side with k >= 1.
-
-    K parity tests and no elimination; some row is a logical since k >= 1.
-    """
-    return min((row for row in s.kernel if _signature(row, s.checks)), key=int.bit_count)
+        uncapped = weight_cap is None and deadline is None
+        if uncapped and of in self.kept:
+            return self.kept[of]
+        checks = None
+        if of == "logical":
+            rows, n, checks = self.kernel, self.stab.cols, self.checks
+        elif of == "stabilizer":
+            rows, n = self.stab.data, self.stab.cols
+        elif of == "relation":
+            independent = self.stab.rows == len(self.kernel) - self.k
+            rows = () if independent else gf2.kernel_basis(gf2.transpose(self.stab)).data
+            n = self.stab.rows
+        else:
+            raise ValueError(f"of must be 'logical', 'stabilizer' or 'relation', got {of!r}")
+        targets = (row for row in rows if row and (checks is None or _signature(row, checks)))
+        seed = min(targets, key=int.bit_count, default=None)
+        res = None if seed is None else _Search(rows, n, checks, deadline, seed).run(weight_cap)
+        if uncapped:
+            self.kept[of] = res
+        return res
 
 
 def _side(code: CssCode, side: str) -> _Side:
@@ -739,46 +725,26 @@ def _mirrored(res: DistanceResult | None, perm: Sequence[int]) -> DistanceResult
     return res._replace(witness=BinVector.from_support(res.witness.n, moved))
 
 
-def _min_weight(
-    rows: Sequence[int], n: int, weight_cap: int | None = None, deadline: float | None = None
-) -> DistanceResult | None:
-    """Minimum weight over the nonzero words of a row space; None if it is zero.
-
-    A ``_Search`` with every nonzero word a target, started from the
-    lightest row: that row is the witness unless a sum is strictly lighter.
-    """
-    seed = min(filter(None, rows), key=int.bit_count, default=None)
-    if seed is None:
-        return None
-    return _Search(rows, n, None, deadline).run(weight_cap, seed_word=seed)
-
-
 def min_distance_exact(
     code: CssCode,
     side: str,
     weight_cap: int | None = None,
     time_budget: float | None = None,
-    seed_word: BinVector | None = None,
 ) -> DistanceResult:
     """Weight-stratified exact distance search on one side.
 
-    Enumerates kernel words from two information sets (see ``_Search``);
-    a word is a logical exactly when its parities with the k checks of
-    ``_side`` are not all even.  With a cap the result certifies
-    lower = cap + 1 when nothing lighter was found.  ``seed_word``, a
-    logical of this side (``analyze`` passes the lightest logical kernel
-    row), bounds the search by its weight and stays the witness unless a
-    lighter one turns up.  With no cap, budget or seed it is the side's
-    kept ``_Side.distance``, the search seeded with that kernel row.
+    ``_Side.minimum("logical")``: kernel words are enumerated from two
+    information sets (see ``_Search``), starting from the lightest logical
+    kernel row, and a word is a logical exactly when its parities with the
+    k checks of ``_side`` are not all even.  With a cap the result
+    certifies lower = cap + 1 when nothing lighter was found.  With no cap
+    and no budget it is the side's kept result.
     """
     s = _side(code, side)
     if not s.k:
         raise KIsZero("distances are undefined for k = 0")
-    if weight_cap is None and time_budget is None and seed_word is None:
-        return s.distance
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    seed = None if seed_word is None else seed_word.bits
-    return _Search(s.kernel, code.n, s.checks, deadline).run(weight_cap, seed_word=seed)
+    return s.minimum("logical", weight_cap, deadline)
 
 
 def min_distance_random_upper(
@@ -826,15 +792,13 @@ def stabilizer_min_weight(
 ) -> DistanceResult:
     """Minimum weight over nonzero elements of one stabilizer row space.
 
-    The same weight-stratified search (and cap semantics) as the distance
-    computations, with every nonzero word a target, started from the
-    lightest stabilizer row (see ``_min_weight``).  With no cap or budget
-    it is the side's kept ``_Side.stab_min``.
+    ``_Side.minimum("stabilizer")``: the same weight-stratified search (and
+    cap semantics) as the distance, with every nonzero word a target,
+    started from the lightest stabilizer row.  With no cap and no budget
+    it is the side's kept result.
     """
-    s = _side(code, side)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    uncapped = weight_cap is None and deadline is None
-    res = s.stab_min if uncapped else _min_weight(s.stab.data, code.n, weight_cap, deadline)
+    res = _side(code, side).minimum("stabilizer", weight_cap, deadline)
     if res is None:
         raise EmptyStabilizerGroup(f"no nonzero {side} stabilizer rows")
     return res
@@ -947,10 +911,10 @@ def analyze(
     """Full report: k, distance bounds per side, LDPC profile, degeneracy.
 
     Exact searches run up to ``exact_up_to`` (and ``time_budget`` seconds
-    each, when given), seeded with the lightest logical kernel row; the
-    ``trials`` random information sets run only where a search leaves the
-    distance open (see ``_side_bounds``).  With ``exact_up_to=None`` and
-    no budget every result is a side's kept exact minimum (see ``_Side``).
+    each, when given), each from its lightest target row; the ``trials``
+    random information sets run only where a search leaves the distance
+    open (see ``_side_bounds``).  With ``exact_up_to=None`` and no budget
+    every result is a side's kept exact minimum (see ``_Side.minimum``).
     Every distance with an upper bound has a witness of that weight; the
     degeneracy verdict follows from the reported bounds.
     For a fixed seed the result is deterministic whenever the searches
@@ -976,28 +940,21 @@ def _side_bounds(
 ) -> tuple[DistanceResult | None, DistanceResult | None]:
     """``analyze``'s (distance, stabilizer minimum) of one side; None where undefined.
 
-    The distance search is seeded with the lightest logical among the
-    kernel rows (``_lightest_logical``).  With no cap and no budget that
-    is the side's kept ``_Side.distance``, and no second search runs.
-    Only when the capped search leaves the distance open do the random
-    trials run, and a lighter word of theirs becomes the upper bound and
-    the witness.  A search walks the same levels under any seed heavier
-    than the distance, so, absent a deadline, the lower bound is that of
-    a search seeded by the trials, and the upper bound the least of the
-    same candidates and the seed row.
+    Both come from the side's searches (``_Side.minimum``), each started
+    from the lightest target row; with no cap and no budget they are the
+    side's kept results.  Only when the capped search leaves the distance
+    open do the random trials run, and a lighter word of theirs becomes
+    the upper bound and the witness.  A search walks the same levels under
+    any seed heavier than the distance, so, absent a deadline, the lower
+    bound is that of a search seeded by the trials, and the upper bound
+    the least of the same candidates and the seed row.
     """
-    s = _side(code, side)
     stab = None
-    if not s.stab.is_zero():
+    if not _side(code, side).stab.is_zero():
         stab = stabilizer_min_weight(code, side, exact_up_to, time_budget)
     if k == 0:
         return None, stab
-    if exact_up_to is None and time_budget is None:
-        return s.distance, stab
-    res = min_distance_exact(
-        code, side, weight_cap=exact_up_to, time_budget=time_budget,
-        seed_word=BinVector(code.n, _lightest_logical(s)),
-    )
+    res = min_distance_exact(code, side, exact_up_to, time_budget)
     if not res.exact:
         upper, word = min_distance_random_upper(code, side, trials, seed)
         if upper < res.upper:

@@ -103,16 +103,18 @@ def css_power(
     every bottom chain a cycle and leaves the top image undivided, adding
     the dropped maps' ranks (s * r)[mid - 1] and (s * r)[mid + 2].  An
     exact input gives empty reduced powers; every reduced power has zero
-    checks, so k = n.  Full or reduced, ``from_complex`` holds the result
-    to ``max_n`` before it assembles anything (a reduced power's zero
-    complex, one int per row, is made first); a first power above the
-    ceiling raises there too.
+    checks, so k = n.  Full or reduced, the result is held to ``max_n``
+    before anything is assembled: a reduced power's dims go to
+    ``css._check_ceiling`` before its zero complex, one int per row, is
+    made, and ``from_complex`` checks every other power, a first power
+    above the ceiling included.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if reduced:
         dims = _reduced_dims(css.to_complex(c), ell)
-        return css.from_complex(ChainComplex.zero(dims), max_n=max_n)
+        css._check_ceiling(dims, max_n)
+        return css.from_complex(ChainComplex.zero(dims))
     if ell == 1 and (max_n is None or c.n <= max_n):
         return c
     return css.from_complex(*[css.to_complex(c)] * ell, max_n=max_n)
@@ -175,22 +177,22 @@ class FactorParams(namedtuple("FactorParams", "k d_lo cycle_lo check_w h_top h_b
 def factor_params(code: CssCode, side: str) -> FactorParams:
     """Exact invariants of a code for one side of the bound machine."""
     s = css._side(code, side)
-    return _factor_params(s, s.distance, s.stab_min, s.top_min)
+    return _factor_params(s, *map(s.minimum, ("logical", "stabilizer", "relation")))
 
 
 def _factor_params(
     s: css._Side, dist: DistanceResult | None, stab: DistanceResult | None,
-    top_min_lo: int | None,
+    top: DistanceResult | None,
 ) -> FactorParams:
     """FactorParams of a side from certified distance, stabilizer and
-    top-homology results.
+    relation results (see ``css._Side.minimum``).
 
     ``dist`` is None when k = 0, ``stab`` when no stabilizer is nonzero
-    and ``top_min_lo``, a certified lower bound on ``css._Side.top_min``,
-    when the checks have no nonzero relation.  The cycle bound is the
-    smaller of the first two lower bounds, 1 when both are None (see the
-    module docstring).  Ranks come from the side's sizes (see
-    ``css._Side``), so no elimination runs here.
+    and ``top`` when the checks have no nonzero relation; ``top_min_lo``
+    is ``top``'s lower bound.  The cycle bound is the smaller of the first
+    two lower bounds, 1 when both are None (see the module docstring).
+    Ranks come from the side's sizes (see ``css._Side``), so no
+    elimination runs here.
     """
     return FactorParams(
         k=s.k,
@@ -199,7 +201,7 @@ def _factor_params(
         check_w=max(s.stab.row_weights(), default=0),
         h_top=s.stab.rows - (len(s.kernel) - s.k),
         h_bot=s.kernel_of.rows - (s.stab.cols - len(s.kernel)),
-        top_min_lo=top_min_lo,
+        top_min_lo=None if top is None else top.lower,
     )
 
 
@@ -339,10 +341,11 @@ def _machine_bounds(
 ) -> tuple[int, int]:
     """Sector bounds (X, Z) on base (x) the previous stage, from its report; 0 where none.
 
-    The one sector that reads the previous stage's top-homology minimum
-    needs h_bot > 0 on the base side; only then is the minimum searched,
-    for at most ``time_budget`` seconds per side, the stage's budget, and
-    it enters as the search's certified lower bound.  When the base and
+    The one sector that reads the previous stage's lightest relation
+    among its checks (``css._Side.minimum("relation")``) needs h_bot > 0
+    on the base side; only then is it searched, for at most
+    ``time_budget`` seconds per side, the stage's budget, and it enters as
+    the search's certified lower bound.  When the base and
     the previous stage both have a certified side mirror (see
     ``css._mirror``), side Z gets side X's bound: the mirror carries each
     side's checks, kernel, logicals and stabilizers onto the other's with
@@ -361,11 +364,12 @@ def _machine_bounds(
             return bounds["X"], bounds["X"]
         s = css._side(code, side)
         params = factor_params(base, side)
-        top = s.top_min_within(time_budget) if params.h_bot else None
+        top = None
+        if params.h_bot:
+            deadline = None if time_budget is None else time.monotonic() + time_budget
+            top = s.minimum("relation", deadline=deadline)
         try:
-            bounds[side] = bound_from_params(
-                params, _factor_params(s, *reports[side], None if top is None else top.lower),
-            )
+            bounds[side] = bound_from_params(params, _factor_params(s, *reports[side], top))
         except KIsZero:
             bounds[side] = 0
     return bounds["X"], bounds["Z"]

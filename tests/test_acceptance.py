@@ -36,11 +36,9 @@ def steane_square_exact(steane_code):
     product = tensorops.css_tensor(steane_code, steane_code)
     out = {}
     for side in ("X", "Z"):
-        upper, word = css.min_distance_random_upper(product, side, 200, 17)
-        res = css.min_distance_exact(product, side, weight_cap=9, seed_word=word)
-        lower = res.lower
-        best = upper if res.upper is None else min(res.upper, upper)
-        out[side] = (lower, best)
+        upper, _ = css.min_distance_random_upper(product, side, 200, 17)
+        res = css.min_distance_exact(product, side, weight_cap=9)
+        out[side] = (res.lower, min(res.upper, upper))
     return product, out
 
 

@@ -233,10 +233,11 @@ def test_only_css_builds_a_bare_code():
     assert [module for module in calls if module != "css"] == []
 
 
-def test_only_from_complex_raises_the_ceiling():
-    """Every product, power and reduced power is read by ``css.from_complex``,
-    so the resource ceiling is checked there once, before anything is
-    built, and nowhere else predicts n against it."""
+def test_one_helper_raises_the_ceiling():
+    """The resource ceiling is one check, ``css._check_ceiling``:
+    ``css.from_complex`` calls it for every product and power, and a
+    reduced power's dims go to it before their zero complex is made.
+    Nowhere else predicts n against the ceiling."""
     trees = _trees()
     raisers = [
         (module, func.name)
@@ -248,7 +249,7 @@ def test_only_from_complex_raises_the_ceiling():
         and "ResourceCeiling" in (getattr(node.func, "id", None),
                                   getattr(node.func, "attr", None))
     ]
-    assert raisers == [("css", "from_complex")]
+    assert raisers == [("css", "_check_ceiling")]
 
 
 def _none_tests_of_supports(

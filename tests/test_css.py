@@ -238,8 +238,8 @@ class TestExactDistance:
 
     def test_uncapped_minima_kept_per_side(self, monkeypatch):
         # An uncapped distance or stabilizer minimum is searched once per
-        # side and kept; capped, budgeted and seeded calls still search,
-        # with their own cap semantics.
+        # side and kept; capped and budgeted calls still search, with their
+        # own cap semantics.
         runs = []
         real = css._Search.run
 
@@ -260,10 +260,12 @@ class TestExactDistance:
         assert (capped.lower, capped.exact) == (4, False)
         budgeted = css.min_distance_exact(square, "X", time_budget=60.0)
         assert budgeted is not dist and budgeted.value == 9
-        # Nothing is lighter than the seed word, so it stays the witness.
-        upper, word = css.min_distance_random_upper(square, "X", 5, 1)
-        seeded = css.min_distance_exact(square, "X", seed_word=word)
-        assert upper == 9 and seeded == (9, 9, True, word)
+        # Nothing is lighter than the lightest logical kernel row, the
+        # search's seed, so it stays the witness.
+        s = css._side(square, "X")
+        row = min((r for r in s.kernel if css._signature(r, s.checks)), key=int.bit_count)
+        seeded = css.min_distance_exact(square, "X", weight_cap=9)
+        assert seeded == (9, 9, True, gf2.BinVector(square.n, row))
         capped_stab = css.stabilizer_min_weight(square, "X", weight_cap=2)
         assert (capped_stab.lower, capped_stab.exact) == (3, False)
         budgeted_stab = css.stabilizer_min_weight(square, "X", time_budget=60.0)
@@ -370,13 +372,21 @@ class _ReferenceSearch:
         return css.DistanceResult(lower, found, False, witness)
 
 
+def _lightest_target(rows, checks):
+    """The lightest target row, the seed ``_Side.minimum`` starts a search from."""
+    return min(
+        (r for r in rows if r and (checks is None or css._signature(r, checks))),
+        key=int.bit_count,
+    )
+
+
 def _seed_of_weight(rows, target, witness, weight):
     """A target word of ``weight`` near ``witness``, else the lightest heavier one, or None.
 
     The words tried are the witness plus sums of up to three reduced rows
-    of the space.  A seed heavier than the minimum stops the search at the
-    level an unseeded one stops at, so a heavier stand-in, or None, walks
-    the same levels as a seed of ``weight``.
+    of the space.  A search stops at the same level under every seed
+    heavier than the minimum, so a heavier stand-in walks the same levels
+    as a seed of ``weight``.
     """
     basis, _ = gf2._rref_bitrows(rows)
     words = set()
@@ -485,8 +495,11 @@ class TestLogicalChecks:
                 params = factor_params(code, side)
                 assert params.h_top == stab.rows - gf2.rank(stab)
                 assert params.h_bot == s.kernel_of.rows - gf2.rank(s.kernel_of)
-                cycle = css._min_weight(rows, n)
-                assert params.cycle_lo == (1 if cycle is None else cycle.value)
+                if any(rows):
+                    search = css._Search(rows, n, None, None, _lightest_target(rows, None))
+                    assert params.cycle_lo == search.run(None).value
+                else:
+                    assert params.cycle_lo == 1
                 if stab.rows == 0:
                     cases.add("no stabilizer rows")
                 if not rows:
@@ -570,9 +583,11 @@ class TestTwoSetSearch:
                 extra = rows[rng.randrange(len(rows))] ^ seed_word
                 if extra and target(extra) and extra.bit_count() > seed_word.bit_count():
                     seed_word = extra
-            # Unseeded, and seeded with words of weight d, d + 2 and more.
-            seeds = (None, exact.witness.bits,
-                     _seed_of_weight(rows, target, exact.witness.bits, d + 2), seed_word)
+            # Seeded with the lightest target row, as _Side.minimum starts,
+            # and with words of weight d, d + 2 (or the next heavier) and more.
+            lightest = _lightest_target(rows, checks)
+            heavier = _seed_of_weight(rows, target, exact.witness.bits, d + 2)
+            seeds = (lightest, exact.witness.bits, heavier or seed_word, seed_word)
             for cap in (None, 1, 2, 3, 4, 6):
                 for seed in seeds:
                     ref = _ReferenceSearch(rows, n, target).run(cap, seed)
@@ -580,31 +595,28 @@ class TestTwoSetSearch:
                     # demand), and with the pair built up front, so that small
                     # bases also schedule the second pass.
                     for prebuilt in (False, True):
-                        search = css._Search(rows, n, checks, None)
+                        search = css._Search(rows, n, checks, None, seed)
                         if prebuilt:
                             search._pair()
-                        res = search.run(cap, seed)
+                        res = search.run(cap)
                         pairs = search.forms[0][0].pairs
                         modes.add((search.batch, checks is None, pairs is not None))
                         # Batching changes neither the result, the witness
                         # included, nor the words counted.
                         with monkeypatch.context() as m:
                             m.setattr(css, "_BATCH_MIN", math.inf)
-                            plain = css._Search(rows, n, checks, None)
+                            plain = css._Search(rows, n, checks, None, seed)
                             if prebuilt:
                                 plain._pair()
-                            assert plain.run(cap, seed) == res
+                            assert plain.run(cap) == res
                             assert plain.nodes == search.nodes
                         if cap is None:
                             assert (res.lower, res.upper, res.exact) == ref[:3]
                         assert ref.lower <= res.lower <= d
                         if res.exact:
                             assert res.lower == res.upper == d
-                        if res.witness is not None:
-                            assert target(res.witness.bits)
-                            assert res.witness.weight() == res.upper
-                        else:
-                            assert res.upper is None
+                        assert target(res.witness.bits)
+                        assert res.witness.weight() == res.upper
         assert len(second_levels) >= 1000 and max(second_levels) >= 2
         # Batched leaves with and without checks, pair tables, and the
         # word-by-word search of k > 3 all ran.
@@ -619,29 +631,31 @@ class TestTwoSetSearch:
         for side in ("X", "Z"):
             s = css._side(square, side)
             rows, checks = s.kernel, s.checks
-            witness = s.distance.witness.bits
-            seeds = {None: None, 9: witness}
+            witness = s.minimum("logical").witness.bits
+            seeds = {"row": _lightest_target(rows, checks), 9: witness}
             for a, b in itertools.combinations_with_replacement(s.stab.data, 2):
                 seeds.setdefault((witness ^ a ^ b).bit_count(), witness ^ a ^ b)
-            for cap, weight in ((5, None), (7, 9), (None, 9), (None, 10), (None, None)):
+            for cap, weight in ((5, "row"), (7, 9), (None, 9), (None, 10), (None, "row")):
                 seed = seeds[weight]
-                assert seed is None or css._signature(seed, checks) and seed.bit_count() == weight
-                search = css._Search(rows, square.n, checks, None)
-                res = search.run(cap, seed)
+                assert css._signature(seed, checks)
+                assert seed.bit_count() == (9 if weight == "row" else weight)
+                search = css._Search(rows, square.n, checks, None, seed)
+                res = search.run(cap)
                 g, z = search.forms[1]
                 assert (len(g), len(z)) == (33, 1)
                 assert (search.forms[0][0].pairs is not None) == (cap != 5)
                 assert g.pairs is not None
                 with monkeypatch.context() as m:
                     m.setattr(css, "_BATCH_MIN", math.inf)
-                    plain = css._Search(rows, square.n, checks, None)
-                    assert plain.run(cap, seed) == res
+                    plain = css._Search(rows, square.n, checks, None, seed)
+                    assert plain.run(cap) == res
                 assert plain.nodes == search.nodes
                 assert res.lower == (cap + 1 if cap is not None and cap < 8 else 9)
 
     def test_certificate_covers_every_lighter_word(self, monkeypatch):
-        # With no checks at all no word is a target, so the search never
-        # stops early; every walk call records the words it covers.  A run
+        # With no checks at all no word is a target, so the search keeps
+        # its seed, the all-ones word, and stops early only once it
+        # certifies n; every walk call records the words it covers.  A run
         # that certifies lower must have covered every nonzero word lighter
         # than lower.
         seen = set()
@@ -670,11 +684,11 @@ class TestTwoSetSearch:
             for cap in range(1, 8):
                 for prebuilt in (False, True):
                     seen.clear()
-                    search = css._Search(rows, n, [], None)
+                    search = css._Search(rows, n, [], None, gf2._mask(n))
                     if prebuilt:
                         search._pair()
                     res = search.run(cap)
-                    assert res.upper is None and not res.exact
+                    assert res.upper == n
                     light = {w for w in span if w.bit_count() < res.lower}
                     assert light <= seen
                     assert search.nodes >= len(seen)
@@ -705,13 +719,14 @@ class TestTwoSetSearch:
     def test_pair_table_size_bound(self):
         # A pair table holds K(K - 1)/2 words, at most 32 K: K = 65 gets one
         # at pass-1 level 3, K = 66 does not.  With no checks nothing is a
-        # target, and five non-pivot columns leave Z too large for pass 2.
+        # target, so the all-ones seed stays, and five non-pivot columns
+        # leave Z too large for pass 2.
         rng = random.Random(43)
         for k, built in ((65, True), (66, False)):
             rows = [(1 << i) | (rng.getrandbits(5) << k) for i in range(k)]
-            search = css._Search(rows, k + 5, [], None)
+            search = css._Search(rows, k + 5, [], None, gf2._mask(k + 5))
             res = search.run(3)
-            assert (res.lower, res.upper) == (4, None)
+            assert (res.lower, res.upper) == (4, k + 5)
             assert (search.forms[0][0].pairs is not None) == built
             assert search.nodes == sum(math.comb(k, r) for r in (1, 2, 3))
 
@@ -732,7 +747,9 @@ class TestTwoSetSearch:
         square = css_power(steane(), 2)
         kernel = gf2.kernel_basis(square.h_x)
         for expire_at, nodes in ((1, 34 + 561 + 1 + 34), (0, 34 + 561)):
-            search = css._Search(list(kernel.data), square.n, css._side(square, "Z").checks, None)
+            checks = css._side(square, "Z").checks
+            seed = _lightest_target(kernel.data, checks)
+            search = css._Search(list(kernel.data), square.n, checks, None, seed)
             level = search._level
 
             def expiring_level(g, z, j):
@@ -746,11 +763,8 @@ class TestTwoSetSearch:
             assert (len(search.forms[0][0]), len(g), len(z)) == (34, 33, 1)
             assert res.lower == 3 and not res.exact
             assert search.nodes == nodes
-            if res.witness is not None:
-                assert res.upper == res.witness.weight() >= 9
-                assert not gf2.rowspace_contains(square.h_z, res.witness)
-            else:
-                assert res.upper is None
+            assert res.upper == res.witness.weight() >= 9
+            assert not gf2.rowspace_contains(square.h_z, res.witness)
 
     def test_expired_deadline_builds_one_candidate(self, monkeypatch):
         # The deadline passes as P1(2) completes: the pair keeps candidate 0,
@@ -767,7 +781,8 @@ class TestTwoSetSearch:
         monkeypatch.setattr(css._Search, "_second_form", counting)
         square = css_power(steane(), 2)
         s = css._side(square, "Z")
-        search = css._Search(s.kernel, square.n, s.checks, None)
+        seed = _lightest_target(s.kernel, s.checks)
+        search = css._Search(s.kernel, square.n, s.checks, None, seed)
         natural = list(search.forms[0][0].rows)
         level = search._level
 
@@ -785,7 +800,7 @@ class TestTwoSetSearch:
         assert search.nodes == 34 + 561
         # Expired before the search starts: no pair, and lower is 1.
         candidates.clear()
-        search = css._Search(s.kernel, square.n, s.checks, time.monotonic() - 1.0)
+        search = css._Search(s.kernel, square.n, s.checks, time.monotonic() - 1.0, seed)
         res = search.run(None)
         assert (res.lower, res.exact, candidates, len(search.forms)) == (1, False, [], 1)
 
@@ -800,7 +815,7 @@ class TestTwoSetSearch:
             n = code.n
             for side in "XZ":
                 s = css._side(code, side)
-                search = css._Search(s.kernel, n, s.checks, None)
+                search = css._Search(s.kernel, n, s.checks, None, _lightest_target(s.kernel, s.checks))
                 _, z0 = reference_second_form(search.forms[0][0].rows, search.pivots, n)
                 assert len(z0) == natural_z
                 search._pair()
@@ -993,7 +1008,7 @@ class TestSecondForm:
         rng = random.Random(17)
         changed = 0
         for rows, n in bases:
-            search = css._Search(rows, n, None, None)
+            search = css._Search(rows, n, None, None, _lightest_target(rows, None))
             natural = search.forms[0][0].rows
             supports = [gf2._support_of(row) for row in natural]
             # The per-candidate builder, on the natural order and on shuffles.
@@ -1034,7 +1049,7 @@ class _CodeCoordinateSearch(css._Search):
 
 def _coordinate_cases(seed):
     """(name, rows, n, checks, seeds): distance searches of random codes
-    with n <= 40 and of random products, with no seed and seeded with the
+    with n <= 40 and of random products, seeded with the heaviest and the
     lightest logical kernel row, and stabilizer minimum searches (no checks)."""
     rng = random.Random(seed)
     codes = []
@@ -1061,12 +1076,18 @@ def _coordinate_cases(seed):
         for side in "XZ":
             s = css._side(code, side)
             if s.k:
-                seeds = (None, css._lightest_logical(s))
-                cases.append((f"code {i} {side}", s.kernel, code.n, s.checks, seeds))
+                cases.append((f"code {i} {side}", s.kernel, code.n, s.checks, _row_seeds(s)))
             stab = [row for row in s.stab.data if row]
             if stab:
-                cases.append((f"code {i} {side} stab", stab, code.n, None, (None, min(stab))))
+                seeds = (max(stab, key=int.bit_count), min(stab))
+                cases.append((f"code {i} {side} stab", stab, code.n, None, seeds))
     return cases
+
+
+def _row_seeds(s):
+    """The heaviest and the lightest logical kernel row of a side."""
+    logicals = [row for row in s.kernel if css._signature(row, s.checks)]
+    return max(logicals, key=int.bit_count), min(logicals, key=int.bit_count)
 
 
 class TestOwnCoordinates:
@@ -1086,19 +1107,18 @@ class TestOwnCoordinates:
         for ell in (2, 3):
             code = css_power(steane(), ell)
             s = css._side(code, "X")
-            seeds = (None, css._lightest_logical(s))
-            cases.append((f"steane^{ell} X", s.kernel, code.n, s.checks, seeds))
+            cases.append((f"steane^{ell} X", s.kernel, code.n, s.checks, _row_seeds(s)))
         assert max(n for _, _, n, _, _ in cases if n <= 40) > 30
         reached = changed = unprompted = 0
         for name, rows, n, checks, seeds in cases:
             for cap, seed, prebuilt in itertools.product((2, 3, 4), seeds, (False, True)):
-                searches = [css._Search(rows, n, checks, None),
-                            _CodeCoordinateSearch(rows, n, checks, None)]
+                searches = [css._Search(rows, n, checks, None, seed),
+                            _CodeCoordinateSearch(rows, n, checks, None, seed)]
                 runs = []
                 for search in searches:
                     if prebuilt:
                         search._pair()
-                    runs.append((search.run(cap, seed), search.nodes, len(search.forms)))
+                    runs.append((search.run(cap), search.nodes, len(search.forms)))
                 assert runs[0] == runs[1], (name, cap, seed, prebuilt)
                 if runs[0][2] == 2:
                     reached += 1
@@ -1107,6 +1127,80 @@ class TestOwnCoordinates:
         # Runs reached the pair, also unprompted, many kept a first form in
         # new coordinates, and found best words there that moved back.
         assert reached >= 500 and unprompted >= 50 and changed >= 100 and len(moves) >= 100
+
+
+def _subset_sums(rows):
+    """Every sum of a subset of ``rows``; entry i sums the rows at the bits of i."""
+    sums = [0]
+    for row in rows:
+        sums += [word ^ row for word in sums]
+    return sums
+
+
+def _minimum_oracle(s, of):
+    """(is_word, lightest weight or None) of one kind of word on a side, by
+    enumeration: logicals over all of F2^n, stabilizers over the row space,
+    relations y (bit i weighting stabilizer row i) over all of F2^rows."""
+    span = _subset_sums(s.stab.data)
+    if of == "logical":
+        def is_word(w):
+            return w not in span and not any((w & r).bit_count() & 1 for r in s.kernel_of.data)
+        space = range(1 << s.stab.cols)
+    elif of == "stabilizer":
+        def is_word(w):
+            return w != 0 and w in span
+        space = span
+    else:
+        def is_word(y):
+            return y != 0 and span[y] == 0
+        space = range(1 << s.stab.rows)
+    return is_word, min((w.bit_count() for w in space if is_word(w)), default=None)
+
+
+class TestSideMinimum:
+    def test_matches_enumeration(self):
+        # Random codes of n <= 10 with k = 0 sides, sides with no nonzero
+        # stabilizer, and independent and dependent stabilizer rows.  Capped
+        # and expired searches run first on a fresh side: none is kept, and
+        # each lower bound is certified.  Then the uncapped search is exact,
+        # kept, and returned again as the same object.  Every witness is a
+        # word of its kind and weighs the reported upper bound.
+        rng = random.Random(2031)
+        cases = set()
+        for _ in range(120):
+            n = rng.randrange(1, 11)
+            try:
+                code = random_css_code(rng, n, rng.randrange(n + 1), rng.randrange(n + 1), min_k=0)
+            except RuntimeError:
+                continue
+            for side in "XZ":
+                s = css._side(css.from_matrices(code.h_x, code.h_z), side)
+                for of in ("logical", "stabilizer", "relation"):
+                    is_word, d = _minimum_oracle(s, of)
+                    cases.add((of, d is None))
+                    cap = rng.randrange(4)
+                    for args in ((cap, None), (None, time.monotonic() - 1.0)):
+                        res = s.minimum(of, *args)
+                        assert of not in s.kept
+                        if d is None:
+                            assert res is None
+                            continue
+                        assert res.lower <= d <= res.upper
+                        assert is_word(res.witness.bits) and res.witness.weight() == res.upper
+                        assert not res.exact or res.lower == res.upper
+                        if args[0] is not None and not res.exact:
+                            assert res.lower == cap + 1
+                    res = s.minimum(of)
+                    assert s.minimum(of) is res is s.kept[of]
+                    if d is None:
+                        assert res is None
+                    else:
+                        assert res.exact and res.value == d
+                        assert is_word(res.witness.bits) and res.witness.weight() == d
+        assert cases == {(of, none) for of in ("logical", "stabilizer", "relation")
+                         for none in (False, True)}
+        with pytest.raises(ValueError):
+            css._side(steane(), "X").minimum("cycle")
 
 
 class TestStabilizerWeight:
@@ -1265,8 +1359,8 @@ class TestAnalyze:
                                             [2, 4, 5, 6, 7, 8]])
         code = css.from_matrices(h_x, BinMatrix.from_support(1, 9, [[0, 4, 7]]))
         s = css._side(code, "Z")
-        seed = min((r for r in s.kernel if css._signature(r, s.checks)), key=int.bit_count)
-        assert css.min_distance_exact(code, "Z", 1, None, gf2.BinVector(9, seed))[:3] == (2, 3, False)
+        res = css.min_distance_exact(code, "Z", 1)
+        assert res[:3] == (2, 3, False) and res.witness.bits == _lightest_target(s.kernel, s.checks)
         report = css.analyze(code, exact_up_to=1, trials=10, seed=1)
         assert calls == ["Z"]
         assert report.d_x.value == 1 and report.d_z.value == 2 == report.d_z.witness.weight()
@@ -1274,8 +1368,8 @@ class TestAnalyze:
         assert not gf2.rowspace_contains(code.h_z, report.d_z.witness)
 
     def test_bounds_match_the_trials_first_flow(self):
-        # The oracle is the trials-first flow, from public calls: each
-        # search seeded with the word of the random upper bound.  analyze
+        # The oracle is the trials-first flow: each search (a css._Search
+        # built here) seeded with the word of the random upper bound.  analyze
         # seeds it with the lightest logical kernel row, of weight u, and
         # runs the trials only when the search stays open.  A search walks
         # the same levels under any seed heavier than the distance, and
@@ -1304,7 +1398,7 @@ class TestAnalyze:
                     for side in ("X", "Z") if perm is None else ("X",):
                         s = css._side(code, side)
                         _, word = css.min_distance_random_upper(code, side, trials, seed)
-                        old = css.min_distance_exact(code, side, cap, None, word)
+                        old = css._Search(s.kernel, code.n, s.checks, None, word.bits).run(cap)
                         u = min(r.bit_count() for r in s.kernel if css._signature(r, s.checks))
                         upper = min(u, old.upper)
                         want[side] = (old.lower, upper, old.exact or old.lower >= upper)
@@ -1328,7 +1422,7 @@ class TestAnalyze:
             assert d.exact and d.value == 9 == d.witness.weight()
             assert annihilated(s.kernel_of, [d.witness.bits])
             assert not gf2.rowspace_contains(s.stab, d.witness)
-            search = css._Search(s.kernel, code.n, s.checks, None)
+            search = css._Search(s.kernel, code.n, s.checks, None, _lightest_target(s.kernel, s.checks))
             assert search.run(None).value == 9
             assert len(search.forms[1][1]) <= 3 and search.nodes < 2_000_000
 

@@ -238,6 +238,19 @@ class TestCssPower:
         assert str(caught.value) == f"predicted n = {predicted} exceeds ceiling {predicted - 1}"
         assert build(predicted).n == predicted
 
+    def test_reduced_ceiling_before_the_zero_complex(self, monkeypatch):
+        # The reduced ell = 8 power of the cyclic code predicts n = 8 817 121.
+        # Its dims meet the ceiling before ChainComplex.zero makes one int
+        # per row of a complex that size.
+        cyclic = families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")
+        built = []
+        monkeypatch.setattr(ChainComplex, "zero", classmethod(lambda cls, dims: built.append(dims)))
+        with pytest.raises(ResourceCeiling) as caught:
+            css_power(cyclic, 8, reduced=True, max_n=100_000)
+        assert (caught.value.predicted, caught.value.ceiling) == (8_817_121, 100_000)
+        assert str(caught.value) == "predicted n = 8817121 exceeds ceiling 100000"
+        assert built == []
+
     def test_window_parameter(self):
         # off-middle window: degree 1 of the square
         window = tensorops.power_complex_window(css.to_complex(steane()), 2, 0, 2)
@@ -381,13 +394,15 @@ def criterion(code: CssCode) -> dict:
 
 
 def reference_criterion(code: CssCode) -> dict:
-    """The criterion's value fields from an unseeded search and the kept
-    stabilizer minimum of each side, both sides built, no mirror read."""
+    """The criterion's value fields from a search seeded with the heaviest
+    logical kernel row and the kept stabilizer minimum of each side, both
+    sides built, no mirror read."""
     out = {}
     for side in ("X", "Z"):
         s = css._side(code, side)
-        dist = css._Search(s.kernel, code.n, s.checks, None).run(None)
-        stab = s.stab_min
+        seed = max((r for r in s.kernel if css._signature(r, s.checks)), key=int.bit_count)
+        dist = css._Search(s.kernel, code.n, s.checks, None, seed).run(None)
+        stab = s.minimum("stabilizer")
         low = side.lower()
         out[f"holds_{low}"] = stab is None or stab.value >= dist.value
         out[f"d_{low}"] = dist.value
@@ -432,8 +447,9 @@ class TestCriterion:
             tensorops.criterion_to_json(css.analyze(css_power(steane(), 2), exact_up_to=4))
 
     def test_matches_the_per_side_reference(self):
-        # Every value field agrees with an unseeded search per side; the
-        # witnesses may differ from its, so each is checked for what it is.
+        # Every value field agrees with a search per side seeded with the
+        # heaviest logical kernel row; the witnesses may differ from its, so
+        # each is checked for what it is.
         rng = random.Random(2808)
         codes = [
             steane(), css_power(steane(), 2), degenerate_nine_qubit_code(),
@@ -493,7 +509,8 @@ class TestCriterion:
             tensorops.criterion_to_json(report)
             for side in sides:
                 tensorops.factor_params(code, side)
-            assert report.d_x is css.min_distance_exact(code, "X") is css._side(code, "X").distance
+            kept = css._side(code, "X").minimum("logical")
+            assert report.d_x is css.min_distance_exact(code, "X") is kept
             assert len(searched) == len(sides)
 
 
@@ -624,8 +641,7 @@ class TestBounds:
         bound = generic_lower_bound(code, code)
         product = css_tensor(code, code)
         for side, value in zip(("X", "Z"), bound):
-            _, word = css.min_distance_random_upper(product, side, 100, 9)
-            exact = css.min_distance_exact(product, side, weight_cap=9, seed_word=word)
+            exact = css.min_distance_exact(product, side, weight_cap=9)
             assert value <= exact.lower
 
     def test_nonnegative_and_at_least_one(self):
@@ -802,7 +818,7 @@ class TestSweep:
         z_bound = tensorops.bound_from_params(
             tensorops.factor_params(base, "Z"),
             tensorops._factor_params(
-                plain, report.d_z, report.min_stabilizer_weight_z, plain.top_min
+                plain, report.d_z, report.min_stabilizer_weight_z, plain.minimum("relation")
             ),
         )
         assert tensorops._machine_bounds(steane(), (square, report), None) == (11, z_bound)
@@ -817,7 +833,7 @@ class TestSweep:
         base, cube = steane(), css_power(steane(), 3)
         report = css.analyze(cube, 1, 2, 104, 5.0)
         t0 = time.monotonic()
-        top = css._side(cube, "X").top_min_within(1.0)
+        top = css._side(cube, "X").minimum("relation", deadline=t0 + 1.0)
         assert time.monotonic() - t0 < 10.0
         assert not top.exact and top.lower >= 1
         t0 = time.monotonic()
@@ -825,24 +841,25 @@ class TestSweep:
         assert time.monotonic() - t0 < 10.0
         sides = [tensorops.factor_params(base, "X"),
                  tensorops._factor_params(css._side(cube, "X"), report.d_x,
-                                          report.min_stabilizer_weight_x, top.lower)]
+                                          report.min_stabilizer_weight_x, top)]
         assert sides[0].h_bot == 0 and sides[1].h_top == 162
         assert bounds == (tensorops.bound_from_params(*sides),) * 2
         assert "Z" not in cube._sides
 
     def test_top_minimum_searched_only_for_an_active_sector(self, monkeypatch):
         # The machine searches the previous stage's relations (with the
-        # stage's budget; a kept top_min passes None) only when the base
-        # side has bottom homology: Steane has none, the cyclic base 4.
+        # stage's budget; factor_params' kept search has no deadline) only
+        # when the base side has bottom homology: Steane has none, the
+        # cyclic base 4.
         searched = []
-        real = css._Side.top_min_within
+        real = css._Side.minimum
 
-        def counting(s, time_budget):
-            if time_budget is not None:
+        def counting(s, of, weight_cap=None, deadline=None):
+            if of == "relation" and deadline is not None:
                 searched.append(s.stab.cols)
-            return real(s, time_budget)
+            return real(s, of, weight_cap, deadline)
 
-        monkeypatch.setattr(css._Side, "top_min_within", counting)
+        monkeypatch.setattr(css._Side, "minimum", counting)
         tensorops.sweep(steane(), 3, weight_cap=2, trials=10, seed=101, time_budget=60.0)
         assert searched == []
         assert tensorops.factor_params(steane(), "X").h_bot == 0
@@ -850,6 +867,37 @@ class TestSweep:
         assert tensorops.factor_params(cyclic, "X").h_bot == 4
         tensorops.sweep(cyclic, 2, weight_cap=3, trials=10, time_budget=60.0)
         assert searched == [7]
+
+    def test_machine_bounds_obey_the_stage_budget_on_an_active_sector(self, monkeypatch):
+        """The cyclic base has bottom homology on side X, so the machine
+        searches the relations of its cube (n = 2401) for the stage's 1 s.
+        That search stops at its deadline, and the bound is the one its
+        certified lower bound gives; side Z reads side X's through the
+        mirror, so one budgeted search runs in all."""
+        base = families.parse_family_spec("cyclic:n=7,g1=1011,g2=1011")
+        cube = css_power(base, 3)
+        assert cube.n == 2401 and tensorops.factor_params(base, "X").h_bot == 4
+        report = css.analyze(cube, 1, 1, 104, 5.0)
+        searches = []
+        real = css._Side.minimum
+
+        def recording(s, of, weight_cap=None, deadline=None):
+            res = real(s, of, weight_cap, deadline)
+            if deadline is not None:
+                searches.append((s, of, res))
+            return res
+
+        monkeypatch.setattr(css._Side, "minimum", recording)
+        t0 = time.monotonic()
+        bounds = tensorops._machine_bounds(base, (cube, report), 1.0)
+        assert time.monotonic() - t0 < 10.0
+        [(s, of, top)] = searches
+        assert s is css._side(cube, "X") and of == "relation"
+        assert not top.exact and top.lower >= 1
+        sides = [tensorops.factor_params(base, "X"),
+                 tensorops._factor_params(s, report.d_x, report.min_stabilizer_weight_x, top)]
+        assert sides[1].top_min_lo == top.lower
+        assert bounds == (tensorops.bound_from_params(*sides),) * 2
 
     def test_degeneracy_is_derived_from_bounds(self):
         assert "degenerate" not in tensorops.SweepRecord._fields
