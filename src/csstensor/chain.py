@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import gf2
-from .gf2 import BinMatrix, _set
+from .gf2 import BinMatrix, _slot_setters
 
 HomologyProfile = tuple[int, ...]
 
@@ -79,12 +79,13 @@ class ChainComplex(gf2._Value):
     __slots__ = _fields = ("dims", "boundaries")
 
     def __init__(self, dims: tuple[int, ...], boundaries: tuple[BinMatrix, ...]) -> None:
+        dims, boundaries = tuple(dims), tuple(boundaries)
         if not dims:
             raise ValueError("a complex needs at least one space")
         if len(boundaries) != len(dims) - 1:
             raise ValueError(f"expected {len(dims) - 1} boundary maps, got {len(boundaries)}")
-        _set(self, "dims", dims)
-        _set(self, "boundaries", boundaries)
+        _set_dims(self, dims)
+        _set_boundaries(self, boundaries)
 
     @classmethod
     def single(cls, n: int) -> ChainComplex:
@@ -109,6 +110,9 @@ class ChainComplex(gf2._Value):
         if 1 <= i <= self.top_degree():
             return self.boundaries[i - 1]
         return BinMatrix.zeros(self.dim(i - 1), self.dim(i))
+
+
+_set_dims, _set_boundaries = _slot_setters(ChainComplex)
 
 
 def validate(x: ChainComplex) -> None:

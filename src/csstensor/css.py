@@ -62,7 +62,7 @@ from itertools import islice
 
 from . import chain, gf2
 from .chain import ChainComplex
-from .gf2 import BinMatrix, BinVector, _set
+from .gf2 import BinMatrix, BinVector, _slot_setters
 
 
 class OrthogonalityViolation(ValueError):
@@ -121,14 +121,15 @@ class CssCode(gf2._Value):
             raise gf2.DimensionMismatch(
                 f"check matrices have {h_x.cols}/{h_z.cols} columns, expected n={n}"
             )
-        _set(self, "n", n)
-        _set(self, "h_x", h_x)
-        _set(self, "h_z", h_z)
-        _set(self, "_factors", factors)
-        _set(self, "_sides", {})
-        _set(self, "_mirror", _UNSET)
+        _set_n(self, n)
+        _set_h_x(self, h_x)
+        _set_h_z(self, h_z)
+        _set_factors(self, factors)
+        _set_sides(self, {})
+        _set_mirror(self, _UNSET)
 
 
+_set_n, _set_h_x, _set_h_z, _set_factors, _set_sides, _set_mirror = _slot_setters(CssCode)
 # The ``_mirror`` of a code not yet asked for one.
 _UNSET = object()
 
@@ -713,7 +714,7 @@ def _mirror(code: CssCode) -> list[int] | None:
                 _rows_map(code.h_x, perm, code.h_z) and _rows_map(code.h_z, perm, code.h_x)
             ):
                 perm = None
-        _set(code, "_mirror", perm)
+        _set_mirror(code, perm)
     return perm
 
 

@@ -8,9 +8,10 @@ a loaded file; see ``BinMatrix``) keeps them and builds its ints on first
 read, so a sparse product can be built, written and loaded without any.
 All values are immutable and safe to share between threads.  The value
 types are plain ``__slots__`` classes on ``_Value``: ``__init__`` checks
-its arguments and sets each field once through ``object.__setattr__``,
-any later assignment raises ``AttributeError``, and equality, hash and
-repr read the fields named in ``_fields``.
+its arguments and sets each field once through its slot's setter, any
+later assignment raises ``AttributeError``, and equality, hash and repr
+read the fields named in ``_fields``.  ``BinMatrix`` alone also has
+constructors that check nothing, for producers that build their own rows.
 
 All elimination is pivot-keyed: two echelon loops, one back-substitution.
 In natural order (columns scanned lowest first) ``_echelon`` keys each row
@@ -53,11 +54,14 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
-_set = object.__setattr__
+def _slot_setters(cls: type) -> tuple:
+    """The setters of the slots ``cls`` declares, in ``__slots__`` order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class _Value:
-    """Base of the immutable value types: equality, hash and repr over ``_fields``."""
+    """Base of the immutable value types: equality, hash and repr over ``_fields``,
+    which ``__init__`` stores as tuples or scalars, each through its slot's setter."""
 
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
@@ -103,8 +107,8 @@ class BinVector(_Value):
             raise ValueError("negative length")
         if bits < 0 or bits >> n:
             raise ValueError("bits outside declared length")
-        _set(self, "n", n)
-        _set(self, "bits", bits)
+        _set_n(self, n)
+        _set_bits(self, bits)
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> BinVector:
@@ -128,6 +132,11 @@ class BinMatrix(_Value):
     ``data[i]`` is row ``i``; bits beyond ``cols`` are always zero.
     0 x n and m x 0 matrices are valid and act as empty maps.
 
+    ``BinMatrix(rows, cols, data)`` checks sizes and rows, for any caller and
+    for copies and pickles.  ``_of_rows`` (int rows) and ``_of_supports``
+    check nothing, so only producers whose rows cannot fail those checks
+    call them (``tests/test_api_surface.py`` lists those of ``_of_rows``).
+
     Products (``chain``), transposes and ``from_support`` make their
     matrices from sorted row supports instead (``_of_supports``), and
     their int rows are made on the first read of ``data``, which is also
@@ -142,37 +151,52 @@ class BinMatrix(_Value):
     __slots__ = ("rows", "cols", "data", "_supports")
     _fields = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: tuple[int, ...]) -> None:
+    def __init__(self, rows: int, cols: int, data: Iterable[int]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
+        data = tuple(map(index, data))
         if len(data) != rows:
             raise ValueError("row count does not match data")
         if data and (min(data) < 0 or max(data).bit_length() > cols):
             raise ValueError("row has bits beyond declared width")
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "data", data)
-        _set(self, "_supports", None)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_data(self, data)
+        _set_supports(self, None)
+
+    @staticmethod
+    def _of_rows(rows: int, cols: int, data: tuple[int, ...]) -> BinMatrix:
+        """The matrix with this tuple of ``rows`` ints below ``1 << cols`` (not checked)."""
+        m = _new(BinMatrix)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_data(m, data)
+        _set_supports(m, None)
+        return m
 
     @staticmethod
     def _of_supports(rows: int, cols: int, supports: Iterable[Iterable[int]]) -> BinMatrix:
         """The matrix with these row supports, which must be ascending, in
         range and free of repeats (not checked); ``data`` waits for a read."""
-        m = _SupportMatrix.__new__(_SupportMatrix)
-        _set(m, "rows", rows)
-        _set(m, "cols", cols)
-        _set(m, "_supports", tuple(map(tuple, supports)))
+        m = _new(_SupportMatrix)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_supports(m, tuple(map(tuple, supports)))
         return m
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> BinMatrix:
-        return cls(rows, cols, (0,) * rows)
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimension")
+        return cls._of_rows(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> BinMatrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        if n < 0:
+            raise ValueError("negative dimension")
+        return cls._of_rows(n, n, tuple([1 << i for i in range(n)]))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> BinMatrix:
@@ -227,7 +251,7 @@ class BinMatrix(_Value):
         and keeps them, as a product keeps those it was built from.
         """
         if self._supports is None:
-            _set(self, "_supports", tuple([
+            _set_supports(self, tuple([
                 _BYTE_SUPPORTS[r] if r < 256 else tuple(_support_of(r)) for r in self.data
             ]))
         return list(self._supports)
@@ -257,13 +281,15 @@ class _SupportMatrix(BinMatrix):
                 bits |= 1 << j
             rows.append(bits)
         data = tuple(rows)
-        _DATA.__set__(self, data)
-        _set(self, "__class__", BinMatrix)
+        _set_data(self, data)
+        object.__setattr__(self, "__class__", BinMatrix)
         return data
 
 
-# The ``data`` slot of ``BinMatrix``, which ``_SupportMatrix.data`` shadows.
-_DATA = BinMatrix.__dict__["data"]
+_new = object.__new__
+_set_n, _set_bits = _slot_setters(BinVector)
+# ``_set_data`` also fills the slot ``_SupportMatrix.data`` shadows.
+_set_rows, _set_cols, _set_data, _set_supports = _slot_setters(BinMatrix)
 
 
 def _support_of(bits: int) -> list[int]:
@@ -382,7 +408,7 @@ def kernel_basis(m: BinMatrix) -> BinMatrix:
     identity-like basis of the whole domain.
     """
     basis, _ = _kernel_bitrows(m.data, _mask(m.cols))
-    return BinMatrix(len(basis), m.cols, tuple(basis))
+    return BinMatrix._of_rows(len(basis), m.cols, tuple(basis))
 
 
 def _kernel_bitrows(bitrows: Sequence[int], columns: int) -> tuple[list[int], int]:
@@ -437,7 +463,7 @@ def matmul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
         for t in support:
             acc ^= bdata[t]
         out.append(acc)
-    return BinMatrix(a.rows, b.cols, tuple(out))
+    return BinMatrix._of_rows(a.rows, b.cols, tuple(out))
 
 
 def transpose(m: BinMatrix) -> BinMatrix:
@@ -467,5 +493,5 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
             for j1 in asup:
                 bits |= brow << (j1 * b.cols)
             out.append(bits)
-    return BinMatrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+    return BinMatrix._of_rows(a.rows * b.rows, a.cols * b.cols, tuple(out))
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 
 from . import css, gf2
 from .chain import ChainComplex
@@ -12,6 +11,8 @@ from .gf2 import BinMatrix
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.5) -> BinMatrix:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative dimension")
     data = []
     for _ in range(rows):
         bits = 0
@@ -19,19 +20,21 @@ def random_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.5
             if rng.random() < density:
                 bits |= 1 << j
         data.append(bits)
-    return BinMatrix(rows, cols, tuple(data))
+    return BinMatrix._of_rows(rows, cols, tuple(data))
 
 
-def _random_combinations(rng: random.Random, basis: Sequence[int], count: int) -> list[int]:
-    """``count`` random sums of basis rows, each row kept with probability 1/2."""
+def _random_combinations(rng: random.Random, basis: BinMatrix, count: int) -> BinMatrix:
+    """``count`` random sums of the rows of ``basis``, each row kept with probability 1/2."""
+    if count < 0:
+        raise ValueError("negative dimension")
     out = []
     for _ in range(count):
         bits = 0
-        for row in basis:
+        for row in basis.data:
             if rng.random() < 0.5:
                 bits ^= row
         out.append(bits)
-    return out
+    return BinMatrix._of_rows(count, basis.cols, tuple(out))
 
 
 def random_complex(rng: random.Random, dims: tuple[int, int, int]) -> ChainComplex:
@@ -42,8 +45,7 @@ def random_complex(rng: random.Random, dims: tuple[int, int, int]) -> ChainCompl
     """
     c0, c1, c2 = dims
     d1 = random_matrix(rng, c0, c1)
-    cols = _random_combinations(rng, gf2.kernel_basis(d1).data, c2)
-    d2 = gf2.transpose(BinMatrix(c2, c1, tuple(cols)))
+    d2 = gf2.transpose(_random_combinations(rng, gf2.kernel_basis(d1), c2))
     return ChainComplex(dims, (d1, d2))
 
 
@@ -63,8 +65,7 @@ def random_css_code(rng: random.Random, n: int, r_x: int, r_z: int, min_k: int =
     """
     for _ in range(200):
         h_x = random_matrix(rng, r_x, n)
-        rows = _random_combinations(rng, gf2.kernel_basis(h_x).data, r_z)
-        h_z = BinMatrix(r_z, n, tuple(rows))
+        h_z = _random_combinations(rng, gf2.kernel_basis(h_x), r_z)
         code = css.from_matrices(h_x, h_z)
         if css.dimension_k(code) >= min_k:
             return code

@@ -252,22 +252,24 @@ def test_one_helper_raises_the_ceiling():
     assert raisers == [("css", "_check_ceiling")]
 
 
-def _none_tests_of_supports(
-    node: ast.AST, scope: tuple[str, ...] = ()
-) -> list[tuple[str, ...]]:
-    """The scopes of every comparison of a ``_supports`` with ``None``."""
+def _scopes(node: ast.AST, match, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
+    """The class and function scopes of every node under ``node`` that ``match`` accepts."""
     if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
         scope += (node.name,)
-    found = []
-    if isinstance(node, ast.Compare):
-        sides = [node.left, *node.comparators]
-        if any(isinstance(s, ast.Constant) and s.value is None for s in sides) and any(
-            getattr(s, "attr", getattr(s, "id", None)) == "_supports" for s in sides
-        ):
-            found.append(scope)
+    found = [scope] if match(node) else []
     for child in ast.iter_child_nodes(node):
-        found += _none_tests_of_supports(child, scope)
+        found += _scopes(child, match, scope)
     return found
+
+
+def _is_none_test_of_supports(node: ast.AST) -> bool:
+    """Whether ``node`` compares a ``_supports`` with ``None``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sides) and any(
+        getattr(s, "attr", getattr(s, "id", None)) == "_supports" for s in sides
+    )
 
 
 def test_only_support_asks_how_a_matrix_was_built():
@@ -278,8 +280,37 @@ def test_only_support_asks_how_a_matrix_was_built():
     found = [
         (module, *scope)
         for module, tree in _trees().items()
-        for scope in _none_tests_of_supports(tree)
+        for scope in _scopes(tree, _is_none_test_of_supports)
     ]
     assert ("gf2", "BinMatrix", "support") in found
     assert [s for s in found if s[:2] != ("gf2", "_SupportMatrix")
             and s != ("gf2", "BinMatrix", "support")] == []
+
+
+# The producers that build their int rows themselves, from matrices already
+# built or from sizes they check: the only callers of ``BinMatrix._of_rows``.
+ROW_PRODUCERS = {
+    ("gf2", "BinMatrix", "zeros"),
+    ("gf2", "BinMatrix", "identity"),
+    ("gf2", "kernel_basis"),
+    ("gf2", "matmul"),
+    ("gf2", "kron"),
+    ("rand", "random_matrix"),
+    ("rand", "_random_combinations"),
+}
+
+
+def _calls_of_rows(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_of_rows"
+
+
+def test_only_row_producers_skip_the_checks():
+    """``BinMatrix._of_rows`` checks nothing, so only producers whose rows
+    cannot fail ``BinMatrix.__init__``'s checks call it: every other caller,
+    and every file or user input, goes through the checked constructor."""
+    found = {
+        (module, *scope)
+        for module, tree in _trees().items()
+        for scope in _scopes(tree, _calls_of_rows)
+    }
+    assert found == ROW_PRODUCERS

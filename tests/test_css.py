@@ -46,9 +46,8 @@ def random_chain(rng: random.Random, dims: list[int]) -> chain.ChainComplex:
     """
     boundaries = [random_matrix(rng, dims[0], dims[1])] if len(dims) > 1 else []
     for i in range(2, len(dims)):
-        kernel = gf2.kernel_basis(boundaries[-1]).data
-        cols = rand._random_combinations(rng, kernel, dims[i])
-        boundaries.append(gf2.transpose(BinMatrix(dims[i], dims[i - 1], tuple(cols))))
+        cols = rand._random_combinations(rng, gf2.kernel_basis(boundaries[-1]), dims[i])
+        boundaries.append(gf2.transpose(cols))
     return chain.ChainComplex(tuple(dims), tuple(boundaries))
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
-from csstensor import gf2
+from csstensor import gf2, rand
 from csstensor.families import steane
 from csstensor.gf2 import BinMatrix, BinVector
 from csstensor.rand import random_matrix
@@ -560,3 +562,71 @@ class TestValidation:
     def test_vector_weight(self):
         v = BinVector.from_support(5, [0, 3])
         assert v.weight() == 2 and v.support() == [0, 3]
+
+
+def produced_matrices():
+    """Random shapes, the empty ones among them, each with the matrices every
+    producer that skips ``BinMatrix.__init__``'s checks builds from it."""
+    rng = random.Random(3202)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1)]
+    shapes += [(rng.randrange(0, 7), rng.randrange(0, 9)) for _ in range(60)]
+    for rows, cols in shapes:
+        a = random_matrix(rng, rows, cols, rng.choice(DENSITIES))
+        b = random_matrix(rng, cols, rng.randrange(0, 6), rng.choice(DENSITIES))
+        yield [
+            a, b, BinMatrix.zeros(rows, cols), BinMatrix.identity(cols), gf2.matmul(a, b),
+            gf2.kron(a, b), gf2.kron(b, a), gf2.kernel_basis(a),
+            rand._random_combinations(rng, gf2.kernel_basis(a), rng.randrange(0, 5)),
+            *rand.random_complex(rng, (rows, cols, rng.randrange(0, 5))).boundaries,
+        ]
+        code = rand.random_css_code(rng, cols, rng.randrange(0, 4), rng.randrange(0, 4), min_k=0)
+        yield [code.h_x, code.h_z]
+
+
+class TestUncheckedProducers:
+    """Matrices built by ``_of_rows`` are the values the checked
+    constructor builds from the same rows."""
+
+    def test_equal_to_the_checked_twin(self):
+        for matrices in produced_matrices():
+            for m in matrices:
+                twin = BinMatrix(m.rows, m.cols, m.data)
+                assert type(m) is BinMatrix and type(m.data) is tuple
+                assert all(type(row) is int for row in m.data)
+                assert m == twin and twin == m and hash(m) == hash(twin)
+                assert repr(m) == repr(twin) and m.support() == twin.support()
+
+    def test_immutable_copied_and_pickled_like_the_twin(self):
+        for matrices in produced_matrices():
+            for m in matrices:
+                twin = BinMatrix(m.rows, m.cols, m.data)
+                for field in ("rows", "cols", "data", "_supports"):
+                    with pytest.raises(AttributeError):
+                        setattr(m, field, getattr(m, field))
+                    with pytest.raises(AttributeError):
+                        delattr(m, field)
+                for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                    assert type(other) is BinMatrix
+                    assert other == twin and hash(other) == hash(twin)
+                assert {m: 1}[twin] == 1
+
+    def test_negative_sizes_still_raise(self):
+        rng = random.Random(5)
+        calls = [
+            lambda: BinMatrix.zeros(-1, 2),
+            lambda: BinMatrix.zeros(2, -1),
+            lambda: BinMatrix.identity(-1),
+            lambda: random_matrix(rng, -1, 3),
+            lambda: random_matrix(rng, 3, -1),
+            lambda: rand.random_complex(rng, (-1, 2, 2)),
+            lambda: rand.random_complex(rng, (2, -1, 2)),
+            lambda: rand.random_complex(rng, (2, 2, -1)),
+            lambda: rand.random_css_code(rng, -1, 1, 1),
+            lambda: rand.random_css_code(rng, 4, -1, 1),
+            lambda: rand.random_css_code(rng, 4, 1, -1),
+            lambda: BinMatrix(-1, 2, ()),
+            lambda: BinMatrix.from_support(0, -1, []),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^negative dimension$"):
+                call()

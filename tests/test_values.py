@@ -100,3 +100,21 @@ def test_repr_names_the_fields():
     assert repr(css.DistanceResult(2, None, False)) == (
         "DistanceResult(lower=2, upper=None, exact=False, witness=None)"
     )
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    m = BinMatrix(2, 3, [1, 2])
+    assert type(m.data) is tuple and m == BinMatrix(2, 3, (1, 2))
+    assert hash(m) == hash(BinMatrix(2, 3, (1, 2)))
+    z = BinMatrix.zeros(1, 2)
+    x = chain.ChainComplex([1, 2], [z])
+    assert type(x.dims) is tuple and type(x.boundaries) is tuple
+    twin = chain.ChainComplex((1, 2), (z,))
+    assert x == twin and hash(x) == hash(twin)
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_non_integer_rows_raise_type_error():
+    for row in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            BinMatrix(1, 2, (row,))
