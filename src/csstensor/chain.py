@@ -50,6 +50,7 @@ which is zero.  ``validate`` on the factors thus certifies the product.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import index
 
 from . import gf2
 from .gf2 import BinMatrix, _slot_setters
@@ -79,7 +80,7 @@ class ChainComplex(gf2._Value):
     __slots__ = _fields = ("dims", "boundaries")
 
     def __init__(self, dims: tuple[int, ...], boundaries: tuple[BinMatrix, ...]) -> None:
-        dims, boundaries = tuple(dims), tuple(boundaries)
+        dims, boundaries = tuple(map(index, dims)), tuple(boundaries)
         if not dims:
             raise ValueError("a complex needs at least one space")
         if len(boundaries) != len(dims) - 1:

@@ -105,12 +105,11 @@ class CssCode(gf2._Value):
     ``dimension_k`` reads k off it by Kuenneth and ``_mirror`` a side
     mirror.  It is an in-process record: code files never hold it, and
     copies and pickles rebuild the code through ``__init__`` without it.
-    ``_sides`` keeps each side's ``_Side`` once built (see ``_side``) and
-    ``_mirror`` the certified side mirror once computed (see ``_mirror``).
-    Equality, hash and repr leave all three out.
+    ``_sides`` keeps each side's ``_Side`` once built (see ``_side``).
+    Equality, hash and repr leave both out.
     """
 
-    __slots__ = ("n", "h_x", "h_z", "_factors", "_sides", "_mirror")
+    __slots__ = ("n", "h_x", "h_z", "_factors", "_sides")
     _fields = ("n", "h_x", "h_z")
 
     def __init__(
@@ -126,12 +125,9 @@ class CssCode(gf2._Value):
         _set_h_z(self, h_z)
         _set_factors(self, factors)
         _set_sides(self, {})
-        _set_mirror(self, _UNSET)
 
 
-_set_n, _set_h_x, _set_h_z, _set_factors, _set_sides, _set_mirror = _slot_setters(CssCode)
-# The ``_mirror`` of a code not yet asked for one.
-_UNSET = object()
+_set_n, _set_h_x, _set_h_z, _set_factors, _set_sides = _slot_setters(CssCode)
 
 
 def from_matrices(h_x: BinMatrix, h_z: BinMatrix) -> CssCode:
@@ -210,7 +206,7 @@ def dimension_k(code: CssCode) -> int:
 # -- low-weight search engine ---------------------------------------------
 
 
-class DistanceResult(namedtuple("DistanceResult", "lower upper exact witness", defaults=(None,))):
+class DistanceResult(namedtuple("DistanceResult", "lower upper exact witness")):
     """Outcome of a weight-stratified search.
 
     ``lower`` is always a certified lower bound on the true minimum: the
@@ -221,14 +217,14 @@ class DistanceResult(namedtuple("DistanceResult", "lower upper exact witness", d
     the basis size K is no cap: the search then ends exact, as walking all
     combinations of up to K rows would.  A search starts from a target
     word, so its result always has an int ``upper`` and a ``BinVector``
-    ``witness`` of that weight; a hand-built result may leave both None.
+    ``witness`` of that weight; ``_bracket`` alone merges one with a bound.
     """
 
     __slots__ = ()
 
     @property
     def value(self) -> int:
-        if not self.exact or self.upper is None:
+        if not self.exact:
             raise ValueError("search did not finish; no exact value")
         return self.upper
 
@@ -694,7 +690,7 @@ def _rows_map(a: BinMatrix, perm: Sequence[int], b: BinMatrix) -> bool:
 
 
 def _mirror(code: CssCode) -> list[int] | None:
-    """A certified X <-> Z side mirror of the code, or None; computed once and kept.
+    """A certified X <-> Z side mirror of the code, or None.
 
     The identity when h_x = h_z; else, for a code read from self-dual
     factors, ``_dual_permutation`` of its ``_factors`` record.  A candidate
@@ -704,24 +700,20 @@ def _mirror(code: CssCode) -> list[int] | None:
     ker(h_z) = rowspace(h_z)^perp onto ker(h_x): every X logical and X
     stabilizer onto a Z one of the same weight (see ``_mirrored``).
     """
-    perm = code._mirror
-    if perm is _UNSET:
-        if code.h_x == code.h_z:
-            perm = list(range(code.n))
-        else:
-            perm = None if code._factors is None else _dual_permutation(code._factors)
-            if perm is not None and not (
-                _rows_map(code.h_x, perm, code.h_z) and _rows_map(code.h_z, perm, code.h_x)
-            ):
-                perm = None
-        _set_mirror(code, perm)
+    if code.h_x == code.h_z:
+        return list(range(code.n))
+    perm = None if code._factors is None else _dual_permutation(code._factors)
+    if perm is None or not (
+        _rows_map(code.h_x, perm, code.h_z) and _rows_map(code.h_z, perm, code.h_x)
+    ):
+        return None
     return perm
 
 
 def _mirrored(res: DistanceResult | None, perm: Sequence[int]) -> DistanceResult | None:
     """An X-side result as the Z side's under the mirror perm: same bounds, moved witness."""
-    if res is None or res.witness is None:
-        return res
+    if res is None:
+        return None
     moved = map(perm.__getitem__, res.witness.support())
     return res._replace(witness=BinVector.from_support(res.witness.n, moved))
 
@@ -759,15 +751,14 @@ def min_distance_random_upper(
     low-weight kernel members and every nontrivial one bounds the distance
     from above.  The checks move to the trial's coordinates with the rows
     (``_moved``), and the lightest logical found moves back to the code's
-    (``_in_code``).  At least one trial runs.  Deterministic for a fixed
-    seed.
+    (``_in_code``).  At least one trial runs, and its rows, which span the
+    kernel, hold a logical.  Deterministic for a fixed seed.
     """
     s = _side(code, side)
     if not s.k:
         raise KIsZero("distances are undefined for k = 0")
     rng = random.Random(seed)
-    best: int | None = None
-    best_word = best_order = None
+    best, best_word, best_order = code.n + 1, 0, None
     supports = [gf2._support_of(row) for row in s.kernel]
     for _ in range(max(1, trials)):
         order = list(range(code.n))
@@ -778,10 +769,8 @@ def min_distance_random_upper(
             rows += [a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]]
         for word in rows:
             w = word.bit_count()
-            if (best is None or w < best) and _signature(word, moved_checks):
+            if w < best and _signature(word, moved_checks):
                 best, best_word, best_order = w, word, order
-    if best is None:
-        raise RuntimeError("no nontrivial kernel element found; inconsistent inputs")
     return best, BinVector(code.n, _in_code(best_word, best_order))
 
 
@@ -858,12 +847,12 @@ class CodeReport(namedtuple("CodeReport", (
             return False
         dists = (self.d_x, self.d_z)
         stab_lo = min(s.lower for s in stabs)
-        stab_hi = min((s.upper for s in stabs if s.upper is not None), default=None)
+        stab_hi = min(s.upper for s in stabs)
         dist_lo = min(d.lower for d in dists)
-        dist_hi = min((d.upper for d in dists if d.upper is not None), default=None)
-        if stab_hi is not None and stab_hi < dist_lo:
+        dist_hi = min(d.upper for d in dists)
+        if stab_hi < dist_lo:
             return True
-        if dist_hi is not None and stab_lo >= dist_hi:
+        if stab_lo >= dist_hi:
             return False
         return None
 
@@ -889,17 +878,23 @@ DEFAULT_WEIGHT_CAP = 6
 DEFAULT_TRIALS = 200
 
 
-def _bracket(res: DistanceResult, lower: int) -> DistanceResult:
-    """``res`` with a second certified lower bound merged in.
+def _bracket(
+    res: DistanceResult, lower: int = 0, found: tuple[int, BinVector] | None = None
+) -> DistanceResult:
+    """``res`` merged with a certified lower bound and a found word: the one merge.
 
-    Exact when ``res`` is or when the bounds meet; ``res``'s witness is
-    kept.  No clamp of lower to upper: a search seeded with a word of
-    weight u stops once its certificate reaches u, so it never certifies
-    above u, and a lower bound above the upper one (an unsound bound)
-    stays visible.
+    ``found`` is an (upper, word) pair, as ``min_distance_random_upper``
+    returns; a lighter word becomes the upper bound and the witness.
+    Exact when ``res`` is or when the bounds meet.  No clamp of lower to
+    upper: a search seeded with a word of weight u stops once its
+    certificate reaches u, so it never certifies above u, and a lower
+    bound above the upper one (an unsound bound) stays visible.
     """
+    upper, witness = res.upper, res.witness
+    if found is not None and found[0] < upper:
+        upper, witness = found
     lo = max(res.lower, lower)
-    return DistanceResult(lo, res.upper, res.exact or lo == res.upper, res.witness)
+    return DistanceResult(lo, upper, res.exact or lo == upper, witness)
 
 
 def analyze(
@@ -916,8 +911,8 @@ def analyze(
     random information sets run only where a search leaves the distance
     open (see ``_side_bounds``).  With ``exact_up_to=None`` and no budget
     every result is a side's kept exact minimum (see ``_Side.minimum``).
-    Every distance with an upper bound has a witness of that weight; the
-    degeneracy verdict follows from the reported bounds.
+    Every distance and stabilizer minimum has a witness of its upper
+    bound's weight; the degeneracy verdict follows from the reported bounds.
     For a fixed seed the result is deterministic whenever the searches
     finish within budget; an expiring budget can only weaken the
     certified lower bound, never the flags.  A code with a
@@ -944,8 +939,8 @@ def _side_bounds(
     Both come from the side's searches (``_Side.minimum``), each started
     from the lightest target row; with no cap and no budget they are the
     side's kept results.  Only when the capped search leaves the distance
-    open do the random trials run, and a lighter word of theirs becomes
-    the upper bound and the witness.  A search walks the same levels under
+    open do the random trials run, and their word is merged in through
+    ``_bracket``.  A search walks the same levels under
     any seed heavier than the distance, so, absent a deadline, the lower
     bound is that of a search seeded by the trials, and the upper bound
     the least of the same candidates and the seed row.
@@ -957,9 +952,7 @@ def _side_bounds(
         return None, stab
     res = min_distance_exact(code, side, exact_up_to, time_budget)
     if not res.exact:
-        upper, word = min_distance_random_upper(code, side, trials, seed)
-        if upper < res.upper:
-            res = DistanceResult(res.lower, upper, res.lower >= upper, word)
+        res = _bracket(res, found=min_distance_random_upper(code, side, trials, seed))
     return res, stab
 
 

@@ -130,29 +130,14 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def poly_mod(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("polynomial modulus is zero")
-    db = poly_degree(b)
-    while a and poly_degree(a) >= db:
-        a ^= b << (poly_degree(a) - db)
-    return a
-
-
-def poly_divides(g: int, f: int) -> bool:
-    return poly_mod(f, g) == 0
-
-
-def poly_quotient(f: int, g: int) -> int:
-    q = 0
-    dg = poly_degree(g)
+def poly_divmod(f: int, g: int) -> tuple[int, int]:
+    """Quotient and remainder of f divided by a nonzero g."""
+    q, dg = 0, poly_degree(g)
     while f and poly_degree(f) >= dg:
         shift = poly_degree(f) - dg
         q |= 1 << shift
         f ^= g << shift
-    if f:
-        raise NotADivisor("polynomial division left a remainder")
-    return q
+    return q, f
 
 
 def poly_reverse(p: int, degree: int) -> int:
@@ -177,17 +162,19 @@ def circulant(first_row: int, n: int) -> BinMatrix:
 def cyclic_parity_circulant(n: int, g: int) -> BinMatrix:
     """Parity-check circulant of the cyclic code generated by g.
 
-    Rows are the n shifts of the reciprocal of h = (x^n - 1) / g; the row
-    space is the dual code, so the rank equals deg(g).  All n shifts are
-    kept to preserve cyclic symmetry and constant row weight.
+    Rows are the n shifts of the reciprocal of h = (x^n - 1) / g, reduced
+    modulo x^n - 1 (zero for g = 1); the row space is the dual code, so
+    the rank equals deg(g).  All n shifts are kept to preserve cyclic
+    symmetry and constant row weight.
     """
     if n % 2 == 0:
         raise ValueError("n must be odd")
     modulus = (1 << n) | 1
-    if g == 0 or not poly_divides(g, modulus):
+    # Dividing by a zero g would never end.
+    h, rest = poly_divmod(modulus, g) if g else (0, modulus)
+    if rest:
         raise NotADivisor(f"g (bits {g:b}) does not divide x^{n} - 1")
-    h = poly_quotient(modulus, g)
-    first_row = poly_mod(poly_reverse(h, poly_degree(h)), modulus)
+    _, first_row = poly_divmod(poly_reverse(h, poly_degree(h)), modulus)
     return circulant(first_row, n)
 
 

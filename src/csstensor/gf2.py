@@ -103,6 +103,7 @@ class BinVector(_Value):
     __slots__ = _fields = ("n", "bits")
 
     def __init__(self, n: int, bits: int) -> None:
+        n = index(n)
         if n < 0:
             raise ValueError("negative length")
         if bits < 0 or bits >> n:
@@ -152,6 +153,7 @@ class BinMatrix(_Value):
     _fields = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[int]) -> None:
+        rows, cols = index(rows), index(cols)
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         data = tuple(map(index, data))
@@ -188,12 +190,14 @@ class BinMatrix(_Value):
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> BinMatrix:
+        rows, cols = index(rows), index(cols)
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         return cls._of_rows(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> BinMatrix:
+        n = index(n)
         if n < 0:
             raise ValueError("negative dimension")
         return cls._of_rows(n, n, tuple([1 << i for i in range(n)]))
@@ -222,6 +226,7 @@ class BinMatrix(_Value):
         ``ValueError``, any other that is no integer ``TypeError``.  The rows
         are kept as supports until ``data`` is read.
         """
+        rows, cols = index(rows), index(cols)
         if len(support) != rows:
             raise DimensionMismatch("support list length != rows")
         if cols < 0:

@@ -299,9 +299,7 @@ class SweepRecord(namedtuple("SweepRecord", "ell n report seconds error", defaul
             "d_z": rep["d_z"],
             "wmax_x": rep["max_row_weight_x"],
             "wmax_z": rep["max_row_weight_z"],
-            "stab_min": min(
-                (s["upper"] for s in stabs if s and s["upper"] is not None), default=None
-            ),
+            "stab_min": min((s["upper"] for s in stabs if s), default=None),
             "degenerate": rep["degenerate"],
             "seconds": self.seconds,
             "error": self.error,

@@ -314,3 +314,22 @@ def test_only_row_producers_skip_the_checks():
         for scope in _scopes(tree, _calls_of_rows)
     }
     assert found == ROW_PRODUCERS
+
+
+def _calls_distance_result(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and "DistanceResult" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def test_one_merge_builds_results():
+    """A ``DistanceResult`` is built by the search that certifies it,
+    ``css._Search.run``, or by ``css._bracket``, the one merge of a result
+    with another bound: a second merge would bring a second rule for the
+    ``exact`` flag."""
+    found = {
+        (module, *scope)
+        for module, tree in _trees().items()
+        for scope in _scopes(tree, _calls_distance_result)
+    }
+    assert found == {("css", "_Search", "run"), ("css", "_bracket")}

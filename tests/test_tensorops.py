@@ -85,6 +85,11 @@ def redundant_check_code(rng: random.Random, n: int) -> CssCode:
     return css.from_matrices(h_x, h_z)
 
 
+def _word(n: int, weight: int) -> gf2.BinVector:
+    """The length-n word with ones at its first ``weight`` coordinates."""
+    return gf2.BinVector(n, (1 << weight) - 1)
+
+
 class TestCssTensor:
     def test_unit_reproduces_code(self):
         code = steane()
@@ -591,8 +596,9 @@ class TestBounds:
         real = css.min_distance_exact
 
         def inflated(code, side, *args, **kwargs):
-            value = real(code, side, *args, **kwargs).value + 100
-            return css.DistanceResult(value, value, True)
+            res = real(code, side, *args, **kwargs)
+            value = res.value + 100
+            return css.DistanceResult(value, value, True, res.witness)
 
         monkeypatch.setattr(css, "min_distance_exact", inflated)
         failed = [r.name for r in verify.bound_soundness_suite(5, 6) if not r.passed]
@@ -902,18 +908,38 @@ class TestSweep:
     def test_degeneracy_is_derived_from_bounds(self):
         assert "degenerate" not in tensorops.SweepRecord._fields
         assert "degenerate" not in css.CodeReport._fields
-        undecided = css.DistanceResult(4, 9, False)
+        nine, five = _word(67, 9), _word(67, 5)
+        undecided = css.DistanceResult(4, 9, False, nine)
         profile = css.weight_profile(css_power(steane(), 2))
         report = css.CodeReport(
-            67, 1, undecided, undecided, profile, css.DistanceResult(5, 5, True), None
+            67, 1, undecided, undecided, profile, css.DistanceResult(5, 5, True, five), None
         )
         assert report.degenerate is None
         raised = css._bracket(undecided, lower=6)
-        assert raised == css.DistanceResult(6, 9, False)
+        assert raised == css.DistanceResult(6, 9, False, nine)
         assert report._replace(d_x=raised, d_z=raised).degenerate is True
-        assert css._bracket(undecided, lower=9) == css.DistanceResult(9, 9, True)
+        assert css._bracket(undecided, lower=9) == css.DistanceResult(9, 9, True, nine)
         ceiling = tensorops.SweepRecord(3, 721, None, 0.0, "ceiling")
         assert ceiling.to_json_dict()["degenerate"] is None
+
+    def test_bracket_merges_a_found_word(self):
+        undecided = css.DistanceResult(4, 9, False, _word(67, 9))
+        seven = _word(67, 7)
+        # A lighter word takes the upper bound and the witness.
+        assert css._bracket(undecided, found=(7, seven)) == css.DistanceResult(4, 7, False, seven)
+        reached = css.DistanceResult(7, 9, False, _word(67, 9))
+        assert css._bracket(reached, found=(7, seven)) == css.DistanceResult(7, 7, True, seven)
+        # A word as heavy as the upper bound, or heavier, changes nothing.
+        for weight in (9, 10):
+            other = gf2.BinVector(67, _word(67, weight).bits << 20)
+            assert css._bracket(undecided, found=(weight, other)) == undecided
+        # A lower bound and a word together.
+        eight = _word(67, 8)
+        assert css._bracket(undecided, 6, (8, eight)) == css.DistanceResult(6, 8, False, eight)
+        assert css._bracket(undecided, 7, (7, seven)) == css.DistanceResult(7, 7, True, seven)
+        # An exact result stays exact.
+        exact = css.DistanceResult(9, 9, True, _word(67, 9))
+        assert css._bracket(exact, 3, (10, _word(67, 10))) == exact
 
     def test_stage_report_is_the_analysis(self):
         cap, trials, seed = 2, 20, 5

@@ -63,7 +63,8 @@ def test_immutable_equal_and_hashed_by_fields(value, twin, field):
 def test_unequal_fields_differ():
     assert BinMatrix(2, 3, (1, 6)) != BinMatrix(2, 3, (1, 4))
     assert BinVector(5, 1) != BinVector(6, 1)
-    assert css.DistanceResult(3, 4, False) != css.DistanceResult(3, 5, False)
+    w = BinVector(7, 0b1111)
+    assert css.DistanceResult(3, 4, False, w) != css.DistanceResult(3, 5, False, w)
 
 
 def test_code_side_cache_is_not_part_of_the_value():
@@ -97,8 +98,8 @@ def test_checks_kept():
 
 def test_repr_names_the_fields():
     assert repr(BinMatrix(1, 2, (3,))) == "BinMatrix(rows=1, cols=2, data=(3,))"
-    assert repr(css.DistanceResult(2, None, False)) == (
-        "DistanceResult(lower=2, upper=None, exact=False, witness=None)"
+    assert repr(css.DistanceResult(2, 3, False, BinVector(3, 0b111))) == (
+        "DistanceResult(lower=2, upper=3, exact=False, witness=BinVector(n=3, bits=7))"
     )
 
 
@@ -118,3 +119,21 @@ def test_non_integer_rows_raise_type_error():
     for row in (1.5, "1", None):
         with pytest.raises(TypeError):
             BinMatrix(1, 2, (row,))
+
+
+FLOAT_SIZES = {
+    "matrix-rows": lambda: BinMatrix(2.0, 3, (1, 2)),
+    "matrix-cols": lambda: BinMatrix(2, 3.0, (1, 2)),
+    "zeros": lambda: BinMatrix.zeros(2, 3.0),
+    "identity": lambda: BinMatrix.identity(2.0),
+    "from-support-rows": lambda: BinMatrix.from_support(2.0, 3, [[0], [1]]),
+    "from-support-cols": lambda: BinMatrix.from_support(2, 3.0, [[0], [1]]),
+    "vector": lambda: BinVector(3.0, 1),
+    "complex-dims": lambda: chain.ChainComplex((1.0, 2), (BinMatrix.zeros(1, 2),)),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_SIZES.values(), ids=FLOAT_SIZES.keys())
+def test_float_sizes_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
