@@ -589,6 +589,8 @@ class _Side:
     is kept, and later calls return it.
     """
 
+    __slots__ = ("kernel_of", "stab", "kernel", "checks", "kept")
+
     def __init__(
         self, kernel_of: BinMatrix, stab: BinMatrix, kernel: tuple[int, ...],
         checks: tuple[int, ...],

@@ -309,7 +309,7 @@ def _complement(m: BinMatrix) -> BinMatrix:
 _GEOMETRY_VARIANTS = ("incidence", "transpose", "complement", "complement-transpose", "none")
 
 
-def _geometry_matrix(incidence: BinMatrix, variant: str) -> BinMatrix:
+def _geometry_matrix(incidence: BinMatrix, variant: str) -> BinMatrix | None:
     if variant == "incidence":
         return incidence
     if variant == "transpose":
@@ -319,7 +319,7 @@ def _geometry_matrix(incidence: BinMatrix, variant: str) -> BinMatrix:
     if variant == "complement-transpose":
         return _complement(gf2.transpose(incidence))
     if variant == "none":
-        return BinMatrix.zeros(0, incidence.cols)
+        return None
     raise ValueError(f"unknown variant {variant!r}; pick from {_GEOMETRY_VARIANTS}")
 
 
@@ -333,11 +333,13 @@ def finite_geometry_css(
     rejected with an orthogonality witness; the default pairs the
     complement of the PG(2, q) incidence with the incidence itself,
     which is orthogonal exactly for even q (two projective lines meet in
-    one point, and line size q + 1 is odd).
+    one point, and line size q + 1 is odd).  "none" is an empty check as
+    wide as its partner (as the incidence when both are "none").
     """
     incidence = finite_geometry_incidence(kind, q)
-    h_x = _geometry_matrix(incidence, pairing[0])
-    h_z = _geometry_matrix(incidence, pairing[1])
+    pair = [_geometry_matrix(incidence, variant) for variant in pairing]
+    cols = next((m.cols for m in pair if m is not None), incidence.cols)
+    h_x, h_z = (BinMatrix.zeros(0, cols) if m is None else m for m in pair)
     return css.from_matrices(h_x, h_z)
 
 

@@ -24,9 +24,10 @@ weight:
   (max check row weight) captured rows per unit of outer-block weight.
   Minimising over the split gives a bound that strictly improves the
   plain max(d(C), d(D)) whenever the capture factor is finite.
-* end sectors (present only when a factor has redundant checks):
-  contractions land in the kernel of the top boundary, bounding the
-  class weight by the lightest nonzero check redundancy.
+* end sectors (active when one factor has redundant checks, h_top > 0,
+  and the other h_bot > 0): contractions land in the kernel of the top
+  boundary, bounding the class weight by the first factor's lightest
+  nonzero check redundancy, its ``top_min_lo``.
 
 A factor's cycle minimum needs no search of its own: a nonzero cycle is
 either a logical or a nonzero stabilizer, so it is min(d, stabilizer
@@ -168,7 +169,10 @@ class FactorParams(namedtuple("FactorParams", "k d_lo cycle_lo check_w h_top h_b
     All entries are lower bounds except ``check_w`` (exact max check row
     weight; 0 means no checks, so no capture is possible) and the two
     homology dimensions, which are exact.  ``top_min_lo`` is None when the
-    checks have no nonzero relation.
+    checks have no nonzero relation, and set whenever its end sector is
+    active: h_top > 0 relations make ``factor_params``' uncapped search find
+    one, and the sweep's machine skips the previous stage's search only
+    when the base side's h_bot = 0 turns that sector off.
     """
 
     __slots__ = ()
@@ -224,30 +228,21 @@ def _capture_refinement(count_d: int, heavy: int, check_w: int) -> int:
         n_outer += 1
 
 
-def _sector_bounds(cp: FactorParams, dp: FactorParams, refined: bool) -> list[int]:
+def bound_from_params(cp: FactorParams, dp: FactorParams, refined: bool = True) -> int:
+    """Sound lower bound on one side of the product distance: the least
+    over the active sectors (see the module docstring), those of nonzero
+    homology dimension (k * k middle, h_top * h_bot end), which sum to the
+    product side's k (KIsZero when 0).  An active end's ``top_min_lo`` is
+    set (see ``FactorParams``); ``refined`` adds the capture refinement.
+    """
     sectors = []
     if cp.k and dp.k:
+        lo = max(cp.d_lo, dp.d_lo)
         if refined:
-            sectors.append(
-                max(
-                    cp.d_lo,
-                    dp.d_lo,
-                    _capture_refinement(cp.d_lo, dp.cycle_lo, cp.check_w),
-                    _capture_refinement(dp.d_lo, cp.cycle_lo, dp.check_w),
-                )
-            )
-        else:
-            sectors.append(max(cp.d_lo, dp.d_lo))
-    if cp.h_top and dp.h_bot:
-        sectors.append(max(cp.top_min_lo or 1, 1))
-    if dp.h_top and cp.h_bot:
-        sectors.append(max(dp.top_min_lo or 1, 1))
-    return sectors
-
-
-def bound_from_params(cp: FactorParams, dp: FactorParams, refined: bool = True) -> int:
-    """Sound lower bound on one side of the product distance."""
-    sectors = _sector_bounds(cp, dp, refined)
+            lo = max(lo, _capture_refinement(cp.d_lo, dp.cycle_lo, cp.check_w),
+                     _capture_refinement(dp.d_lo, cp.cycle_lo, dp.check_w))
+        sectors.append(lo)
+    sectors += [top.top_min_lo for top, bot in ((cp, dp), (dp, cp)) if top.h_top and bot.h_bot]
     if not sectors:
         raise KIsZero("the product has no logical qubits on this side")
     return min(sectors)
@@ -255,17 +250,14 @@ def bound_from_params(cp: FactorParams, dp: FactorParams, refined: bool = True) 
 
 def generic_lower_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
     """Unconditional lower bounds (bound_x, bound_z) on the product distances."""
-    bx, bz = (bound_from_params(factor_params(c, s), factor_params(d, s)) for s in ("X", "Z"))
-    return bx, bz
+    return tuple(bound_from_params(factor_params(c, s), factor_params(d, s)) for s in "XZ")
 
 
 def known_comparison_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
     """The plain per-sector max bound, kept for before/after comparison."""
-    bx, bz = (
-        bound_from_params(factor_params(c, s), factor_params(d, s), refined=False)
-        for s in ("X", "Z")
+    return tuple(
+        bound_from_params(factor_params(c, s), factor_params(d, s), refined=False) for s in "XZ"
     )
-    return bx, bz
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -337,40 +329,36 @@ def sweep_to_csv(records: Sequence[SweepRecord], with_seconds: bool = True) -> s
 def _machine_bounds(
     base: CssCode, prev: tuple[CssCode, css.CodeReport], time_budget: float | None,
 ) -> tuple[int, int]:
-    """Sector bounds (X, Z) on base (x) the previous stage, from its report; 0 where none.
+    """Sector bounds (X, Z) on base (x) the previous stage, from its report.
 
-    The one sector that reads the previous stage's lightest relation
-    among its checks (``css._Side.minimum("relation")``) needs h_bot > 0
-    on the base side; only then is it searched, for at most
-    ``time_budget`` seconds per side, the stage's budget, and it enters as
-    the search's certified lower bound.  When the base and
-    the previous stage both have a certified side mirror (see
-    ``css._mirror``), side Z gets side X's bound: the mirror carries each
-    side's checks, kernel, logicals and stabilizers onto the other's with
-    their weights, so the ``FactorParams`` of both sides agree, and
-    ``css.analyze`` gave the stage the same bounds on both.  No Z ``_Side``
-    of either is built.
+    ``sweep`` calls it only for a stage with k >= 1, so it never raises
+    KIsZero: cut to three degrees, the previous power can only gain end
+    homology, so by Kuenneth base (x) that 3-term complex has k >= the
+    stage's k, and some sector is active on each side.  The one sector
+    that reads the previous stage's lightest relation among its checks
+    (``css._Side.minimum("relation")``) needs h_bot > 0 on the base side;
+    only then is it searched, for at most ``time_budget`` seconds per
+    side, the stage's budget, and it enters as the search's certified
+    lower bound.  When the base and the previous stage both have a
+    certified side mirror (see ``css._mirror``), side Z gets side X's
+    bound: the mirror carries each side's checks, kernel, logicals and
+    stabilizers onto the other's with their weights, so the
+    ``FactorParams`` of both sides agree, and ``css.analyze`` gave the
+    stage the same bounds on both.  No Z ``_Side`` of either is built.
     """
     code, last = prev
-    reports = {
-        "X": (last.d_x, last.min_stabilizer_weight_x),
-        "Z": (last.d_z, last.min_stabilizer_weight_z),
-    }
-    bounds = {}
-    for side in ("X", "Z"):
-        if side == "Z" and css._mirror(base) is not None and css._mirror(code) is not None:
-            return bounds["X"], bounds["X"]
-        s = css._side(code, side)
-        params = factor_params(base, side)
+    reports = {"X": (last.d_x, last.min_stabilizer_weight_x),
+               "Z": (last.d_z, last.min_stabilizer_weight_z)}
+    mirrored = css._mirror(base) is not None and css._mirror(code) is not None
+    bounds = []
+    for side in ("X",) if mirrored else ("X", "Z"):
+        s, params = css._side(code, side), factor_params(base, side)
         top = None
         if params.h_bot:
             deadline = None if time_budget is None else time.monotonic() + time_budget
             top = s.minimum("relation", deadline=deadline)
-        try:
-            bounds[side] = bound_from_params(params, _factor_params(s, *reports[side], top))
-        except KIsZero:
-            bounds[side] = 0
-    return bounds["X"], bounds["Z"]
+        bounds.append(bound_from_params(params, _factor_params(s, *reports[side], top)))
+    return bounds[0], bounds[-1]
 
 
 def sweep(

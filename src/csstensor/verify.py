@@ -196,8 +196,9 @@ def _is_window_code(product: css.CssCode, x: chain.ChainComplex, y: chain.ChainC
 def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
     """Exact product distances lie between the emitted bounds.
 
-    Codes are generated with full-rank checks, so the middle sector is the
-    only active one, the comparison bound is the plain max and k = k_C * k_D.
+    Codes are generated with full-rank checks and k >= 1, so the middle
+    sector is the only active one, the comparison bound is the plain max
+    and k = k_C * k_D >= 1; a k = 0 product is a ``kunneth_k`` failure.
     Above: by Kunneth, x (x) y of two lightest logicals is a nontrivial
     logical of the product, so d <= d_C * d_D on each side.
 
@@ -224,9 +225,10 @@ def bound_soundness_suite(seed: int, pairs: int) -> list[PropertyResult]:
             continue
         product = tensorops.css_tensor(c, d)
         k = product.n - gf2.rank(product.h_x) - gf2.rank(product.h_z)
-        if k < 1:
-            continue
         done += 1
+        if k < 1:
+            failures["kunneth_k"] += 1
+            continue
         x, y = product._factors
         if k != css.dimension_k(product) or not _is_window_code(product, x, y):
             failures["kunneth_k"] += 1

@@ -6,11 +6,10 @@ the reason it stays; every private one must be referenced there with no
 exception.  A function that only tests call belongs in the tests.
 Every field of a value or record class in ``src/`` must be read as an
 attribute somewhere in ``src/``: a field nothing reads is computed for
-nobody.  The fields are the names in a class's ``__slots__``, the field
-list of its ``namedtuple`` base, or, for the classes in ``DICT_RECORDS``,
-the attributes its ``__init__`` sets.  So must every public method,
-property and classmethod of a class in ``src/`` be read, unless it is
-listed below with the reason it stays.
+nobody.  The fields are the names in a class's ``__slots__`` or the field
+list of its ``namedtuple`` base.  So must every public method, property
+and classmethod of a class in ``src/`` be read, unless it is listed
+below with the reason it stays.
 """
 
 from __future__ import annotations
@@ -160,10 +159,6 @@ def test_method_allowlist_is_current():
     assert set(ALLOWED_METHODS) <= defined
 
 
-# Records that keep a ``__dict__``, because ``functools.cached_property`` needs one.
-DICT_RECORDS = ("_Side",)
-
-
 def _strings(node: ast.expr) -> list[str]:
     """The names in a string constant ("a b c") or a tuple or list of them."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -186,14 +181,6 @@ def _fields(cls: ast.ClassDef) -> list[str]:
     for base in cls.bases:
         if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
             fields += _strings(base.args[1])
-    if cls.name in DICT_RECORDS:
-        init = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
-        fields += [
-            node.attr
-            for node in ast.walk(init)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-            and isinstance(node.value, ast.Name) and node.value.id == "self"
-        ]
     return fields
 
 

@@ -458,6 +458,18 @@ class TestSweep:
         row = json.loads(stdout.strip().split("\n")[0])
         assert row["n"] == 7 and "seconds" not in row
 
+    def test_json_file_is_stdout_with_seconds(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        code, stdout, _ = run(
+            capsys, "sweep", "steane", "--ell-max", "2", "--trials", "10",
+            "--format", "json", "--out", str(out),
+        )
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert all(row.pop("seconds") >= 0 for row in rows)
+        assert rows == [json.loads(line) for line in stdout.strip().split("\n")]
+        assert [row["ell"] for row in rows] == [1, 2]
+
     def test_reduced_column_below_full(self, capsys):
         _, full, _ = run(capsys, "sweep", "steane", "--ell-max", "2", "--trials", "10")
         _, reduced, _ = run(

@@ -279,6 +279,13 @@ class TestFiniteGeometry:
     def test_empty_selection_full_k(self):
         code = finite_geometry_css("pg", 2, ("none", "none"))
         assert css.dimension_k(code) == code.n == 7
+        code = finite_geometry_css("eg", 2, ("none", "none"))
+        assert css.dimension_k(code) == code.n == 4
+
+    def test_pg_transposes_are_the_default(self):
+        # a PG incidence is symmetric, so transposing changes nothing
+        default = parse_family_spec("fg:pg,q=2")
+        assert parse_family_spec("fg:pg,q=2,hx=complement-transpose,hz=transpose") == default
 
 
 class TestParseFamilySpec:
@@ -325,6 +332,10 @@ SPEC_TABLE_VALID = [
     ("cyclic:n=7,g1=1011,g2=1011", 7, 1),
     ("fg:pg,q=2", 7, 0),
     ("fg:pg,q=2,hx=complement,hz=incidence", 7, 0),
+    ("fg:pg,q=2,hx=complement-transpose,hz=transpose", 7, 0),
+    ("fg:eg,q=2,hx=transpose,hz=none", 6, 3),
+    ("fg:eg,q=2,hx=none,hz=complement-transpose", 6, 3),
+    ("fg:eg,q=3,hx=transpose,hz=none", 12, 3),
 ]
 
 # Exception types and messages as the two-phase parser (parse, then build) gave them.
@@ -344,6 +355,9 @@ SPEC_TABLE_BAD = [
     ("fg:xx,q=2", FamilyParseError,
      "bad parameters for 'fg': kind must be 'pg' or 'eg', got 'xx'"),
     ("fg:pg,q=6", FamilyParseError, "bad parameters for 'fg': unsupported field order 6"),
+    ("fg:pg,q=2,hx=dual", FamilyParseError,
+     "bad parameters for 'fg': unknown variant 'dual'; pick from ('incidence', 'transpose', "
+     "'complement', 'complement-transpose', 'none')"),
     ("hamming:m=1", FamilyParseError, "bad parameters for 'hamming': m must be >= 2"),
     ("rm:m=3,r1=1,r2=2", OrthogonalityViolation,
      "h_x row 1 and h_z row 6 overlap on an odd number of qubits"),

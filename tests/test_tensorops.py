@@ -265,6 +265,10 @@ class TestCssPower:
         for reduced in (False, True):
             with pytest.raises(ValueError, match="ell must be >= 1"):
                 css_power(steane(), 0, reduced=reduced)
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            power_length((3, 7, 3), 0)
+        with pytest.raises(ValueError, match="ell_max must be >= 1"):
+            tensorops.sweep(steane(), 0)
 
     def test_row_weight_subadditive(self):
         rng = random.Random(11)
@@ -604,6 +608,27 @@ class TestBounds:
         failed = [r.name for r in verify.bound_soundness_suite(5, 6) if not r.passed]
         assert failed == ["tensorops/product_witness_bound"]
 
+    def test_soundness_suite_counts_a_k_zero_product(self, monkeypatch):
+        # Factors with full-rank checks and k >= 1 give k = k_C * k_D >= 1,
+        # so a k = 0 product is a kunneth_k failure, and the suite goes on
+        # to its next pair.  The patch gives up after 50 products, so a
+        # suite that skipped such products fails here instead of looping.
+        empty = css.from_matrices(BinMatrix.identity(2), BinMatrix.zeros(0, 2))
+        made = []
+
+        def k_zero(c, d, max_n=None):
+            made.append((c, d))
+            if len(made) > 50:
+                raise RuntimeError("k = 0 products were not counted")
+            return empty
+
+        monkeypatch.setattr(tensorops, "css_tensor", k_zero)
+        results = verify.bound_soundness_suite(5, 6)
+        assert len(made) == 6
+        assert [(r.name, r.failures) for r in results if not r.passed] == [
+            ("tensorops/kunneth_k", 6)
+        ]
+
     def test_pinned_factor_params_and_bounds(self):
         # Values of the bound machine on family codes: k = 0 codes, codes
         # with redundant checks (h_top > 0) and every pair with k >= 1.
@@ -829,6 +854,41 @@ class TestSweep:
         )
         assert tensorops._machine_bounds(steane(), (square, report), None) == (11, z_bound)
         assert z_bound == 11 and "Z" not in square._sides
+
+    @pytest.mark.parametrize("spec, bounds", [("tz:rep3,rep3", (4, 4)), ("fg:pg,q=2", (3, 4))])
+    def test_unmirrored_machine_computes_side_z(self, spec, bounds):
+        # With no side mirror the machine computes side Z itself; given an
+        # exact first-stage report it is the generic bound of base (x) base.
+        # fg:pg,q=2 has k = 0, so its end sectors alone are active.
+        base = families.parse_family_spec(spec)
+        assert css._mirror(base) is None
+        prev = (base, css.analyze(base, exact_up_to=None))
+        assert tensorops._machine_bounds(base, prev, None) == generic_lower_bound(base, base)
+        assert generic_lower_bound(base, base) == bounds
+
+    def test_machine_always_has_an_active_sector(self):
+        """sweep calls the machine only for a stage with k >= 1.  Cutting
+        the previous stage to three degrees can only add end homology, so
+        by Kuenneth base (x) that stage has k >= 1 too, and some sector is
+        active on each side: the machine never raises.  Random bases of
+        any check ranks, k = 0 included, mostly without a side mirror."""
+        rng = random.Random(7)
+        calls = unmirrored = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            base = random_css_code(rng, n, rng.randrange(n + 1), rng.randrange(n + 1), min_k=0)
+            prev = None
+            for ell in (1, 2, 3):
+                if power_length(css.to_complex(base).dims, ell) > 200:
+                    break
+                code = css_power(base, ell)
+                report = css.analyze(code, 1, 2, ell)
+                if prev is not None and report.k >= 1:
+                    calls += 1
+                    unmirrored += css._mirror(base) is None
+                    assert min(tensorops._machine_bounds(base, prev, None)) >= 1
+                prev = (code, report)
+        assert (calls, unmirrored) == (86, 72)
 
     def test_machine_bounds_obey_the_stage_budget(self):
         """The cube's X side has 162 independent relations among its 522

@@ -63,6 +63,9 @@ def test_immutable_equal_and_hashed_by_fields(value, twin, field):
 def test_unequal_fields_differ():
     assert BinMatrix(2, 3, (1, 6)) != BinMatrix(2, 3, (1, 4))
     assert BinVector(5, 1) != BinVector(6, 1)
+    # another value type or a non-value compares unequal, never by fields
+    assert BinVector(1, 1) != BinMatrix(1, 1, (1,)) and BinVector(5, 1) != (5, 1)
+    assert BinVector(5, 1).__eq__(BinMatrix(1, 1, (1,))) is NotImplemented
     w = BinVector(7, 0b1111)
     assert css.DistanceResult(3, 4, False, w) != css.DistanceResult(3, 5, False, w)
 
@@ -94,6 +97,24 @@ def test_checks_kept():
         chain.ChainComplex((), ())
     with pytest.raises(ValueError):
         css.CssCode(7, BinMatrix.zeros(0, 7), BinMatrix.zeros(0, 6))
+
+
+BAD_INPUTS = {
+    "matrix-row-count": (lambda: BinMatrix(2, 3, (1,)), "row count does not match data"),
+    "from-rows-ragged": (lambda: BinMatrix.from_rows([[1, 0], [1]]), "ragged rows"),
+    "vector-negative": (lambda: BinVector(-1, 0), "negative length"),
+    "from-support-range": (lambda: BinVector.from_support(3, [0, 3]),
+                           "index 3 out of range for length 3"),
+    "complex-boundary-count": (lambda: chain.ChainComplex((1, 2), ()),
+                               "expected 1 boundary maps, got 0"),
+}
+
+
+@pytest.mark.parametrize("build, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_malformed_inputs_raise_value_error(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_repr_names_the_fields():
