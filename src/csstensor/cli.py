@@ -42,9 +42,9 @@ class UsageError(Exception):
 def _ceiling() -> int:
     raw = os.environ.get(RESOURCE_CEILING_ENV)
     try:
-        return int(raw) if raw else DEFAULT_CEILING
-    except ValueError:
-        raise UsageError(f"{RESOURCE_CEILING_ENV} must be an integer, got {raw!r}") from None
+        return _positive_int(raw) if raw else DEFAULT_CEILING
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{RESOURCE_CEILING_ENV}: {exc}") from None
 
 
 def _load(path: str) -> tuple[str, CssCode]:

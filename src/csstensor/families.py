@@ -3,7 +3,9 @@
 Every constructor funnels through a validated CSS constructor:
 ``css.from_matrices``, so any pairing that violates ``h_x . h_z^T = 0``
 fails loudly with a witness row pair instead of producing a non-code,
-or, for hypergraph products, ``css.from_complex``.
+or, for hypergraph products, ``css.from_complex``.  ``parse_family_spec``
+reads a family spec string with one grammar from one table,
+``_FAMILIES``, where each family declares its tokens, keys and builder.
 """
 
 from __future__ import annotations
@@ -205,8 +207,8 @@ _PRIMITIVE_POLYS = {
 SUPPORTED_GEOMETRY_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
-class _GF:
-    """Arithmetic tables ``add[a][b]`` and ``mul[a][b]`` of GF(q), q <= 16.
+def _field_tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication tables ``add[a][b]``, ``mul[a][b]`` of GF(q), q <= 16.
 
     Elements are integers 0..q-1 read as base-p digit vectors over the
     prime subfield, which fixes a canonical element order shared by every
@@ -214,44 +216,40 @@ class _GF:
     prime q is the one-digit case: a product of two digits never reaches
     degree 1, so its polynomial x is never used.
     """
+    if q not in SUPPORTED_GEOMETRY_ORDERS:
+        raise ValueError(f"unsupported field order {q}")
+    p, poly = _PRIMITIVE_POLYS.get(q, (q, [0, 1]))
+    e = len(poly) - 1
 
-    def __init__(self, q: int):
-        if q not in SUPPORTED_GEOMETRY_ORDERS:
-            raise ValueError(f"unsupported field order {q}")
-        self.q = q
-        p, poly = _PRIMITIVE_POLYS.get(q, (q, [0, 1]))
-        e = len(poly) - 1
+    def digits(a: int) -> list[int]:
+        return [a // p**i % p for i in range(e)]
 
-        def digits(a: int) -> list[int]:
-            return [a // p**i % p for i in range(e)]
+    def undigits(ds: list[int]) -> int:
+        return sum(d * p**i for i, d in enumerate(ds))
 
-        def undigits(ds: list[int]) -> int:
-            return sum(d * p**i for i, d in enumerate(ds))
+    def poly_mul(a: int, b: int) -> int:
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        # reduce by the primitive polynomial (monic of degree e)
+        for i in range(len(prod) - 1, e - 1, -1):
+            c = prod[i]
+            if c:
+                prod[i] = 0
+                for j in range(e):
+                    prod[i - e + j] = (prod[i - e + j] - c * poly[j]) % p
+        return undigits(prod[:e])
 
-        def poly_mul(a: int, b: int) -> int:
-            prod = [0] * (2 * e - 1)
-            for i, x in enumerate(digits(a)):
-                for j, y in enumerate(digits(b)):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-            # reduce by the primitive polynomial (monic of degree e)
-            for i in range(len(prod) - 1, e - 1, -1):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j in range(e):
-                        prod[i - e + j] = (prod[i - e + j] - c * poly[j]) % p
-            return undigits(prod[:e])
-
-        self.add = [
-            [undigits([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)]
-            for a in range(q)
-        ]
-        self.mul = [[poly_mul(a, b) for b in range(q)] for a in range(q)]
+    add = [
+        [undigits([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)]
+        for a in range(q)
+    ]
+    return add, [[poly_mul(a, b) for b in range(q)] for a in range(q)]
 
 
-def _pg_points(gf: _GF) -> list[tuple[int, int, int]]:
+def _pg_points(q: int) -> list[tuple[int, int, int]]:
     """Normalized homogeneous triples, first nonzero coordinate = 1."""
-    q = gf.q
     pts = [(1, a, b) for a in range(q) for b in range(q)]
     pts += [(0, 1, b) for b in range(q)]
     pts.append((0, 0, 1))
@@ -266,14 +264,14 @@ def finite_geometry_incidence(kind: str, q: int) -> BinMatrix:
     first and the q vertical lines last.  Determinism comes from the
     fixed primitive polynomial per field order.
     """
-    gf = _GF(q)
+    add, mul = _field_tables(q)
     if kind == "pg":
-        pts = _pg_points(gf)
+        pts = _pg_points(q)
         rows = []
         for (u, v, w) in pts:
             bits = 0
             for jPt, (x, y, z) in enumerate(pts):
-                s = gf.add[gf.add[gf.mul[u][x]][gf.mul[v][y]]][gf.mul[w][z]]
+                s = add[add[mul[u][x]][mul[v][y]]][mul[w][z]]
                 if s == 0:
                     bits |= 1 << jPt
             rows.append(bits)
@@ -289,7 +287,7 @@ def finite_geometry_incidence(kind: str, q: int) -> BinMatrix:
             for c in range(q):
                 bits = 0
                 for a in range(q):
-                    b = gf.add[gf.mul[m][a]][c]
+                    b = add[mul[m][a]][c]
                     bits |= 1 << pt(a, b)
                 rows.append(bits)
         for c in range(q):
@@ -306,21 +304,13 @@ def _complement(m: BinMatrix) -> BinMatrix:
     return BinMatrix(m.rows, m.cols, tuple(r ^ mask for r in m.data))
 
 
-_GEOMETRY_VARIANTS = ("incidence", "transpose", "complement", "complement-transpose", "none")
-
-
-def _geometry_matrix(incidence: BinMatrix, variant: str) -> BinMatrix | None:
-    if variant == "incidence":
-        return incidence
-    if variant == "transpose":
-        return gf2.transpose(incidence)
-    if variant == "complement":
-        return _complement(incidence)
-    if variant == "complement-transpose":
-        return _complement(gf2.transpose(incidence))
-    if variant == "none":
-        return None
-    raise ValueError(f"unknown variant {variant!r}; pick from {_GEOMETRY_VARIANTS}")
+_GEOMETRY_VARIANTS = {
+    "incidence": lambda m: m,
+    "transpose": gf2.transpose,
+    "complement": _complement,
+    "complement-transpose": lambda m: _complement(gf2.transpose(m)),
+    "none": lambda m: None,
+}
 
 
 def finite_geometry_css(
@@ -337,25 +327,16 @@ def finite_geometry_css(
     wide as its partner (as the incidence when both are "none").
     """
     incidence = finite_geometry_incidence(kind, q)
-    pair = [_geometry_matrix(incidence, variant) for variant in pairing]
+    for variant in pairing:
+        if variant not in _GEOMETRY_VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; pick from {tuple(_GEOMETRY_VARIANTS)}")
+    pair = [_GEOMETRY_VARIANTS[variant](incidence) for variant in pairing]
     cols = next((m.cols for m in pair if m is not None), incidence.cols)
     h_x, h_z = (BinMatrix.zeros(0, cols) if m is None else m for m in pair)
     return css.from_matrices(h_x, h_z)
 
 
 # -- family spec strings -------------------------------------------------------
-
-
-def _parse_kv(body: str) -> dict[str, str]:
-    out = {}
-    if not body:
-        return out
-    for part in body.split(","):
-        if "=" not in part:
-            raise FamilyParseError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
 
 
 def _classical_matrix(token: str) -> BinMatrix:
@@ -370,47 +351,62 @@ def _classical_matrix(token: str) -> BinMatrix:
     raise FamilyParseError(f"unknown classical code token {token!r}")
 
 
-_FAMILY_NAMES = ("steane", "hamming", "tz", "rm", "cyclic", "fg")
+# name: (number of positional tokens, what they are, keys with their
+# defaults, builder).  A key whose default is None is required.  The builder
+# takes the tokens, then the keys by name, all as the strings the spec gave.
+_FAMILIES = {
+    "steane": (0, "", {}, steane),
+    "hamming": (0, "", {"m": None}, lambda m: hamming_css(int(m))),
+    "tz": (2, "two classical codes", {},
+           lambda h1, h2: tillich_zemor(_classical_matrix(h1), _classical_matrix(h2))),
+    "rm": (0, "", dict.fromkeys(("m", "r1", "r2")),
+           lambda m, r1, r2: quantum_reed_muller(int(m), int(r1), int(r2))),
+    "cyclic": (0, "", dict.fromkeys(("n", "g1", "g2")),
+               lambda n, g1, g2: cyclic_css(int(n), int(g1[::-1], 2), int(g2[::-1], 2))),
+    "fg": (1, "a geometry kind, pg or eg", {"q": None, "hx": "complement", "hz": "incidence"},
+           lambda kind, q, hx, hz: finite_geometry_css(kind, int(q), (hx, hz))),
+}
 
 
 def parse_family_spec(spec: str) -> CssCode:
     """Parse and build a family string.
 
-    Formats: ``steane``, ``hamming:m=4``, ``tz:hamming3,hamming3``,
-    ``rm:m=4,r1=1,r2=1``, ``cyclic:n=7,g1=1011,g2=1011`` (coefficient
-    bits, lowest degree first), ``fg:pg,q=2[,hx=...,hz=...]``.
+    A spec is ``name[:tokens,key=value,...]``: the family's positional
+    tokens come first, then ``key=value`` pairs, each a key the family
+    declares, at most once.  Formats: ``steane``, ``hamming:m=4``,
+    ``tz:hamming3,rep3``, ``rm:m=4,r1=1,r2=1``,
+    ``cyclic:n=7,g1=1011,g2=1011`` (coefficient bits, lowest degree
+    first), ``fg:pg,q=2[,hx=...,hz=...]``.
 
-    A bad string or parameter raises FamilyParseError; a code that fails a
-    validity predicate raises its constructor's own error.
+    A bad string, an undeclared, repeated or missing key, or a bad
+    parameter raises FamilyParseError; a code that fails a validity
+    predicate raises its constructor's own error.
     """
     head, _, body = spec.partition(":")
     name = head.strip()
-    if name not in _FAMILY_NAMES:
+    if name not in _FAMILIES:
         raise FamilyParseError(f"unknown family {name!r}")
-    tokens = [t.strip() for t in body.split(",")]
-    if name == "tz" and len(tokens) != 2:
-        raise FamilyParseError("tz needs two classical codes")
-    kv = {} if name == "tz" else _parse_kv(",".join(tokens[1:]) if name == "fg" else body)
+    n_tokens, what, keys, build = _FAMILIES[name]
+    parts = [part.strip() for part in body.split(",")] if body else []
+    if len(parts) < n_tokens:
+        raise FamilyParseError(f"{name} needs {what}")
+    given: dict[str, str] = {}
+    for part in parts[n_tokens:]:
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq:
+            raise FamilyParseError(f"expected key=value, got {part!r}")
+        if key not in keys or key in given:
+            verb = "repeats" if key in given else "has no"
+            raise FamilyParseError(f"family {name!r} {verb} key {key!r}")
+        given[key] = value.strip()
+    values = {**keys, **given}
+    missing = [key for key, value in values.items() if value is None]
+    if missing:
+        raise FamilyParseError(f"family {name!r} is missing {missing[0]!r}")
     try:
-        if name == "steane":
-            code = steane()
-        elif name == "hamming":
-            code = hamming_css(int(kv["m"]))
-        elif name == "tz":
-            code = tillich_zemor(*[_classical_matrix(t) for t in tokens])
-        elif name == "rm":
-            code = quantum_reed_muller(int(kv["m"]), int(kv["r1"]), int(kv["r2"]))
-        elif name == "cyclic":
-            g1 = int(kv["g1"][::-1], 2)
-            g2 = int(kv["g2"][::-1], 2)
-            code = cyclic_css(int(kv["n"]), g1, g2)
-        else:  # fg
-            pairing = (kv.get("hx", "complement"), kv.get("hz", "incidence"))
-            code = finite_geometry_css(tokens[0], int(kv["q"]), pairing)
-    except (KeyError, IndexError) as exc:
-        raise FamilyParseError(f"family {name!r} is missing {exc}") from exc
+        return build(*parts[:n_tokens], **values)
     except ValueError as exc:
         if isinstance(exc, (css.OrthogonalityViolation, NotADivisor)):
             raise
         raise FamilyParseError(f"bad parameters for {name!r}: {exc}") from exc
-    return code

@@ -61,8 +61,16 @@ class TestFamily:
         assert run(capsys, "family", "tz:rep5,rep5") == (0, "n=41 k=1\n", "")
 
     def test_parse_error_exit_2(self, capsys):
-        code, _, err = run(capsys, "family", "bogus:spec")
-        assert code == 2 and "error" in err
+        for spec, names in [
+            ("bogus:spec", ["'bogus'"]),
+            ("steane:m=9", ["'steane'", "'m'"]),
+            ("hamming:m=3,m=4", ["'hamming'", "'m'"]),
+            ("fg:pg,q=2,hz=incidence,hxx=none", ["'fg'", "'hxx'"]),
+        ]:
+            for argv in (["family", spec], ["sweep", spec, "--ell-max", "1"]):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, "") and err.startswith("error:"), argv
+                assert all(name in err for name in names), argv
 
     def test_construction_error_exit_3(self, capsys):
         code, _, err = run(capsys, "family", "rm:m=3,r1=1,r2=2")
@@ -338,11 +346,12 @@ class TestPower:
     def test_malformed_ceiling_exit_2(self, capsys, tmp_path, monkeypatch):
         base = tmp_path / "steane.json"
         run(capsys, "family", "steane", "--out", str(base))
-        monkeypatch.setenv(cli.RESOURCE_CEILING_ENV, "10k")
-        code, _, err = run(capsys, "power", str(base), "--ell", "2")
-        assert code == 2 and cli.RESOURCE_CEILING_ENV in err
-        code, _, err = run(capsys, "sweep", "steane", "--ell-max", "1")
-        assert code == 2 and cli.RESOURCE_CEILING_ENV in err
+        for raw in ("10k", "0", "-5"):
+            monkeypatch.setenv(cli.RESOURCE_CEILING_ENV, raw)
+            code, _, err = run(capsys, "power", str(base), "--ell", "2")
+            assert code == 2 and cli.RESOURCE_CEILING_ENV in err
+            code, _, err = run(capsys, "sweep", "steane", "--ell-max", "1")
+            assert code == 2 and cli.RESOURCE_CEILING_ENV in err
 
 
 class TestTensor:

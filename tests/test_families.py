@@ -16,6 +16,7 @@ from csstensor.families import (
     cyclic_parity_circulant,
     finite_geometry_css,
     finite_geometry_incidence,
+    hamming_css,
     hamming_parity_check,
     parse_family_spec,
     quantum_reed_muller,
@@ -323,19 +324,32 @@ class TestParseFamilySpec:
             parse_family_spec("rm:m=3,r1=1,r2=2")
 
 
+REP3 = BinMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+REP4 = BinMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+
+# (spec, n, k, the direct constructor call the spec names)
 SPEC_TABLE_VALID = [
-    ("steane", 7, 1),
-    ("hamming:m=4", 15, 7),
-    ("tz:hamming3,hamming3", 58, 16),
-    ("tz:rep3,rep3", 13, 1),
-    ("rm:m=4,r1=1,r2=1", 16, 6),
-    ("cyclic:n=7,g1=1011,g2=1011", 7, 1),
-    ("fg:pg,q=2", 7, 0),
-    ("fg:pg,q=2,hx=complement,hz=incidence", 7, 0),
-    ("fg:pg,q=2,hx=complement-transpose,hz=transpose", 7, 0),
-    ("fg:eg,q=2,hx=transpose,hz=none", 6, 3),
-    ("fg:eg,q=2,hx=none,hz=complement-transpose", 6, 3),
-    ("fg:eg,q=3,hx=transpose,hz=none", 12, 3),
+    ("steane", 7, 1, steane),
+    ("hamming:m=4", 15, 7, lambda: hamming_css(4)),
+    ("tz:hamming3,hamming3", 58, 16,
+     lambda: tillich_zemor(hamming_parity_check(3), hamming_parity_check(3))),
+    ("tz:rep3,rep3", 13, 1, lambda: tillich_zemor(REP3, REP3)),
+    ("tz:hamming3,rep4", 37, 4, lambda: tillich_zemor(hamming_parity_check(3), REP4)),
+    ("rm:m=4,r1=1,r2=1", 16, 6, lambda: quantum_reed_muller(4, 1, 1)),
+    ("rm:m=5,r1=1,r2=2", 32, 10, lambda: quantum_reed_muller(5, 1, 2)),
+    ("cyclic:n=7,g1=1011,g2=1011", 7, 1, lambda: cyclic_css(7, 0b1101, 0b1101)),
+    ("cyclic:n=7,g1=1,g2=1101", 7, 4, lambda: cyclic_css(7, 1, 0b1011)),
+    ("fg:pg,q=2", 7, 0, lambda: finite_geometry_css("pg", 2)),
+    ("fg:pg,q=2,hx=complement,hz=incidence", 7, 0,
+     lambda: finite_geometry_css("pg", 2, ("complement", "incidence"))),
+    ("fg:pg,q=2,hx=complement-transpose,hz=transpose", 7, 0,
+     lambda: finite_geometry_css("pg", 2, ("complement-transpose", "transpose"))),
+    ("fg:eg,q=2,hx=transpose,hz=none", 6, 3,
+     lambda: finite_geometry_css("eg", 2, ("transpose", "none"))),
+    ("fg:eg,q=2,hx=none,hz=complement-transpose", 6, 3,
+     lambda: finite_geometry_css("eg", 2, ("none", "complement-transpose"))),
+    ("fg:eg,q=3,hx=transpose,hz=none", 12, 3,
+     lambda: finite_geometry_css("eg", 3, ("transpose", "none"))),
 ]
 
 # Exception types and messages as the two-phase parser (parse, then build) gave them.
@@ -359,6 +373,13 @@ SPEC_TABLE_BAD = [
      "bad parameters for 'fg': unknown variant 'dual'; pick from ('incidence', 'transpose', "
      "'complement', 'complement-transpose', 'none')"),
     ("hamming:m=1", FamilyParseError, "bad parameters for 'hamming': m must be >= 2"),
+    ("tz:hamming30,rep3", FamilyParseError,
+     "bad parameters for 'tz': m too large for dense construction"),
+    ("steane:m=9", FamilyParseError, "family 'steane' has no key 'm'"),
+    ("hamming:m=3,m=4", FamilyParseError, "family 'hamming' repeats key 'm'"),
+    ("fg:pg,q=2,hz=incidence,hxx=none", FamilyParseError, "family 'fg' has no key 'hxx'"),
+    ("rm:m=4,r1=1,r2=1,r3=5", FamilyParseError, "family 'rm' has no key 'r3'"),
+    ("cyclic:n=7,g1=1011,g2=1011,g3=1", FamilyParseError, "family 'cyclic' has no key 'g3'"),
     ("rm:m=3,r1=1,r2=2", OrthogonalityViolation,
      "h_x row 1 and h_z row 6 overlap on an odd number of qubits"),
     ("cyclic:n=7,g1=111,g2=1011", NotADivisor, "g (bits 111) does not divide x^7 - 1"),
@@ -366,10 +387,15 @@ SPEC_TABLE_BAD = [
 
 
 class TestParseFamilySpecTable:
-    @pytest.mark.parametrize("spec, n, k", SPEC_TABLE_VALID, ids=[r[0] for r in SPEC_TABLE_VALID])
-    def test_valid(self, spec, n, k):
+    @pytest.mark.parametrize("spec, n, k, build", SPEC_TABLE_VALID,
+                             ids=[r[0] for r in SPEC_TABLE_VALID])
+    def test_valid(self, spec, n, k, build):
         code = parse_family_spec(spec)
         assert (code.n, css.dimension_k(code)) == (n, k)
+        assert code == build()
+
+    def test_every_family_has_a_valid_row(self):
+        assert {r[0].partition(":")[0] for r in SPEC_TABLE_VALID} == set(families._FAMILIES)
 
     @pytest.mark.parametrize("spec, error, message", SPEC_TABLE_BAD,
                              ids=[r[0] for r in SPEC_TABLE_BAD])

@@ -8,11 +8,12 @@ and hash alike when their fields are equal, and keep their checks.
 from __future__ import annotations
 
 import pickle
+import random
 import weakref
 
 import pytest
 
-from csstensor import chain, css, families, tensorops, verify
+from csstensor import chain, css, families, rand, tensorops, verify
 from csstensor.gf2 import BinMatrix, BinVector
 
 
@@ -107,6 +108,9 @@ BAD_INPUTS = {
                            "index 3 out of range for length 3"),
     "complex-boundary-count": (lambda: chain.ChainComplex((1, 2), ()),
                                "expected 1 boundary maps, got 0"),
+    "complex-orientation": (lambda: families.classical_as_complex(BinMatrix.zeros(1, 2), "kernel"),
+                            "orientation must be 'ker' or 'im', got 'kernel'"),
+    "verify-suite": (lambda: verify.run_suite("huge", 101), "unknown suite 'huge'"),
 }
 
 
@@ -134,6 +138,12 @@ def test_sequence_fields_are_stored_as_tuples():
     twin = chain.ChainComplex((1, 2), (z,))
     assert x == twin and hash(x) == hash(twin)
     assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_random_css_code_gives_up():
+    # three qubits cannot carry k = 4
+    with pytest.raises(RuntimeError, match="no code with k >= 4 found in 200 attempts"):
+        rand.random_css_code(random.Random(1), 3, 0, 0, min_k=4)
 
 
 def test_non_integer_rows_raise_type_error():
