@@ -31,9 +31,10 @@ stabilizer, relation), each search started from the lightest target row.
 A kernel word is a logical exactly when one of its parities with the
 checks is odd (the checks live on an information set of the kernel, where
 they annihilate the stabilizers).  The k parities, the word's signature,
-are linear, so the search sorts rows and sums of two rows into signature
-classes once, skips every class of trivial words, and walks a leaf word by
-word only when it holds a logical lighter than the best so far.
+are linear, so each row list keeps its rows' signatures, a word is tested
+by its signature alone, and the search sorts rows and sums of two rows
+into signature classes once, skips each class of trivial words, and walks
+a leaf word by word only when it holds a logical lighter than the best.
 
 A self-dual code is analysed on one side (``_mirror``).  A column
 permutation pi that moves the rows of h_x onto those of h_z and the rows
@@ -284,25 +285,19 @@ def _classes(items: list[tuple[int, int, int]], size: int) -> list:
 class _Rows:
     """One row list of a search, the signatures of its rows, its class tables.
 
-    The rows and ``checks`` (the search's, moved once) are written under
-    the column priority ``order`` (see ``_in_code``), or in code
-    coordinates when it is None.  ``singles`` groups the rows and ``pairs``
-    the sums of two rows by signature (see ``_classes``).  Row signatures
-    are kept only when the search batches; otherwise they read 0 and
-    targets are tested word by word.
+    The rows are written under the column priority ``order`` (see
+    ``_in_code``), or in code coordinates when it is None; ``sigs`` holds
+    each row's signature with the search's checks moved the same way, 0
+    when there are none.  ``singles`` groups the rows and ``pairs`` the
+    sums of two rows by signature (see ``_classes``).
     """
 
-    __slots__ = ("rows", "checks", "order", "batch", "sigs", "singles", "pairs")
+    __slots__ = ("rows", "order", "sigs", "singles", "pairs")
 
-    def __init__(self, rows: list[int], checks: Sequence[int] | None, batch: bool, order=None):
+    def __init__(self, rows: list[int], checks: Sequence[int] | None, order=None):
         self.rows = rows
-        self.checks = checks
         self.order = order
-        self.batch = batch
-        if batch and checks:
-            self.sigs = [_signature(row, checks) for row in rows]
-        else:
-            self.sigs = [0] * len(rows)
+        self.sigs = [_signature(row, checks) for row in rows] if checks else [0] * len(rows)
         self.singles: list | None = None
         self.pairs: list | None = None
 
@@ -311,8 +306,6 @@ class _Rows:
 
     def prepare(self, r: int, repeats: int) -> None:
         """Build the tables that a level of r-subsets, walked ``repeats`` times, reuses."""
-        if not self.batch:
-            return
         rows, sigs, k = self.rows, self.sigs, len(self.rows)
         if self.singles is None and (r >= 2 or repeats > 1):
             self.singles = _classes(list(zip(range(k), sigs, rows)), k)
@@ -324,20 +317,9 @@ class _Rows:
             pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
             self.pairs = _classes([(i, sigs[i] ^ sigs[j], rows[i] ^ rows[j]) for i, j in pairs], k)
 
-    def is_target(self, word: int, sig: int) -> bool:
-        """Whether a word of these rows is a target; sig is its signature when batching."""
-        if self.checks is None:
-            return True
-        if self.batch:
-            return sig != 0
-        for c in self.checks:
-            if (word & c).bit_count() & 1:
-                return True
-        return False
 
-
-# The Z of a form with no span to add; it never batches, so it builds no tables.
-_NO_ROWS = _Rows([], None, False)
+# The Z of a form with no span to add; only a form's G builds tables.
+_NO_ROWS = _Rows([], None)
 
 
 class _Search:
@@ -346,10 +328,10 @@ class _Search:
     Targets are the words with a nonzero signature: their parities with
     the k ``checks`` (see ``_side``), or every nonzero word when
     ``checks`` is None.  Signatures are linear, so a sum of rows has the
-    XOR of their signatures.  The search starts from ``seed``, a target
-    (``_Side.minimum`` passes the lightest target row): it is the best
-    word until a strictly lighter target turns up, and the search stops
-    once the certified bound reaches the best weight.
+    XOR of their signatures, which ``_walk`` carries.  The search starts
+    from ``seed``, a target (``_Side.minimum`` passes the lightest target
+    row): it is the best word until a strictly lighter target turns up,
+    and the search stops once the certified bound reaches the best weight.
 
     The search walks forms (G, Z).  Level j of a form covers every sum of a
     j-subset of G with an element of span(Z), except the zero word; level
@@ -383,14 +365,14 @@ class _Search:
     levels start again: they cost at most K^2 words each, and the old
     form's certificate still holds, so ``lower`` never drops.
 
-    A leaf covers acc plus each row, or each pair of rows, of a tail.  With
-    K >= _BATCH_MIN and k <= _BATCH_CHECKS_MAX the search batches: a leaf
-    reads its tail from class tables and skips the class whose signature
-    equals acc's, whose words are all trivial.  Only when a remaining word
-    is lighter than ``best_w`` does it walk the tail word by word, in
-    enumeration order, so the witness is the first lightest target, as
-    without tables, and moves to code coordinates as it becomes
-    ``best_word``.  Tables are built for the levels that reuse them, pair
+    A leaf covers acc plus each row, or each pair of rows, of a tail, and
+    walks it word by word, in enumeration order, so the witness is the
+    first lightest target; it moves to code coordinates as it becomes
+    ``best_word``.  With K >= _BATCH_MIN and k <= _BATCH_CHECKS_MAX the
+    search batches (``batch``): a leaf first reads its tail from class
+    tables, skips the class whose signature equals acc's, whose words are
+    all trivial, and walks the tail only when a remaining word is lighter
+    than ``best_w``.  Tables are built for the levels that reuse them, pair
     tables only on bases of at most 2 * _PAIR_TABLE_FACTOR + 1 rows.
     """
 
@@ -405,7 +387,7 @@ class _Search:
         self.best_word = seed
         self.best_w = seed.bit_count()
         self.nodes = 0
-        self.forms = [(_Rows(rows, checks, self.batch), _NO_ROWS)]
+        self.forms = [(_Rows(rows, checks), _NO_ROWS)]
 
     def _walk(self, t: _Rows, start: int, left: int, acc: int, sig: int) -> None:
         """Cover acc + every left-subset sum of t.rows[start:]; sig is acc's.
@@ -436,7 +418,7 @@ class _Search:
         for idx in range(start, len(rows)):
             word = acc ^ rows[idx]
             w = word.bit_count()
-            if w < best_w and t.is_target(word, sig ^ sigs[idx]):
+            if w < best_w and (sig != sigs[idx] or self.checks is None):
                 best_w = w
                 self.best_word = word if t.order is None else _in_code(word, t.order)
         self.best_w = best_w
@@ -466,14 +448,10 @@ class _Search:
         pivot_set = set(pivots)
         order = [c for c in order if c not in pivot_set] + [c for c in order if c in pivot_set]
         rows, moved, bit = gf2._rref_by_priority(supports, order)
-        checks, free = self._checks_in(bit), self.n - len(pivots)
+        checks, free = _moved(self.checks, bit), self.n - len(pivots)
         g = [row for row, p in zip(rows, moved) if p < free]
         z = [row for row, p in zip(rows, moved) if p >= free]
-        return _Rows(g, checks, self.batch, order), _Rows(z, checks, self.batch, order)
-
-    def _checks_in(self, bit: list[int]) -> list[int] | None:
-        """The checks where column c is ``bit[c]``; None when every word is a target."""
-        return None if self.checks is None else _moved(self.checks, bit)
+        return _Rows(g, checks, order), _Rows(z, checks, order)
 
     def _pair(self) -> bool:
         """Build the second form with the P it pairs best with; whether P changed.
@@ -504,7 +482,7 @@ class _Search:
                 first, best = (rows, pivots, order, bit), found
         if first is not None:
             rows, self.pivots, order, bit = first
-            self.forms[0] = (_Rows(rows, self._checks_in(bit), self.batch, order), _NO_ROWS)
+            self.forms[0] = (_Rows(rows, _moved(self.checks, bit), order), _NO_ROWS)
         self.forms.append(best)
         return first is not None
 
@@ -514,7 +492,8 @@ class _Search:
             for r in range(1, len(z) + 1):
                 self._level(z, _NO_ROWS, r)
             return
-        g.prepare(j, 1 << len(z))
+        if self.batch:
+            g.prepare(j, 1 << len(z))
         acc = sig = 0
         for i in range(1 << len(z)):
             if i:  # Gray code: one row of Z changes per step
@@ -555,8 +534,11 @@ class _Search:
         return DistanceResult(lower, found, False, witness)
 
 
-def _moved(words: Iterable[int], bit: Sequence[int]) -> list[int]:
-    """The words with column c moved to ``bit[c]``, its bit in ``gf2._rref_by_priority``."""
+def _moved(words: Iterable[int] | None, bit: Sequence[int]) -> list[int] | None:
+    """The words with column c moved to ``bit[c]``, its bit in
+    ``gf2._rref_by_priority``; None (no checks) stays None."""
+    if words is None:
+        return None
     return [sum(map(bit.__getitem__, gf2._support_of(word))) for word in words]
 
 

@@ -263,36 +263,30 @@ def known_comparison_bound(c: CssCode, d: CssCode) -> tuple[int, int]:
 # -- sweeps ----------------------------------------------------------------
 
 
-# The report fields a ceiling row stands in for: no code was built.
-_NO_REPORT = {
-    "k": 0, "d_x": None, "d_z": None, "max_row_weight_x": 0, "max_row_weight_z": 0,
-    "min_stabilizer_weight_x": None, "min_stabilizer_weight_z": None, "degenerate": None,
-}
-
-
 class SweepRecord(namedtuple("SweepRecord", "ell n report seconds error", defaults=(None,))):
     """One sweep stage: the stage's ``css.CodeReport`` and its seconds.
 
     The report's d_x and d_z carry the sector machine's lower bounds.  A
-    ceiling row has no report (None), the predicted n and the error.
+    ceiling row has no report (None), the predicted n and the error; no
+    code was built, so every report field of its row is None.
     """
 
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """The sweep row layout, read off the report's JSON; stab_min is the lighter upper."""
-        rep = _NO_REPORT if self.report is None else self.report.to_json_dict()
-        stabs = (rep["min_stabilizer_weight_x"], rep["min_stabilizer_weight_z"])
+        rep = {} if self.report is None else self.report.to_json_dict()
+        stabs = (rep.get("min_stabilizer_weight_x"), rep.get("min_stabilizer_weight_z"))
         return {
             "ell": self.ell,
             "n": self.n,
-            "k": rep["k"],
-            "d_x": rep["d_x"],
-            "d_z": rep["d_z"],
-            "wmax_x": rep["max_row_weight_x"],
-            "wmax_z": rep["max_row_weight_z"],
+            "k": rep.get("k"),
+            "d_x": rep.get("d_x"),
+            "d_z": rep.get("d_z"),
+            "wmax_x": rep.get("max_row_weight_x"),
+            "wmax_z": rep.get("max_row_weight_z"),
             "stab_min": min((s["upper"] for s in stabs if s), default=None),
-            "degenerate": rep["degenerate"],
+            "degenerate": rep.get("degenerate"),
             "seconds": self.seconds,
             "error": self.error,
         }

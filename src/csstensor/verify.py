@@ -133,7 +133,8 @@ def reduce_suite(seed: int, instances: int) -> list[PropertyResult]:
 def length_formula_suite(seed: int, triples: int) -> list[PropertyResult]:
     """Closed-form power length equals the assembled block dimension.
 
-    The assembly path enumerates summand compositions.  Small instances
+    The assembly path sums the summand widths that ``chain.tensor``
+    assembles, ``chain._summand_sizes`` of ell copies.  Small instances
     additionally materialise the window ell-1..ell+1 of the power: its
     middle degree must have the predicted dimension, and its middle
     homology, counted by ranks, must equal the Kunneth convolution of the
@@ -149,14 +150,7 @@ def length_formula_suite(seed: int, triples: int) -> list[PropertyResult]:
         homology = chain.homology_dims(x)
         for ell in range(1, _ELL_MAX + 1):
             predicted = tensorops.power_length(dims, ell)
-            comps = chain._compositions((2,) * ell, ell)
-            assembled = 0
-            for c in comps:
-                size = 1
-                for v in c:
-                    size *= dims[v]
-                assembled += size
-            if assembled != predicted:
+            if sum(chain._summand_sizes([x] * ell, ell).values()) != predicted:
                 failures += 1
             if predicted <= 400:
                 lo = max(0, ell - 1)

@@ -320,3 +320,35 @@ def test_one_merge_builds_results():
         for scope in _scopes(tree, _calls_distance_result)
     }
     assert found == {("css", "_Search", "run"), ("css", "_bracket")}
+
+
+def _is_check_parity(node: ast.AST) -> bool:
+    """Whether ``node`` is a word's parity with a check: ``(a & b).bit_count() & 1``
+    or ``% 2``."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.Mod))):
+        return False
+    count, unit = node.left, node.right
+    return (
+        isinstance(unit, ast.Constant)
+        and unit.value == (1 if isinstance(node.op, ast.BitAnd) else 2)
+        and isinstance(count, ast.Call)
+        and getattr(count.func, "attr", None) == "bit_count"
+        and isinstance(count.func.value, ast.BinOp)
+        and isinstance(count.func.value.op, ast.BitAnd)
+    )
+
+
+def test_one_target_rule():
+    """The exact search has one target rule: a word is a target when its
+    signature is nonzero.  A word's parities with the checks are taken in
+    ``css._signature`` alone, and ``css._Rows`` has no word-by-word test."""
+    trees = _trees()
+    found = [
+        (module, *scope)
+        for module, tree in trees.items()
+        for scope in _scopes(tree, _is_check_parity)
+    ]
+    assert found == [("css", "_signature")]
+    (rows,) = [node for node in trees["css"].body
+               if isinstance(node, ast.ClassDef) and node.name == "_Rows"]
+    assert "is_target" not in {node.name for node in rows.body if isinstance(node, ast.FunctionDef)}

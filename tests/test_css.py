@@ -700,7 +700,7 @@ class TestTwoSetSearch:
         for k in range(2, 16):
             rows = [rng.getrandbits(24) for _ in range(k)]
             checks = [rng.getrandbits(24) for _ in range(rng.randrange(4))]
-            t = css._Rows(rows, checks, True)
+            t = css._Rows(rows, checks)
             t.prepare(3, 1)
             for table, width in ((t.singles, 1), (t.pairs, 2)):
                 for start in range(k + 1):
@@ -808,7 +808,7 @@ class TestTwoSetSearch:
         # kept has disjoint P and N, G reduced on N, Z zero on N, and never
         # more Z rows than candidate 0.  On the square, that cuts the distance
         # search from 639 434 words per side to under 70 000.  Each form is
-        # read in its own coordinates, where its checks are too.
+        # read in its own coordinates, and so are its row signatures.
         for ell, natural_z, nodes in ((2, 10, 70_000), (3, 136, None)):
             code = css_power(steane(), ell)
             n = code.n
@@ -831,8 +831,10 @@ class TestTwoSetSearch:
                 for form, rows in ((first, first.rows), (g, g.rows + z.rows)):
                     kernel = in_form(form, s.kernel, n)
                     assert gf2.rank(BinMatrix(2 * k, n, tuple(rows) + tuple(kernel))) == k
-                    assert form.checks == in_form(form, s.checks, n)
-                assert z.order is g.order and z.checks == g.checks
+                for form in (first, g, z):
+                    checks = in_form(form, s.checks, n)
+                    assert form.sigs == [css._signature(row, checks) for row in form.rows]
+                assert z.order is g.order
                 assert max(0, 2 * k - n) <= len(z) < natural_z
                 if nodes is not None:
                     res = search.run(None)
@@ -1014,7 +1016,7 @@ class TestSecondForm:
             for order in [list(range(n))] + [rng.sample(range(n), n) for _ in range(2)]:
                 _, pivots = reference_first_form(natural, n, order)
                 g, z = search._second_form(supports, pivots, order)
-                assert z.order is g.order and z.checks is g.checks is None
+                assert z.order is g.order and g.sigs + z.sigs == [0] * len(natural)
                 pivot_set = set(pivots)
                 assert g.order == [c for c in order if c not in pivot_set] + [
                     c for c in order if c in pivot_set]
@@ -1043,7 +1045,7 @@ class _CodeCoordinateSearch(css._Search):
     def _in_code(self, t):
         if t.order is None:
             return t
-        return css._Rows(in_code(t, t.rows), self.checks, self.batch)
+        return css._Rows(in_code(t, t.rows), self.checks)
 
 
 def _coordinate_cases(seed):

@@ -1046,11 +1046,12 @@ class TestSweep:
         row = records[2].to_json_dict()
         row.pop("seconds")
         assert row == {
-            "ell": 3, "n": 721, "k": 0, "d_x": None, "d_z": None, "wmax_x": 0, "wmax_z": 0,
-            "stab_min": None, "degenerate": None, "error": "predicted n = 721 exceeds ceiling 70",
+            "ell": 3, "n": 721, "k": None, "d_x": None, "d_z": None, "wmax_x": None,
+            "wmax_z": None, "stab_min": None, "degenerate": None,
+            "error": "predicted n = 721 exceeds ceiling 70",
         }
         # the CSV still renders, with empty analysis columns on the failed row
         text = tensorops.sweep_to_csv(records)
-        assert text.strip().split("\n")[3].startswith("3,721,0,,,,,,,0,0,,unknown,")
+        assert text.strip().split("\n")[3].startswith("3,721,,,,,,,,,,,unknown,")
         masked = tensorops.sweep_to_csv(records, with_seconds=False)
-        assert masked.split("\n")[3] == "3,721,0,,,,,,,0,0,,unknown,"
+        assert masked.split("\n")[3] == "3,721,,,,,,,,,,,unknown,"
